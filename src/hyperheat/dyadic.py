@@ -21,13 +21,13 @@ with the usual sup conventions at q = inf, and p < inf required for F.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import ParameterError
-from .grid import (RealField, SpectralField, forward_transform, inverse_transform,
-                   l2_norm_of_coefficients, lp_norm)
+from .grid import (RealField, SpectralField, forward_transform, half_lattice,
+                   inverse_transform, l2_norm_of_coefficients, lp_norm, real_samples)
 
 
 @dataclass(frozen=True)
@@ -110,6 +110,17 @@ class DyadicDecomposition:
             total = total + phi
         return total
 
+    @cached_property
+    def half_block_weights(self):
+        """Matrix W with (|c|^2 @ W)[j] = ||u_j||_2^2 for a flattened
+        half-lattice spectrum c of a real field u: cell volume times the
+        Parseval multiplicity times phi_j^2, one column per block."""
+        grid = self.grid
+        columns = [half_lattice(phi) ** 2 * grid.half_lattice_weights for phi in self.cutoffs]
+        weights = grid.cell_volume * np.stack([c.ravel() for c in columns], axis=1)
+        weights.setflags(write=False)
+        return weights
+
     def support_annulus(self, j):
         """(inner, outer) support radii of phi_j."""
         if j == 0:
@@ -179,6 +190,23 @@ def a_norm_of_coefficients(coefficients, grid, sp, decomposition=None):
         for phi in dec.cutoffs])
     pointwise = _combine_scales(stacked, weights.reshape((-1,) + (1,) * grid.n), sp.q)
     return float(lp_norm(RealField(grid, pointwise), sp.p))
+
+
+def a_norms_of_spectra(spectra, grid, sp, decomposition=None):
+    """``a_norm`` of each real field in a stack of half-lattice spectra.
+
+    For B spaces with p = 2 the squared block norms of every field come from
+    one matrix product, |c|^2 @ ``half_block_weights``; other spaces go field
+    by field through ``a_norm_of_coefficients``.
+    """
+    dec = decomposition or build_decomposition(grid)
+    if sp.family == "B" and sp.p == 2:
+        power = (spectra.real ** 2 + spectra.imag ** 2).reshape(len(spectra), -1)
+        block_norms = np.sqrt(power @ dec.half_block_weights).T
+        weights = np.array([2.0 ** (j * sp.s) for j in range(dec.block_count)])
+        return _combine_scales(block_norms, weights[:, None], sp.q)
+    return np.array([a_norm(RealField(grid, samples), sp, dec)
+                     for samples in real_samples(spectra, grid)])
 
 
 def a_norm(f, sp, decomposition=None):

@@ -13,11 +13,11 @@ from itertools import product
 import numpy as np
 
 from .config import config_digest
-from .dyadic import a_norm, a_norm_of_coefficients, build_decomposition
+from .dyadic import a_norm, a_norm_of_coefficients, a_norms_of_spectra, build_decomposition
 from .errors import ConfigError, ParameterError
 from .fields import power_spectrum_field, radial_power_field, random_band_limited
 from .grid import (RealField, TorusGrid, forward_transform, inverse_transform,
-                   l2_norm_of_coefficients)
+                   l2_norms_of_spectra, real_spectra)
 from .records import ResultRecord
 from .semigroup import ModelParams, apply_semigroup, smoothing_rate
 from .solver import (aliasing_probe, duhamel_apply, etd_oracle, pde_residual,
@@ -463,19 +463,19 @@ def run_solve(cfg):
         rec.add_check("strong_final_ratio",
                       "initial-space distance at the smallest dyadic time, relative "
                       "to the data norm", final_rel, "<=", bound)
-    norm_rows = []
-    for t, f in zip(traj.times, traj.fields):
-        c = forward_transform(f).coefficients
-        norm_rows.append((t, l2_norm_of_coefficients(c, grid),
-                          a_norm_of_coefficients(c, grid, sp, dec),
-                          a_norm_of_coefficients(c, grid, sp0, dec)))
+    spectra = real_spectra(np.stack([f.samples for f in traj.fields]), grid)
     rec.add_series("trajectory_norms",
-                   ("t", "l2_norm", "space_norm", "initial_space_norm"), norm_rows)
-    if not float(m.r).is_integer():
+                   ("t", "l2_norm", "space_norm", "initial_space_norm"),
+                   zip(traj.times, l2_norms_of_spectra(spectra, grid),
+                       a_norms_of_spectra(spectra, grid, sp, dec),
+                       a_norms_of_spectra(spectra, grid, sp0, dec)))
+    # Only odd integer r makes |u|^(r-1) u a polynomial that padding can
+    # dealias exactly; r = 2 (|u| u) is not one.
+    if not (float(m.r).is_integer() and int(m.r) % 2 == 1):
         rec.add_metric("aliasing_defect",
                        aliasing_probe(traj.terminal, m.r, cfg.solver.dealias_factor))
-        rec.add_note("non-integer power: dealiasing is approximate; the defect metric "
-                     "compares against doubled padding")
+        rec.add_note("power not an odd integer: dealiasing is approximate; the defect "
+                     "metric compares against doubled padding")
     return rec
 
 

@@ -115,6 +115,25 @@ class TorusGrid:
         total.setflags(write=False)
         return total
 
+    @property
+    def half_shape(self):
+        """Shape of the rfftn half lattice: the last axis keeps k = 0..N/2."""
+        return self.shape[:-1] + (self.points_per_dim // 2 + 1,)
+
+    @cached_property
+    def half_lattice_weights(self):
+        """Parseval multiplicity of each half-lattice mode, shape ``half_shape``.
+
+        Every mode with 0 < k_last < N/2 stands for itself and its conjugate
+        partner -k, so it counts twice; the k_last = 0 and N/2 planes hold
+        their own partners and count once.
+        """
+        weights = np.full(self.half_shape, 2.0)
+        weights[..., 0] = 1.0
+        weights[..., -1] = 1.0
+        weights.setflags(write=False)
+        return weights
+
     @cached_property
     def max_frequency(self):
         """Largest |xi| on the lattice (lives at the Nyquist corner)."""
@@ -231,6 +250,41 @@ def inverse_transform(F, symmetry_tol=1e-10):
         raise SymmetryError(
             f"imaginary residue {residue:.3e} exceeds 1e-12 of field scale {scale:.3e}")
     return RealField(F.grid, y.real)
+
+
+def half_lattice(values):
+    """Restriction of a full-lattice array that is even in k (such as a
+    radial multiplier) to the rfftn half lattice."""
+    return values[..., : values.shape[-1] // 2 + 1]
+
+
+def real_spectra(samples, grid):
+    """Unitary rfftn over the trailing grid axes of real samples.
+
+    ``samples`` has shape ``grid.shape`` or a stack of them; the result holds
+    the half-lattice coefficients, which equal the full-lattice unitary DFT
+    there and determine it by Hermitian symmetry.
+    """
+    axes = tuple(range(-grid.n, 0))
+    return scipy.fft.rfftn(samples, axes=axes, norm="ortho", workers=fft_workers())
+
+
+def real_samples(spectra, grid):
+    """Inverse of ``real_spectra``: real samples from half-lattice spectra."""
+    axes = tuple(range(-grid.n, 0))
+    return scipy.fft.irfftn(spectra, s=grid.shape, axes=axes, norm="ortho",
+                            workers=fft_workers())
+
+
+def l2_norms_of_spectra(spectra, grid):
+    """Physical L_2 norm of each field in a stack of half-lattice spectra.
+
+    Parseval over the half lattice, each mode weighted by its multiplicity;
+    agrees with ``l2_norm_of_coefficients`` on the full lattice to roundoff.
+    """
+    power = spectra.real ** 2 + spectra.imag ** 2
+    squared = power.reshape(len(spectra), -1) @ grid.half_lattice_weights.ravel()
+    return np.sqrt(grid.cell_volume * squared)
 
 
 def lp_norm(f, p):

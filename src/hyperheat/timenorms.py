@@ -30,8 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import a_norm, build_decomposition
+from .dyadic import a_norms_of_spectra, build_decomposition
 from .errors import InconsistentGridError, ParameterError
+from .grid import real_spectra
 
 
 @dataclass(frozen=True)
@@ -128,21 +129,30 @@ def weighted_norm(traj, w, sp, vexp, decomposition=None):
     if times[-1] > w.T * (1 + 1e-12):
         raise ParameterError(f"trajectory reaches t = {times[-1]} beyond horizon T = {w.T}")
     dec = decomposition or build_decomposition(traj.grid)
-    norms = np.array([a_norm(f, sp, dec) for f in traj.fields])
     coverage_ok = times[0] <= w.T * 1e-3 * (1 + 1e-12) and times[-1] >= 0.98 * w.T
     note = "" if coverage_ok else (
         f"samples cover [{times[0]:.3e}, {times[-1]:.3e}] of (0, {w.T:.3e}); "
         "weighted norm may miss mass near the endpoints")
-    if math.isinf(vexp):
-        value = float(np.max(times ** w.b * norms))
-        return WeightedNormResult(value=value, coverage_ok=coverage_ok, note=note)
-    if times.size < 2:
+    if not math.isinf(vexp) and times.size < 2:
         raise ParameterError("finite-exponent weighted norms need at least two samples")
-    integrand = times ** (w.b * vexp) * norms ** vexp
+    spectra = real_spectra(np.stack([f.samples for f in traj.fields]), traj.grid)
+    norms = a_norms_of_spectra(spectra, traj.grid, sp, dec)
+    return WeightedNormResult(value=time_weighted_norm(times, norms, w.b, vexp),
+                              coverage_ok=coverage_ok, note=note)
+
+
+def time_weighted_norm(times, norms, b, vexp):
+    """The weighted norm from spatial norms sampled at ``times``.
+
+    sup_i t_i^b norms_i at vexp = inf, else the trapezoid in log t of
+    t^(b vexp) norms^vexp dt, to the power 1/vexp.
+    """
+    times = np.asarray(times)
+    if math.isinf(vexp):
+        return float(np.max(times ** b * norms))
+    integrand = times ** (b * vexp) * norms ** vexp
     # dt = t dlog t: trapezoid on the log axis.
-    integral = float(np.trapezoid(integrand * times, np.log(times)))
-    return WeightedNormResult(value=integral ** (1.0 / vexp), coverage_ok=coverage_ok,
-                              note=note)
+    return float(np.trapezoid(integrand * times, np.log(times)) ** (1.0 / vexp))
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from hyperheat import (ParameterError, SpaceParams, TorusGrid, a_norm,
+from hyperheat import (ParameterError, RealField, SpaceParams, TorusGrid, a_norm,
                        a_norm_of_coefficients, block, build_decomposition,
                        constant_field, cosine_mode, forward_transform, lp_norm,
                        power_map_probe, radial_profile, random_band_limited,
                        smooth_step)
+from hyperheat.dyadic import a_norms_of_spectra
+from hyperheat.grid import real_spectra
 
 
 class TestProfiles:
@@ -154,6 +156,23 @@ class TestNorms:
         C = forward_transform(f)
         assert a_norm_of_coefficients(C.coefficients, grid2d, sp) == pytest.approx(
             a_norm(f, sp), rel=1e-12)
+
+    @pytest.mark.parametrize("sp", [
+        SpaceParams("B", 1.5, 2.0, 2.0),          # one matrix product
+        SpaceParams("B", -0.5, 2.0, math.inf),    # one matrix product, sup over scales
+        SpaceParams("B", 1.2, 3.0, 2.0),          # field-by-field fallback, p != 2
+        SpaceParams("F", 1.1, 2.0, 4.0),          # field-by-field fallback, F family
+    ])
+    def test_stacked_norms_match_per_field_norms(self, sp):
+        # Full-band white noise, so every block and the Nyquist planes carry
+        # energy; the half-lattice multiplicities must account for all of it.
+        for grid in (TorusGrid(1, 64), TorusGrid(2, 32), TorusGrid(3, 16)):
+            rng = np.random.default_rng(grid.n)
+            samples = rng.standard_normal((4,) + grid.shape)
+            dec = build_decomposition(grid)
+            got = a_norms_of_spectra(real_spectra(samples, grid), grid, sp, dec)
+            want = [a_norm(RealField(grid, s), sp, dec) for s in samples]
+            assert_allclose(got, want, rtol=1e-13)
 
     @settings(max_examples=20, deadline=None)
     @given(scale=st.floats(-50.0, 50.0, allow_nan=False),

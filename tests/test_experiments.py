@@ -4,8 +4,8 @@ import dataclasses
 
 import pytest
 
-from hyperheat import (EXPERIMENTS, ConfigError, default_config,
-                       run_experiment)
+from hyperheat import (EXPERIMENTS, ConfigError, ModelParams, TorusGrid,
+                       default_config, run_experiment)
 from hyperheat.experiments import RUNNERS
 
 
@@ -53,6 +53,20 @@ class TestCheapRunners:
         a = run_experiment(base).series["sweep_sample"]
         b = run_experiment(other).series["sweep_sample"]
         assert a.rows != b.rows
+
+
+class TestAliasingReport:
+    @pytest.mark.parametrize("r, reported", [(2.0, True), (3.0, False), (4.0, True)])
+    def test_defect_reported_unless_power_is_odd_integer(self, r, reported):
+        # |u| u at r = 2 and |u|^3 u at r = 4 are not polynomials, so padding
+        # cannot dealias them exactly; only odd integer powers are exempt.
+        cfg = dataclasses.replace(default_config("solve"), grid=TorusGrid(2, 32),
+                                  model=ModelParams(alpha=1, r=r, n=2))
+        cfg = with_extras(cfg, amplitude=0.5, strong_levels=2)
+        rec = run_experiment(cfg)
+        assert ("aliasing_defect" in rec.metrics) == reported
+        if reported:
+            assert rec.metrics["aliasing_defect"] > 1e-12
 
 
 class TestValidation:

@@ -1,0 +1,174 @@
+"""The stacked real-spectrum solver core against per-field c2c references.
+
+The references below are the plain route the stacked core replaces: one
+field at a time on the full complex lattice, zero-padding through an
+fftshift round trip, per-slab phi weights, and per-time, per-block norms.
+"""
+
+import math
+
+import numpy as np
+import pytest
+import scipy.fft
+from numpy.testing import assert_allclose
+
+from hyperheat import (BlowupSuspectedError, ModelParams, RealField, SolverConfig,
+                       SpaceParams, TimeWeight, TorusGrid, a_norm_of_coefficients,
+                       build_decomposition, dissipation_symbol, nonlinearity, nyquist_mask,
+                       phi1, phi2, picard_solve, random_band_limited, slab_times)
+from hyperheat import solver
+from hyperheat.grid import real_spectra
+
+
+def reference_power_coefficients(c, grid, r, dealias_factor):
+    """Full-lattice spectrum of |u|^{r-1} u from the full spectrum of real u."""
+    N = grid.points_per_dim
+    n = grid.n
+    work = np.array(c)
+    work[nyquist_mask(grid)] = 0.0
+    M = int(math.ceil(N * dealias_factor))
+    M += M % 2
+    off = (M - N) // 2
+    inner = tuple(slice(off, off + N) for _ in range(n))
+    if M > N:
+        padded = np.zeros((M,) * n, dtype=np.complex128)
+        padded[inner] = np.fft.fftshift(work)
+        work = np.fft.ifftshift(padded)
+    scale = (M / N) ** (n / 2.0)
+    fine = scipy.fft.ifftn(work * scale, norm="ortho").real
+    cw = scipy.fft.fftn(np.abs(fine) ** (r - 1.0) * fine, norm="ortho") / scale
+    if M > N:
+        cw = np.fft.ifftshift(np.fft.fftshift(cw)[inner])
+    cw[nyquist_mask(grid)] = 0.0
+    return cw
+
+
+def reference_picard_distances(u0, cfg, m, w, sp):
+    """Picard distances and terminal samples from a loop over full spectra."""
+    grid = u0.grid
+    times = slab_times(cfg)
+    dec = build_decomposition(grid)
+    lam = dissipation_symbol(grid, m)
+    vexp = 2.0 * m.r * w.v
+
+    def power(c):
+        return reference_power_coefficients(c, grid, m.r, cfg.dealias_factor)
+
+    def weighted(spectra):
+        norms = np.array([a_norm_of_coefficients(c, grid, sp, dec) for c in spectra])
+        integrand = times ** (w.b * vexp) * norms ** vexp
+        return np.trapezoid(integrand * times, np.log(times)) ** (1.0 / vexp)
+
+    u0_hat = scipy.fft.fftn(u0.samples, norm="ortho")
+    homogeneous = [np.exp(-t * lam) * u0_hat for t in times]
+    current = homogeneous
+    w0_hat = power(u0_hat)
+    distances = []
+    for _ in range(cfg.picard_max_iter):
+        forcing = [w0_hat] + [power(c) for c in current]
+        D = np.zeros_like(u0_hat)
+        new = []
+        prev_t = 0.0
+        for i, t in enumerate(times, start=1):
+            z = -(t - prev_t) * lam
+            slab = (t - prev_t) * phi1(z) * forcing[i - 1]
+            slab = slab + (t - prev_t) * phi2(z) * (forcing[i] - forcing[i - 1])
+            D = np.exp(z) * D + slab
+            new.append(homogeneous[i - 1] + D)
+            prev_t = t
+        diff = [a - b for a, b in zip(new, current)]
+        distances.append(weighted(diff) / weighted(new))
+        current = new
+        if distances[-1] <= cfg.picard_tol:
+            break
+    return distances, scipy.fft.ifftn(current[-1], norm="ortho").real
+
+
+def kernel_inputs(grid, count, seed):
+    """White-noise real fields: every mode, Nyquist planes included, is live."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((count,) + grid.shape)
+
+
+GRIDS = {1: TorusGrid(1, 64), 2: TorusGrid(2, 32), 3: TorusGrid(3, 16)}
+
+
+class TestPowerKernel:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("r", [2.0, 2.5, 3.0])
+    @pytest.mark.parametrize("dealias_factor", [1.0, 1.5, 2.0])
+    def test_matches_per_field_c2c_reference(self, n, r, dealias_factor):
+        grid = GRIDS[n]
+        samples = kernel_inputs(grid, 5, (n, int(10 * r)))
+        got = solver._power_spectra(real_spectra(samples, grid), grid, r, dealias_factor)
+        half = grid.points_per_dim // 2 + 1
+        for field, out in zip(samples, got):
+            want = reference_power_coefficients(
+                scipy.fft.fftn(field, norm="ortho"), grid, r, dealias_factor)[..., :half]
+            assert np.max(np.abs(out - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_bytes_do_not_depend_on_batching(self, n, monkeypatch):
+        grid = GRIDS[n]
+        spectra = real_spectra(kernel_inputs(grid, 7, n), grid)
+        M = 3 * grid.points_per_dim // 2
+        padded_mode_bytes = 16 * M ** (n - 1) * (M // 2 + 1)
+        results = []
+        # One slab per batch, three per batch (a ragged last batch), all in one.
+        for budget in (1, 3 * padded_mode_bytes, 1 << 40):
+            monkeypatch.setattr(solver, "_PAD_BATCH_BYTES", budget)
+            results.append(solver._power_spectra(spectra, grid, 2.5, 1.5).tobytes())
+        assert results[0] == results[1] == results[2]
+
+    def test_public_nonlinearity_uses_the_kernel(self):
+        grid = GRIDS[2]
+        u = random_band_limited(grid, 5, max_radius=6.0)
+        want = scipy.fft.ifftn(reference_power_coefficients(
+            scipy.fft.fftn(u.samples, norm="ortho"), grid, 3.0, 1.5), norm="ortho").real
+        got = nonlinearity(u, 3.0).samples
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_rejects_padding_below_one(self):
+        grid = GRIDS[1]
+        with pytest.raises(ValueError, match="dealias_factor"):
+            nonlinearity(RealField(grid, kernel_inputs(grid, 1, 0)[0]), 3.0, 0.5)
+
+
+class TestStackedPicard:
+    def test_distances_match_reference_loop(self):
+        grid = TorusGrid(2, 16)
+        m = ModelParams(alpha=1, r=3.0, n=2)
+        cfg = SolverConfig(horizon=0.25, slabs=16)
+        w = TimeWeight(b=0.5 / (2 * m.r), v=1.0, T=0.25)
+        sp = SpaceParams("B", 1.5, 2.0, 2.0)
+        u0 = random_band_limited(grid, (7, 50), 1.9, amplitude=1.0)
+        report = picard_solve(u0, cfg, m, w, sp)
+        distances, terminal = reference_picard_distances(u0, cfg, m, w, sp)
+        assert report.converged
+        assert report.iterations == len(distances) >= 5
+        # Distances are relative quantities; near convergence both sides sit
+        # at roundoff of the iterates, so agreement is judged absolutely.
+        assert_allclose(report.distances, distances, rtol=0, atol=1e-12)
+        got = report.trajectory.terminal.samples
+        assert np.linalg.norm(got - terminal) <= 1e-12 * np.linalg.norm(terminal)
+
+
+class TestBlowupReport:
+    def test_partial_trajectory_travels_with_the_error(self):
+        grid = TorusGrid(2, 16)
+        m = ModelParams(alpha=1, r=3.0, n=2)
+        cfg = SolverConfig(horizon=1.0, slabs=16)
+        w = TimeWeight(b=0.25 / m.r, v=1.0, T=1.0)
+        u0 = random_band_limited(grid, 97, max_radius=4.0, amplitude=50.0)
+        with pytest.raises(BlowupSuspectedError) as err:
+            picard_solve(u0, cfg, m, w, SpaceParams("B", 1.5, 2.0, 2.0))
+        report = err.value.report
+        assert not report.converged
+        assert report.note
+        assert len(report.distances) == report.iterations >= 1
+        traj = report.trajectory
+        assert traj.times == tuple(slab_times(cfg))
+        assert all(f.grid == grid for f in traj.fields)
+        # The partial iterate has run away from the data it started from.
+        peak = max(np.max(np.abs(f.samples)) for f in traj.fields)
+        assert peak > np.max(np.abs(u0.samples))
