@@ -30,7 +30,7 @@ from .solver import (PicardReport, SolverConfig, aliasing_probe,
                      nonlinearity, pde_residual, phi1, phi2, picard_solve,
                      slab_times, strong_convergence_check)
 from .timenorms import (Admissibility, TimeWeight, Trajectory, WeightedNormResult,
-                        admissibility, critical_smoothness, equivalence_check,
+                        admissibility, equivalence_check,
                         log_time_grid, weighted_norm)
 from .experiments import (run_contraction, run_criticality, run_experiment,
                           run_scaling, run_smoothing, run_solve, run_stability,
@@ -59,7 +59,7 @@ __all__ = [
     "duhamel_apply", "etd_oracle", "nonlinearity", "pde_residual", "phi1", "phi2",
     "picard_solve", "slab_times", "strong_convergence_check",
     "Admissibility", "TimeWeight", "Trajectory", "WeightedNormResult",
-    "admissibility", "critical_smoothness", "equivalence_check", "log_time_grid",
+    "admissibility", "equivalence_check", "log_time_grid",
     "weighted_norm",
     "run_contraction", "run_criticality", "run_experiment", "run_scaling",
     "run_smoothing", "run_solve", "run_stability", "run_sweep",

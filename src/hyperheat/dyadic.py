@@ -27,7 +27,8 @@ import numpy as np
 
 from .errors import ParameterError
 from .grid import (RealField, SpectralField, forward_transform, half_lattice,
-                   inverse_transform, l2_norm_of_coefficients, lp_norm, real_samples)
+                   inverse_transform, l2_norm_of_coefficients, lp_norm, real_samples,
+                   real_spectra)
 
 
 @dataclass(frozen=True)
@@ -157,8 +158,8 @@ def block(f, j, decomposition=None):
     dec = decomposition or build_decomposition(f.grid)
     if not 0 <= j <= dec.J:
         raise ParameterError(f"block index {j} outside 0..{dec.J}")
-    F = forward_transform(f)
-    return inverse_transform(SpectralField(f.grid, F.coefficients * dec.cutoffs[j]))
+    c = real_spectra(f.samples, f.grid) * half_lattice(dec.cutoffs[j])
+    return RealField(f.grid, real_samples(c, f.grid))
 
 
 def _combine_scales(values, weights, q):

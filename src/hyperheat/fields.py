@@ -5,8 +5,8 @@ import math
 import numpy as np
 
 from .errors import ParameterError
-from .grid import (RealField, SpectralField, conj_reverse, forward_transform,
-                   inverse_transform, nyquist_mask)
+from .grid import (RealField, conj_reverse, half_lattice, nyquist_mask, real_samples,
+                   real_spectra)
 
 
 def cosine_mode(grid, mode, amplitude=1.0, phase=0.0):
@@ -47,8 +47,8 @@ def spectrum_field(grid, envelope, seed, max_radius=None, zero_mean=True):
     c[nyquist_mask(grid)] = 0.0
     if zero_mean:
         c[(0,) * grid.n] = 0.0
-    c = 0.5 * (c + conj_reverse(c))
-    return inverse_transform(SpectralField(grid, c))
+    c = half_lattice(0.5 * (c + conj_reverse(c)))
+    return RealField(grid, real_samples(c, grid))
 
 
 def random_band_limited(grid, seed, max_radius, amplitude=1.0, zero_mean=True):
@@ -95,12 +95,11 @@ def radial_power_field(grid, decay, max_radius=None):
     mag[nyquist_mask(grid)] = 0.0
     if not np.any(mag):
         raise ParameterError("empty spectrum")
-    return inverse_transform(SpectralField(grid, mag.astype(np.complex128)))
+    return RealField(grid, real_samples(half_lattice(mag), grid))
 
 
 def band_limit(f, max_radius):
     """Zero all modes with |xi| > max_radius; returns a new real field."""
-    F = forward_transform(f)
-    c = F.coefficients.copy()
-    c[np.sqrt(f.grid.xi_squared) > max_radius] = 0.0
-    return inverse_transform(SpectralField(f.grid, c))
+    c = real_spectra(f.samples, f.grid)
+    c[np.sqrt(half_lattice(f.grid.xi_squared)) > max_radius] = 0.0
+    return RealField(f.grid, real_samples(c, f.grid))

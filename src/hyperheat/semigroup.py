@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import a_norm, a_norm_of_coefficients, build_decomposition
+from .dyadic import a_norms_of_spectra, build_decomposition
 from .errors import ParameterError
-from .grid import SpectralField, forward_transform, inverse_transform, l2_norm_of_coefficients
+from .grid import (RealField, SpectralField, half_lattice, l2_norm_of_coefficients,
+                   real_samples, real_spectra)
 
 
 @dataclass(frozen=True)
@@ -68,19 +69,24 @@ def dissipation_symbol(grid, m):
     return base ** m.alpha
 
 
+def _orbit_multipliers(grid, m, times):
+    """exp(-t_i |xi|^(2 alpha)) on the rfftn half lattice, stacked over the
+    times: W_t for every t_i at once, shape ``(len(times),) + grid.half_shape``."""
+    t = np.asarray(times, dtype=np.float64).reshape((-1,) + (1,) * grid.n)
+    return np.exp(-t * half_lattice(dissipation_symbol(grid, m)))
+
+
 def apply_semigroup(F, t, m):
-    """W_t applied to a spectral field; t = 0 returns the input unchanged."""
+    """W_t applied to a spectral field; t = 0 returns the input unchanged.
+
+    The multiplier is real and even in k, so a Hermitian input stays Hermitian.
+    """
     if not t >= 0:
         raise ParameterError(f"semigroup time must satisfy t >= 0, got {t}")
     if t == 0:
         return F
     multiplier = np.exp(-t * dissipation_symbol(F.grid, m))
-    out = SpectralField(F.grid, F.coefficients * multiplier)
-    # Re-project onto Hermitian symmetry after the multiplier, but only for
-    # fields that represent real functions; genuinely complex data pass through.
-    if out.hermitian_defect() <= 1e-10:
-        out = out.symmetrized()
-    return out
+    return SpectralField(F.grid, F.coefficients * multiplier)
 
 
 def semigroup_property_check(F, t, s, m):
@@ -102,9 +108,9 @@ def synthesize_kernel(t, grid, m):
     """
     if not t > 0:
         raise ParameterError(f"kernel time must satisfy t > 0, got {t}")
-    multiplier = np.exp(-t * dissipation_symbol(grid, m))
+    multiplier = _orbit_multipliers(grid, m, [t])[0]
     scale = math.sqrt(grid.size) / grid.volume
-    return inverse_transform(SpectralField(grid, (multiplier * scale).astype(np.complex128)))
+    return RealField(grid, real_samples(multiplier * scale, grid))
 
 
 @dataclass(frozen=True)
@@ -145,26 +151,21 @@ def smoothing_rate(omega, sp, d, times, m, decomposition=None):
         raise ParameterError("sample times must lie in (0, 1]")
     if np.any(np.diff(times) <= 0):
         raise ParameterError("sample times must be strictly increasing")
-    dec = decomposition or build_decomposition(omega.grid)
-    base_norm = a_norm(omega, sp, dec)
+    grid = omega.grid
+    dec = decomposition or build_decomposition(grid)
+    C = real_spectra(omega.samples, grid)
+    base_norm = a_norms_of_spectra(C[None], grid, sp, dec)[0]
     if base_norm == 0.0:
         raise ParameterError("smoothing probe needs a nonzero field")
-    gained = sp.with_smoothness(sp.s + d)
-    C = forward_transform(omega)
-    norms = []
-    for t in times:
-        shifted = apply_semigroup(C, float(t), m)
-        norms.append(a_norm_of_coefficients(shifted.coefficients, shifted.grid, gained, dec))
-    norms = np.asarray(norms)
+    norms = a_norms_of_spectra(_orbit_multipliers(grid, m, times) * C, grid,
+                               sp.with_smoothness(sp.s + d), dec)
     if np.any(norms <= 0):
         raise ParameterError("semigroup output norm vanished; field outside covered band?")
     slope, intercept = np.polyfit(np.log(times), np.log(norms), 1)
     ratios = times ** (d / (2.0 * m.alpha)) * norms / base_norm
     # Energy spread across blocks; one active block makes the rate trivial.
-    weights = [l2_norm_of_coefficients(phi * C.coefficients, C.grid) for phi in dec.cutoffs]
-    total = math.sqrt(sum(w * w for w in weights))
-    active = sum(1 for w in weights if w > 1e-8 * total)
-    degenerate = active <= 1
+    blocks = np.sqrt((C.real ** 2 + C.imag ** 2).ravel() @ dec.half_block_weights)
+    degenerate = bool(np.count_nonzero(blocks > 1e-8 * np.linalg.norm(blocks)) <= 1)
     note = "bound saturated trivially: single active block" if degenerate else ""
     return SmoothingReport(d=float(d), slope=float(slope), intercept=float(intercept),
                            times=tuple(float(t) for t in times),

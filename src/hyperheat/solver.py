@@ -25,12 +25,12 @@ import numpy as np
 import scipy.fft
 from numpy.polynomial.legendre import leggauss
 
-from .dyadic import a_norm, a_norms_of_spectra, build_decomposition
+from .dyadic import a_norms_of_spectra, build_decomposition
 from .errors import (BlowupSuspectedError, InconsistentGridError, IntegrationError,
                      ParameterError)
 from .grid import (RealField, fft_workers, half_lattice, l2_norms_of_spectra,
                    real_samples, real_spectra)
-from .semigroup import dissipation_symbol
+from .semigroup import _orbit_multipliers, dissipation_symbol
 from .timenorms import Trajectory, admissibility, log_time_grid, time_weighted_norm
 
 
@@ -244,7 +244,7 @@ def _slab_weights(grid, m, times, order):
     dt = np.diff(t, axis=0, prepend=0.0)
     z = -dt * lam
     arrays = [np.exp(z), dt * phi1(z), dt * phi2(z) if order == 2 else None,
-              np.exp(-t * lam)]
+              _orbit_multipliers(grid, m, times)]
     for a in arrays:
         if a is not None:
             a.setflags(write=False)
@@ -276,6 +276,18 @@ def _trajectory(times, spectra, grid):
     return Trajectory(times=tuple(times), fields=tuple(RealField(grid, s) for s in samples))
 
 
+def _duhamel_spectra(spectra, times, cfg, m, grid):
+    """The operator applied to a trajectory given as half-lattice spectra:
+    ``spectra[0]`` is u0, ``spectra[1:]`` the trajectory at the slab-end
+    ``times``. Returns the image's spectra; ``spectra[1:]`` is overwritten.
+    """
+    weights = _slab_weights(grid, m, tuple(float(t) for t in times), cfg.quadrature_order)
+    forcing = _power_spectra(spectra, grid, m.r, cfg.dealias_factor)
+    terms = _duhamel_terms(forcing[0], forcing[1:], weights, cfg.quadrature_order)
+    terms += np.multiply(weights.orbit, spectra[0], out=spectra[1:])
+    return terms
+
+
 def duhamel_apply(u0, traj, cfg, m):
     """One application of the variation-of-constants operator to a trajectory.
 
@@ -289,12 +301,8 @@ def duhamel_apply(u0, traj, cfg, m):
         raise ParameterError(
             f"trajectory must end at the horizon {cfg.horizon}, got {times[-1]}")
     grid = u0.grid
-    weights = _slab_weights(grid, m, traj.times, cfg.quadrature_order)
-    samples = np.stack([u0.samples] + [f.samples for f in traj.fields])
-    spectra = real_spectra(samples, grid)
-    forcing = _power_spectra(spectra, grid, m.r, cfg.dealias_factor)
-    terms = _duhamel_terms(forcing[0], forcing[1:], weights, cfg.quadrature_order)
-    return _trajectory(times, weights.orbit * spectra[0] + terms, grid)
+    spectra = real_spectra(np.stack([u0.samples] + [f.samples for f in traj.fields]), grid)
+    return _trajectory(times, _duhamel_spectra(spectra, times, cfg, m, grid), grid)
 
 
 @dataclass(frozen=True)
@@ -454,10 +462,14 @@ def pde_residual(traj, m, dealias_factor=1.5):
     h1 = h[1:].reshape(shape)
     spectra = real_spectra(np.stack([f.samples for f in traj.fields]), grid)
     before, middle, after = spectra[:-2], spectra[1:-1], spectra[2:]
-    dudt = (-h1 / (h0 * (h0 + h1)) * before
-            + (h1 - h0) / (h0 * h1) * middle
-            + h0 / (h1 * (h0 + h1)) * after)
-    resid = dudt + lam * middle - _power_spectra(middle, grid, m.r, dealias_factor)
+    # The centered difference plus the dissipation, accumulated in place.
+    resid = -h1 / (h0 * (h0 + h1)) * before
+    term = np.multiply((h1 - h0) / (h0 * h1), middle)
+    resid += term
+    resid += np.multiply(h0 / (h1 * (h0 + h1)), after, out=term)
+    resid += np.multiply(lam, middle, out=term)
+    del term
+    resid -= _power_spectra(middle, grid, m.r, dealias_factor)
     scale = l2_norms_of_spectra(middle, grid)
     live = scale > 0.0
     return float(np.max(l2_norms_of_spectra(resid, grid)[live] / scale[live], initial=0.0))
@@ -471,17 +483,18 @@ def strong_convergence_check(traj, u0, sp0, at_times=None, count=8,
     used (in the requested order); otherwise the ``count`` earliest samples.
     Returns a list of (t, distance) pairs.
     """
-    dec = decomposition or build_decomposition(traj.grid)
+    grid = traj.grid
+    if u0.grid != grid:
+        raise InconsistentGridError("trajectory and initial data live on different grids")
+    dec = decomposition or build_decomposition(grid)
     times = np.asarray(traj.times)
     if at_times is not None:
         indices = [int(np.argmin(np.abs(times - target))) for target in at_times]
     else:
         indices = list(range(min(count, len(times))))
-    out = []
-    for i in indices:
-        dist = a_norm(traj.fields[i] - u0, sp0, dec)
-        out.append((float(times[i]), float(dist)))
-    return out
+    gaps = np.stack([traj.fields[i].samples for i in indices]) - u0.samples
+    dists = a_norms_of_spectra(real_spectra(gaps, grid), grid, sp0, dec)
+    return [(float(times[i]), float(dist)) for i, dist in zip(indices, dists)]
 
 
 _GL_NODES, _GL_WEIGHTS = leggauss(32)

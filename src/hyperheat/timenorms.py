@@ -178,16 +178,6 @@ class Admissibility:
     admissible: bool
     critical_s0: float
     classification: str
-    window_nonempty: bool
-    tempered_embedding: bool
-
-    def as_metrics(self):
-        return {
-            "delta": self.delta,
-            "kappa": self.kappa,
-            "admissible": float(self.admissible),
-            "critical_s0": self.critical_s0,
-        }
 
 
 def _window_predicate(a, v, s, s0, m):
@@ -229,18 +219,11 @@ def admissibility(a, v, s, s0, m, p):
         classification = "subcritical: well-posedness in this scale not expected"
     else:
         classification = "critical: global solutions expected for small data"
-    window_nonempty = critical < s0 <= s < m.r - 1.0
-    if math.isinf(v):
-        tempered = a < 2.0 * m.r
-    else:
-        tempered = a * v < 2.0 * m.r * v - 1.0
     return Admissibility(a=float(a), v=float(v), s=float(s), s0=float(s0),
                          alpha=float(m.alpha), r=float(m.r), p=float(p),
                          delta=float(delta), kappa=float(kappa),
                          admissible=bool(admissible), critical_s0=float(critical),
-                         classification=classification,
-                         window_nonempty=bool(window_nonempty),
-                         tempered_embedding=bool(tempered))
+                         classification=classification)
 
 
 def equivalence_check(a, v, s, s0, m):
@@ -253,8 +236,3 @@ def equivalence_check(a, v, s, s0, m):
         raise ParameterError(f"need 1/2 < v <= inf, got v = {v}")
     delta, kappa = _sign_exponents(a, v, s, s0, m)
     return _window_predicate(a, v, s, s0, m) == (delta > 0.0 and kappa > 0.0)
-
-
-def critical_smoothness(p, m):
-    """Convenience alias for ModelParams.critical_smoothness."""
-    return m.critical_smoothness(p)

@@ -7,9 +7,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hyperheat import (ModelParams, ParameterError, SpaceParams, TorusGrid,
-                       apply_semigroup, cosine_mode, critical_smoothness,
-                       dissipation_symbol, forward_transform,
-                       radial_power_field, random_band_limited,
+                       apply_semigroup, cosine_mode, dissipation_symbol,
+                       forward_transform, radial_power_field, random_band_limited,
                        semigroup_property_check, smoothing_rate,
                        synthesize_kernel)
 
@@ -40,8 +39,6 @@ class TestModelParams:
         # n/p - 2 alpha / (r - 1) at two reference parameter points.
         assert ModelParams(alpha=1, r=3.0, n=2).critical_smoothness(2.0) == 0.0
         assert ModelParams(alpha=2, r=2.0, n=4).critical_smoothness(2.0) == -2.0
-        m = ModelParams(alpha=1, r=3.0, n=2)
-        assert critical_smoothness(2.0, m) == m.critical_smoothness(2.0)
 
 
 class TestSymbol:
