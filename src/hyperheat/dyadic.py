@@ -26,9 +26,9 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import ParameterError
-from .grid import (RealField, SpectralField, forward_transform, half_lattice,
-                   inverse_transform, l2_norm_of_coefficients, lp_norm, real_samples,
-                   real_spectra)
+from .grid import (_PAD_BATCH_BYTES, RealField, SpectralField, forward_transform,
+                   half_lattice, inverse_transform, l2_norm_of_coefficients, lp_norm,
+                   real_samples, real_spectra)
 
 
 @dataclass(frozen=True)
@@ -193,21 +193,44 @@ def a_norm_of_coefficients(coefficients, grid, sp, decomposition=None):
     return float(lp_norm(RealField(grid, pointwise), sp.p))
 
 
+def _lp_norms(samples, p, grid):
+    """Riemann-sum L_p norm over the trailing grid axes of a stack of samples."""
+    a = np.abs(samples)
+    axes = tuple(range(-grid.n, 0))
+    if math.isinf(p):
+        return np.max(a, axis=axes)
+    return (np.sum(a ** p, axis=axes) * grid.cell_volume) ** (1.0 / p)
+
+
 def a_norms_of_spectra(spectra, grid, sp, decomposition=None):
     """``a_norm`` of each real field in a stack of half-lattice spectra.
 
     For B spaces with p = 2 the squared block norms of every field come from
-    one matrix product, |c|^2 @ ``half_block_weights``; other spaces go field
-    by field through ``a_norm_of_coefficients``.
+    one matrix product, |c|^2 @ ``half_block_weights``. Other spaces take the
+    block fields of a batch of times from one inverse transform of the
+    cutoffs times the spectra, batches sized so that all block samples of one
+    batch fit ``_PAD_BATCH_BYTES``.
     """
     dec = decomposition or build_decomposition(grid)
+    weights = np.array([2.0 ** (j * sp.s) for j in range(dec.block_count)])
     if sp.family == "B" and sp.p == 2:
         power = (spectra.real ** 2 + spectra.imag ** 2).reshape(len(spectra), -1)
         block_norms = np.sqrt(power @ dec.half_block_weights).T
-        weights = np.array([2.0 ** (j * sp.s) for j in range(dec.block_count)])
         return _combine_scales(block_norms, weights[:, None], sp.q)
-    return np.array([a_norm(RealField(grid, samples), sp, dec)
-                     for samples in real_samples(spectra, grid)])
+    cutoffs = np.stack([half_lattice(phi) for phi in dec.cutoffs])[:, None]
+    batch = max(1, _PAD_BATCH_BYTES // (8 * dec.block_count * grid.size))
+    norms = np.empty(len(spectra))
+    for start in range(0, len(spectra), batch):
+        # Block samples indexed (block, time, x).
+        blocks = real_samples(cutoffs * spectra[None, start:start + batch], grid)
+        if sp.family == "B":
+            norms[start:start + batch] = _combine_scales(
+                _lp_norms(blocks, sp.p, grid), weights[:, None], sp.q)
+        else:
+            pointwise = _combine_scales(np.abs(blocks),
+                                        weights.reshape((-1,) + (1,) * (grid.n + 1)), sp.q)
+            norms[start:start + batch] = _lp_norms(pointwise, sp.p, grid)
+    return norms
 
 
 def a_norm(f, sp, decomposition=None):

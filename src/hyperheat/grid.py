@@ -21,6 +21,12 @@ from .errors import InconsistentGridError, ParameterError, SymmetryError
 # fit are rejected at construction time.
 DEFAULT_MAX_FIELD_BYTES = 1 << 30
 
+# Work on a stack of many fields runs in batches whose spectra (on the
+# dealiasing lattice, in the nonlinearity) stay within this many bytes, about
+# one core's L2 cache: the batched transforms run fastest there, and no
+# temporary spans the whole stack.
+_PAD_BATCH_BYTES = 1 << 21
+
 
 def fft_workers():
     """Worker-thread count for FFTs, from HYPERHEAT_THREADS (default 1)."""
@@ -274,6 +280,25 @@ def real_samples(spectra, grid):
     axes = tuple(range(-grid.n, 0))
     return scipy.fft.irfftn(spectra, s=grid.shape, axes=axes, norm="ortho",
                             workers=fft_workers())
+
+
+def spectra_of_fields(fields, grid, batch):
+    """Half-lattice spectra of a sequence of real fields as one stack,
+    transformed ``batch`` fields at a time (no stack of samples is built)."""
+    out = np.empty((len(fields),) + grid.half_shape, dtype=np.complex128)
+    for start in range(0, len(fields), batch):
+        samples = np.stack([f.samples for f in fields[start:start + batch]])
+        out[start:start + batch] = real_spectra(samples, grid)
+    return out
+
+
+def fields_of_spectra(spectra, grid, batch):
+    """Real fields from a stack of half-lattice spectra, ``batch`` at a time."""
+    fields = []
+    for start in range(0, len(spectra), batch):
+        samples = real_samples(spectra[start:start + batch], grid)
+        fields.extend(RealField(grid, s) for s in samples)
+    return tuple(fields)
 
 
 def l2_norms_of_spectra(spectra, grid):

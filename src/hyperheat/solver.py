@@ -28,8 +28,9 @@ from numpy.polynomial.legendre import leggauss
 from .dyadic import a_norms_of_spectra, build_decomposition
 from .errors import (BlowupSuspectedError, InconsistentGridError, IntegrationError,
                      ParameterError)
-from .grid import (RealField, fft_workers, half_lattice, l2_norms_of_spectra,
-                   real_samples, real_spectra)
+from .grid import (_PAD_BATCH_BYTES, RealField, fft_workers, fields_of_spectra,
+                   half_lattice, l2_norms_of_spectra, real_samples, real_spectra,
+                   spectra_of_fields)
 from .semigroup import _orbit_multipliers, dissipation_symbol
 from .timenorms import Trajectory, admissibility, log_time_grid, time_weighted_norm
 
@@ -137,10 +138,19 @@ def phi2(z):
     return out
 
 
-# Padded spectra of one nonlinearity batch stay within this many bytes (16 B
-# per padded half-lattice mode), about one core's L2 cache: the batched
-# transforms run fastest there, and no stack of all slabs is ever padded.
-_PAD_BATCH_BYTES = 1 << 21
+def _padded_points(N, dealias_factor):
+    """Points per axis of the (even) dealiasing lattice."""
+    if not dealias_factor >= 1:
+        raise ParameterError(f"dealias_factor must be >= 1, got {dealias_factor}")
+    M = int(math.ceil(N * dealias_factor))
+    return M + M % 2
+
+
+def _batch_length(grid, dealias_factor):
+    """Slabs per batch: the padded spectra of one batch fit ``_PAD_BATCH_BYTES``
+    (16 B per padded half-lattice mode)."""
+    M = _padded_points(grid.points_per_dim, dealias_factor)
+    return max(1, _PAD_BATCH_BYTES // (16 * M ** (grid.n - 1) * (M // 2 + 1)))
 
 
 def _index_blocks(n, N, M):
@@ -162,42 +172,58 @@ def _index_blocks(n, N, M):
     return tuple(blocks)
 
 
-def _power_spectra(spectra, grid, r, dealias_factor):
+def _power_batches(spectra, grid, r, dealias_factor):
     """Half-lattice spectra of |u|^{r-1} u for a stack of half-lattice spectra
-    of real fields u, dealiased.
+    of real fields u, dealiased, one batch of slabs at a time.
+
+    Yields ``(start, stop, power)``, ``power`` being the result for
+    ``spectra[start:stop]``. It is a view of one buffer that the next batch
+    overwrites, and each batch is read from ``spectra`` only when it is
+    reached, so the caller may overwrite the slabs it has been given.
 
     Each field is zero-padded to the lattice enlarged by ``dealias_factor``,
     evaluated pointwise there and truncated back. The unpaired Nyquist planes
-    are zeroed on the way in and out (they cannot be embedded symmetrically);
-    band-limited workflows never populate them. The stack is transformed in
-    batches whose padded spectra fit ``_PAD_BATCH_BYTES``.
+    are zero on the way in and out (they cannot be embedded symmetrically);
+    band-limited workflows never populate them. Every batch writes the same
+    block entries of one padded and one output buffer, so the rest stays zero.
     """
-    if not dealias_factor >= 1:
-        raise ParameterError(f"dealias_factor must be >= 1, got {dealias_factor}")
     n = grid.n
     N = grid.points_per_dim
-    M = int(math.ceil(N * dealias_factor))
-    M += M % 2
+    M = _padded_points(N, dealias_factor)
     blocks = _index_blocks(n, N, M)
-    padded_shape = (M,) * (n - 1) + (M // 2 + 1,)
     axes = tuple(range(1, n + 1))
-    # Unitary transforms on the two lattices differ by this factor.
-    scale = (M / N) ** (n / 2.0)
-    batch = max(1, _PAD_BATCH_BYTES // (16 * math.prod(padded_shape)))
+    # Unitary transforms on the two lattices differ by (M/N)^(n/2); the power
+    # map is homogeneous of degree r, so the factor is applied once, on the
+    # way out.
+    gain = ((M / N) ** (n / 2.0)) ** (r - 1.0)
+    batch = max(1, min(len(spectra), _batch_length(grid, dealias_factor)))
     workers = fft_workers()
-    out = np.zeros_like(spectra)
+    padded = np.zeros((batch,) + (M,) * (n - 1) + (M // 2 + 1,), dtype=np.complex128)
+    out = np.zeros((batch,) + spectra.shape[1:], dtype=np.complex128)
     for start in range(0, len(spectra), batch):
-        coarse = spectra[start:start + batch]
-        padded = np.zeros((len(coarse),) + padded_shape, dtype=np.complex128)
+        stop = min(start + batch, len(spectra))
+        fill = padded[:stop - start]
         for src, dst in blocks:
-            np.multiply(coarse[src], scale, out=padded[dst])
-        fine = scipy.fft.irfftn(padded, s=(M,) * n, axes=axes, norm="ortho",
+            fill[dst] = spectra[start:stop][src]
+        fine = scipy.fft.irfftn(fill, s=(M,) * n, axes=axes, norm="ortho",
                                 workers=workers)
-        fine = np.abs(fine) ** (r - 1.0) * fine
-        padded = scipy.fft.rfftn(fine, axes=axes, norm="ortho", workers=workers)
-        target = out[start:start + batch]
+        magnitude = np.abs(fine)
+        magnitude **= r - 1.0
+        fine *= magnitude
+        del magnitude
+        fine_hat = scipy.fft.rfftn(fine, axes=axes, norm="ortho", workers=workers)
+        del fine
+        power = out[:stop - start]
         for src, dst in blocks:
-            np.divide(padded[dst], scale, out=target[src])
+            np.multiply(fine_hat[dst], gain, out=power[src])
+        yield start, stop, power
+
+
+def _power_spectra(spectra, grid, r, dealias_factor):
+    """The whole stack of ``_power_batches`` as one array."""
+    out = np.empty_like(spectra)
+    for start, stop, power in _power_batches(spectra, grid, r, dealias_factor):
+        out[start:stop] = power
     return out
 
 
@@ -251,41 +277,67 @@ def _slab_weights(grid, m, times, order):
     return _SlabWeights(*arrays)
 
 
-def _duhamel_terms(start, forcing, weights, order):
-    """D(t_i) = integral_0^{t_i} e^{-(t_i - tau) lam} w(tau) dtau for every slab.
+def _duhamel_terms(start, forcing, weights, order, offset=0, carry=None):
+    """D(t_i) = integral_0^{t_i} e^{-(t_i - tau) lam} w(tau) dtau for the
+    slabs i = offset+1 .. offset+len(forcing).
 
-    ``start`` is the forcing spectrum w_0 at tau = 0 and ``forcing`` stacks
-    w_1..w_M at the slab ends. Piecewise linear in tau at order 2,
+    ``forcing`` stacks w_i at those slab ends, ``start`` is the forcing at
+    the left end of the first of them (w_0 at tau = 0) and ``carry`` is D
+    there (None: zero, at tau = 0). Piecewise linear in tau at order 2,
     left-endpoint constant at order 1; each slab integral is exact for the
     reconstruction via phi1/phi2.
     """
+    span = slice(offset, offset + len(forcing))
     previous = np.concatenate([start[None], forcing[:-1]])
-    terms = weights.phi1 * previous
+    terms = weights.phi1[span] * previous
     if order == 2:
         rise = np.subtract(forcing, previous, out=previous)
-        rise *= weights.phi2
+        rise *= weights.phi2[span]
         terms += rise
+    decay = weights.decay[span]
+    if carry is not None:
+        terms[0] += decay[0] * carry
     for i in range(1, len(terms)):
-        terms[i] += weights.decay[i] * terms[i - 1]
+        terms[i] += decay[i] * terms[i - 1]
     return terms
 
 
-def _trajectory(times, spectra, grid):
-    """A trajectory from a stack of half-lattice spectra, in one inverse transform."""
-    samples = real_samples(spectra, grid)
-    return Trajectory(times=tuple(times), fields=tuple(RealField(grid, s) for s in samples))
+def _duhamel_sweep(w0_hat, weights, order, batches):
+    """The slab recursion run over ``batches``, a ``_power_batches`` iterator
+    over a trajectory's spectra, with ``w0_hat`` the forcing at tau = 0.
+
+    Yields ``(start, stop, terms)`` per batch, ``terms`` holding D at the
+    slab ends start+1..stop; the caller may then overwrite those slabs.
+    """
+    left, carry = w0_hat, None
+    for start, stop, forcing in batches:
+        terms = _duhamel_terms(left, forcing, weights, order, start, carry)
+        left = forcing[-1].copy()
+        carry = terms[-1].copy()
+        yield start, stop, terms
+
+
+def _trajectory(times, spectra, grid, dealias_factor):
+    """A trajectory from a stack of half-lattice spectra, built batch by batch."""
+    return Trajectory(times=tuple(times), fields=fields_of_spectra(
+        spectra, grid, _batch_length(grid, dealias_factor)))
 
 
 def _duhamel_spectra(spectra, times, cfg, m, grid):
     """The operator applied to a trajectory given as half-lattice spectra:
     ``spectra[0]`` is u0, ``spectra[1:]`` the trajectory at the slab-end
-    ``times``. Returns the image's spectra; ``spectra[1:]`` is overwritten.
+    ``times``. The image is swept in batches over ``spectra[1:]``, which it
+    overwrites and which is returned.
     """
-    weights = _slab_weights(grid, m, tuple(float(t) for t in times), cfg.quadrature_order)
-    forcing = _power_spectra(spectra, grid, m.r, cfg.dealias_factor)
-    terms = _duhamel_terms(forcing[0], forcing[1:], weights, cfg.quadrature_order)
-    terms += np.multiply(weights.orbit, spectra[0], out=spectra[1:])
-    return terms
+    order = cfg.quadrature_order
+    weights = _slab_weights(grid, m, tuple(float(t) for t in times), order)
+    u0_hat, trajectory = spectra[0], spectra[1:]
+    w0_hat = _power_spectra(u0_hat[None], grid, m.r, cfg.dealias_factor)[0]
+    batches = _power_batches(trajectory, grid, m.r, cfg.dealias_factor)
+    for start, stop, terms in _duhamel_sweep(w0_hat, weights, order, batches):
+        image = np.multiply(weights.orbit[start:stop], u0_hat, out=trajectory[start:stop])
+        image += terms
+    return trajectory
 
 
 def duhamel_apply(u0, traj, cfg, m):
@@ -301,8 +353,10 @@ def duhamel_apply(u0, traj, cfg, m):
         raise ParameterError(
             f"trajectory must end at the horizon {cfg.horizon}, got {times[-1]}")
     grid = u0.grid
-    spectra = real_spectra(np.stack([u0.samples] + [f.samples for f in traj.fields]), grid)
-    return _trajectory(times, _duhamel_spectra(spectra, times, cfg, m, grid), grid)
+    spectra = spectra_of_fields((u0,) + traj.fields, grid,
+                                _batch_length(grid, cfg.dealias_factor))
+    return _trajectory(times, _duhamel_spectra(spectra, times, cfg, m, grid), grid,
+                       cfg.dealias_factor)
 
 
 @dataclass(frozen=True)
@@ -353,34 +407,37 @@ def picard_solve(u0, cfg, m, w, sp):
     times = slab_times(cfg)
     grid = u0.grid
     dec = build_decomposition(grid)
-    weights = _slab_weights(grid, m, tuple(times.tolist()), cfg.quadrature_order)
-
-    def weighted(spectra):
-        return time_weighted_norm(times, a_norms_of_spectra(spectra, grid, sp, dec),
-                                  w.b, vexp)
-
+    order = cfg.quadrature_order
+    weights = _slab_weights(grid, m, tuple(times.tolist()), order)
     u0_hat = real_spectra(u0.samples, grid)
     u0_l2 = l2_norms_of_spectra(u0_hat[None], grid)[0]
-    homogeneous = weights.orbit * u0_hat
-    current = homogeneous
     w0_hat = _power_spectra(u0_hat[None], grid, m.r, cfg.dealias_factor)[0]
+    # The one iterate stack, overwritten batch by batch as the sweep passes.
+    current = weights.orbit * u0_hat
+    norms = np.empty(len(times))
+    gaps = np.empty(len(times))
     distances = []
     converged = False
     iterations = 0
     note = ""
     for iterations in range(1, cfg.picard_max_iter + 1):
-        new = _duhamel_terms(w0_hat, _power_spectra(current, grid, m.r, cfg.dealias_factor),
-                             weights, cfg.quadrature_order)
-        new += homogeneous
-        scale = weighted(new)
-        raw = weighted(new - current)
-        rel = raw / scale if scale > 0 else 0.0
+        peak = 0.0
+        batches = _power_batches(current, grid, m.r, cfg.dealias_factor)
+        for start, stop, new in _duhamel_sweep(w0_hat, weights, order, batches):
+            new += weights.orbit[start:stop] * u0_hat
+            old = current[start:stop]
+            norms[start:stop] = a_norms_of_spectra(new, grid, sp, dec)
+            # The old slabs become new - old, then new.
+            gaps[start:stop] = a_norms_of_spectra(np.subtract(new, old, out=old), grid,
+                                                  sp, dec)
+            peak = max(peak, float(np.max(l2_norms_of_spectra(new, grid))))
+            old[...] = new
+        scale = time_weighted_norm(times, norms, w.b, vexp)
+        rel = time_weighted_norm(times, gaps, w.b, vexp) / scale if scale > 0 else 0.0
         distances.append(rel)
-        current = new
         if rel <= cfg.picard_tol:
             converged = True
             break
-        peak = float(np.max(l2_norms_of_spectra(current, grid)))
         if u0_l2 > 0 and peak > 1e3 * u0_l2:
             report = _build_report(False, iterations, cfg, distances, scale, times,
                                    grid, current, "amplitude grew past 1e3 x data")
@@ -394,8 +451,8 @@ def picard_solve(u0, cfg, m, w, sp):
                 "Picard distances grew three times in a row", report=report)
     if not converged:
         note = "max iterations reached without convergence"
-    return _build_report(converged, iterations, cfg, distances, weighted(current), times,
-                         grid, current, note)
+    return _build_report(converged, iterations, cfg, distances, scale, times, grid,
+                         current, note)
 
 
 def _build_report(converged, iterations, cfg, distances, weighted, times, grid,
@@ -405,7 +462,8 @@ def _build_report(converged, iterations, cfg, distances, weighted, times, grid,
     return PicardReport(converged=converged, iterations=iterations,
                         tolerance=cfg.picard_tol, distances=tuple(distances),
                         contraction_factors=factors, weighted_norm=float(weighted),
-                        ball_radius=1.0, trajectory=_trajectory(times, spectra, grid),
+                        ball_radius=1.0,
+                        trajectory=_trajectory(times, spectra, grid, cfg.dealias_factor),
                         note=note)
 
 
@@ -443,7 +501,7 @@ def etd_oracle(u0, cfg, m, nonlinear=True):
             raise IntegrationError(
                 f"unstable step {i + 1} at t = {t:.6g}", step=i + 1, time=float(t))
         marched[i] = u
-    return _trajectory(times, marched, grid)
+    return _trajectory(times, marched, grid, cfg.dealias_factor)
 
 
 def pde_residual(traj, m, dealias_factor=1.5):
@@ -458,21 +516,28 @@ def pde_residual(traj, m, dealias_factor=1.5):
     lam = half_lattice(dissipation_symbol(grid, m))
     shape = (-1,) + (1,) * grid.n
     h = np.diff(np.asarray(traj.times))
-    h0 = h[:-1].reshape(shape)
-    h1 = h[1:].reshape(shape)
-    spectra = real_spectra(np.stack([f.samples for f in traj.fields]), grid)
-    before, middle, after = spectra[:-2], spectra[1:-1], spectra[2:]
-    # The centered difference plus the dissipation, accumulated in place.
-    resid = -h1 / (h0 * (h0 + h1)) * before
-    term = np.multiply((h1 - h0) / (h0 * h1), middle)
-    resid += term
-    resid += np.multiply(h0 / (h1 * (h0 + h1)), after, out=term)
-    resid += np.multiply(lam, middle, out=term)
-    del term
-    resid -= _power_spectra(middle, grid, m.r, dealias_factor)
-    scale = l2_norms_of_spectra(middle, grid)
-    live = scale > 0.0
-    return float(np.max(l2_norms_of_spectra(resid, grid)[live] / scale[live], initial=0.0))
+    batch = _batch_length(grid, dealias_factor)
+    worst = 0.0
+    # Batches of interior samples, each transformed with its two neighbours.
+    for start in range(0, len(traj) - 2, batch):
+        stop = min(start + batch, len(traj) - 2)
+        spectra = spectra_of_fields(traj.fields[start:stop + 2], grid, batch + 2)
+        before, middle, after = spectra[:-2], spectra[1:-1], spectra[2:]
+        h0 = h[start:stop].reshape(shape)
+        h1 = h[start + 1:stop + 1].reshape(shape)
+        # The centered difference plus the dissipation, accumulated in place.
+        resid = -h1 / (h0 * (h0 + h1)) * before
+        term = np.multiply((h1 - h0) / (h0 * h1), middle)
+        resid += term
+        resid += np.multiply(h0 / (h1 * (h0 + h1)), after, out=term)
+        resid += np.multiply(lam, middle, out=term)
+        del term
+        resid -= _power_spectra(middle, grid, m.r, dealias_factor)
+        scale = l2_norms_of_spectra(middle, grid)
+        live = scale > 0.0
+        ratios = l2_norms_of_spectra(resid, grid)[live] / scale[live]
+        worst = max(worst, float(np.max(ratios, initial=0.0)))
+    return worst
 
 
 def strong_convergence_check(traj, u0, sp0, at_times=None, count=8,

@@ -32,7 +32,7 @@ import numpy as np
 
 from .dyadic import a_norms_of_spectra, build_decomposition
 from .errors import InconsistentGridError, ParameterError
-from .grid import real_spectra
+from .grid import _PAD_BATCH_BYTES, spectra_of_fields
 
 
 @dataclass(frozen=True)
@@ -135,8 +135,13 @@ def weighted_norm(traj, w, sp, vexp, decomposition=None):
         "weighted norm may miss mass near the endpoints")
     if not math.isinf(vexp) and times.size < 2:
         raise ParameterError("finite-exponent weighted norms need at least two samples")
-    spectra = real_spectra(np.stack([f.samples for f in traj.fields]), traj.grid)
-    norms = a_norms_of_spectra(spectra, traj.grid, sp, dec)
+    # Norms batch by batch: no stack of all samples or spectra is built.
+    grid = traj.grid
+    batch = max(1, _PAD_BATCH_BYTES // (16 * math.prod(grid.half_shape)))
+    norms = np.concatenate([
+        a_norms_of_spectra(spectra_of_fields(traj.fields[start:start + batch], grid, batch),
+                           grid, sp, dec)
+        for start in range(0, len(traj), batch)])
     return WeightedNormResult(value=time_weighted_norm(times, norms, w.b, vexp),
                               coverage_ok=coverage_ok, note=note)
 

@@ -65,7 +65,7 @@ class TestSmoothingRate:
     @pytest.mark.parametrize("saturating", [True, False])
     def test_norms_and_ratios_match_per_time_reference(self, space, n, N, saturating):
         # B(1.5,2,2) takes the matrix-product path; p = 3 and the F family
-        # take the field-by-field fallback.
+        # take the block-field fallback.
         grid = TorusGrid(n, N)
         sp = SPACES[space]
         m = ModelParams(alpha=2, r=3.0, n=n)
@@ -80,6 +80,24 @@ class TestSmoothingRate:
         assert_allclose(rep.norms, norms, rtol=1e-12, atol=0)
         assert_allclose(rep.weighted_ratios, times ** (d / (2.0 * m.alpha)) * norms / base,
                         rtol=1e-12, atol=0)
+
+    def test_fallback_checks_no_symmetry(self, monkeypatch):
+        # The block fields of the fallback come from batched irfftn, so no
+        # spectrum goes through the Hermitian-checked inverse transform.
+        calls = []
+        checked = SpectralField.hermitian_defect
+
+        def counting(self):
+            calls.append(1)
+            return checked(self)
+
+        monkeypatch.setattr(SpectralField, "hermitian_defect", counting)
+        grid = TorusGrid(1, 512)
+        f = power_spectrum_field(grid, 0.6, seed=(4, 1))
+        rep = smoothing_rate(f, SPACES["F(1.1,2,4)"], 2.0, np.geomspace(1e-5, 1.0, 121),
+                             ModelParams(alpha=2, r=3.0, n=1))
+        assert len(rep.norms) == 121 and np.all(np.isfinite(rep.norms))
+        assert calls == []
 
     @pytest.mark.parametrize("mode, degenerate", [((4,), True), ((2, 8), False)])
     def test_degenerate_flag_matches_per_block_norms(self, mode, degenerate):
