@@ -9,9 +9,8 @@ verification experiments behind a CLI.
 
 from .config import (EXPERIMENTS, ExperimentConfig, config_digest, default_config,
                      emit_config, load_config, parse_config)
-from .dyadic import (DyadicDecomposition, PowerMapProbe, SpaceParams, a_norm,
-                     a_norm_of_coefficients, block, build_decomposition,
-                     power_map_probe, radial_profile, smooth_step)
+from .dyadic import (DyadicDecomposition, PowerMapProbe, SpaceParams, a_norm, block,
+                     build_decomposition, power_map_probe, radial_profile, smooth_step)
 from .errors import (BlowupSuspectedError, ConfigError, HyperheatError,
                      InconsistentGridError, IntegrationError, ParameterError,
                      SymmetryError)
@@ -41,9 +40,8 @@ __version__ = "0.1.0"
 __all__ = [
     "EXPERIMENTS", "ExperimentConfig", "config_digest", "default_config",
     "emit_config", "load_config", "parse_config",
-    "DyadicDecomposition", "PowerMapProbe", "SpaceParams", "a_norm",
-    "a_norm_of_coefficients", "block", "build_decomposition", "power_map_probe",
-    "radial_profile", "smooth_step",
+    "DyadicDecomposition", "PowerMapProbe", "SpaceParams", "a_norm", "block",
+    "build_decomposition", "power_map_probe", "radial_profile", "smooth_step",
     "BlowupSuspectedError", "ConfigError", "HyperheatError",
     "InconsistentGridError", "IntegrationError", "ParameterError", "SymmetryError",
     "band_limit", "cosine_mode", "power_spectrum_field", "radial_power_field",

@@ -219,7 +219,6 @@ def emit_config(cfg):
         "picard_tol": _float_repr(solver.picard_tol),
         "picard_max_iter": str(solver.picard_max_iter),
         "dealias_factor": _float_repr(solver.dealias_factor),
-        "quadrature_order": str(solver.quadrature_order),
         "t_min_frac": _float_repr(solver.t_min_frac),
         "uniform_start_frac": _float_repr(solver.uniform_start_frac),
         "geometric_per_decade": str(solver.geometric_per_decade),
@@ -237,8 +236,8 @@ _SECTION_KEYS = {
     "space": {"family", "s", "p", "q", "s0"},
     "time_weight": {"a", "v"},
     "solver": {"horizon", "slabs", "picard_tol", "picard_max_iter", "dealias_factor",
-               "quadrature_order", "t_min_frac", "uniform_start_frac",
-               "geometric_per_decade", "times", "extra_times"},
+               "t_min_frac", "uniform_start_frac", "geometric_per_decade", "times",
+               "extra_times"},
 }
 
 
@@ -306,8 +305,6 @@ def parse_config(text):
                                      base.solver.picard_max_iter)),
             dealias_factor=float(_get(parser, "solver", "dealias_factor",
                                       base.solver.dealias_factor)),
-            quadrature_order=int(_get(parser, "solver", "quadrature_order",
-                                      base.solver.quadrature_order)),
             t_min_frac=float(_get(parser, "solver", "t_min_frac", base.solver.t_min_frac)),
             uniform_start_frac=float(_get(parser, "solver", "uniform_start_frac",
                                           base.solver.uniform_start_frac)),

@@ -26,9 +26,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import ParameterError
-from .grid import (_PAD_BATCH_BYTES, RealField, SpectralField, forward_transform,
-                   half_lattice, inverse_transform, l2_norm_of_coefficients, lp_norm,
-                   real_samples, real_spectra)
+from .grid import _PAD_BATCH_BYTES, RealField, half_lattice, real_samples, real_spectra
 
 
 @dataclass(frozen=True)
@@ -170,29 +168,6 @@ def _combine_scales(values, weights, q):
     return np.sum(weighted ** q, axis=0) ** (1.0 / q)
 
 
-def a_norm_of_coefficients(coefficients, grid, sp, decomposition=None):
-    """Scale-indexed norm evaluated from unitary Fourier coefficients."""
-    dec = decomposition or build_decomposition(grid)
-    weights = np.array([2.0 ** (j * sp.s) for j in range(dec.block_count)])
-    if sp.family == "B":
-        if sp.p == 2:
-            # Parseval shortcut: the block L_2 norm is the weighted
-            # coefficient norm; agrees with the sample-space route to roundoff.
-            block_norms = np.array([
-                l2_norm_of_coefficients(phi * coefficients, grid) for phi in dec.cutoffs])
-        else:
-            block_norms = np.array([
-                lp_norm(inverse_transform(SpectralField(grid, phi * coefficients)), sp.p)
-                for phi in dec.cutoffs])
-        return float(_combine_scales(block_norms, weights, sp.q))
-    # F family: combine over scales pointwise, then take the L_p norm.
-    stacked = np.stack([
-        np.abs(inverse_transform(SpectralField(grid, phi * coefficients)).samples)
-        for phi in dec.cutoffs])
-    pointwise = _combine_scales(stacked, weights.reshape((-1,) + (1,) * grid.n), sp.q)
-    return float(lp_norm(RealField(grid, pointwise), sp.p))
-
-
 def _lp_norms(samples, p, grid):
     """Riemann-sum L_p norm over the trailing grid axes of a stack of samples."""
     a = np.abs(samples)
@@ -203,7 +178,7 @@ def _lp_norms(samples, p, grid):
 
 
 def a_norms_of_spectra(spectra, grid, sp, decomposition=None):
-    """``a_norm`` of each real field in a stack of half-lattice spectra.
+    """Norm in A^s_{p,q} of each real field in a stack of half-lattice spectra.
 
     For B spaces with p = 2 the squared block norms of every field come from
     one matrix product, |c|^2 @ ``half_block_weights``. Other spaces take the
@@ -240,8 +215,8 @@ def a_norm(f, sp, decomposition=None):
     weighted by the cutoffs; band-limit fields to the covered ball when
     exact reconstruction matters.
     """
-    return a_norm_of_coefficients(forward_transform(f).coefficients, f.grid, sp,
-                                  decomposition)
+    spectra = real_spectra(f.samples, f.grid)[None]
+    return float(a_norms_of_spectra(spectra, f.grid, sp, decomposition)[0])
 
 
 @dataclass(frozen=True)

@@ -41,11 +41,6 @@ def _rel_l2(got, want):
     return diff / scale if scale > 0 else diff
 
 
-def _difference(t1, t2):
-    return Trajectory(times=t1.times,
-                      fields=tuple(a - b for a, b in zip(t1.fields, t2.fields)))
-
-
 def _spearman_against_index(values):
     """Spearman correlation of the values against their index order (1 = strictly
     increasing, no ties)."""
@@ -349,14 +344,13 @@ def run_stability(cfg):
     direction = random_band_limited(grid, (cfg.seed, 41), band, 1.0)
     direction = direction * (1.0 / a_norm(direction, sp0, dec))
     base = picard_solve(u0, cfg.solver, m, w, sp)
-    base_samples = np.stack([f.samples for f in base.trajectory.fields])
     sups = []
     terminals = []
     profile_rows = []
     for delta in deltas:
         pert = picard_solve(u0 + direction * delta, cfg.solver, m, w, sp)
-        gaps = base_samples - np.stack([f.samples for f in pert.trajectory.fields])
-        devs = a_norms_of_spectra(real_spectra(gaps, grid), grid, sp0, dec)
+        devs = a_norms_of_spectra(base.trajectory.spectra - pert.trajectory.spectra,
+                                  grid, sp0, dec)
         sups.append(max(devs))
         terminals.append(devs[-1])
         profile_rows = list(zip(base.trajectory.times, devs))
@@ -433,7 +427,8 @@ def run_solve(cfg):
                   "interior samples",
                   pde_residual(traj, m, cfg.solver.dealias_factor), "<=", residual_tol)
     reapplied = duhamel_apply(u0, traj, scfg, m)
-    defect = weighted_norm(_difference(reapplied, traj), w, sp, vexp, dec).value
+    change = Trajectory.from_spectra(traj.times, reapplied.spectra - traj.spectra, grid)
+    defect = weighted_norm(change, w, sp, vexp, dec).value
     scale = weighted_norm(traj, w, sp, vexp, dec).value
     rec.add_check("fixed_point_defect",
                   "relative weighted-norm change after one more operator application",
@@ -457,12 +452,11 @@ def run_solve(cfg):
         rec.add_check("strong_final_ratio",
                       "initial-space distance at the smallest dyadic time, relative "
                       "to the data norm", final_rel, "<=", bound)
-    spectra = real_spectra(np.stack([f.samples for f in traj.fields]), grid)
     rec.add_series("trajectory_norms",
                    ("t", "l2_norm", "space_norm", "initial_space_norm"),
-                   zip(traj.times, l2_norms_of_spectra(spectra, grid),
-                       a_norms_of_spectra(spectra, grid, sp, dec),
-                       a_norms_of_spectra(spectra, grid, sp0, dec)))
+                   zip(traj.times, l2_norms_of_spectra(traj.spectra, grid),
+                       a_norms_of_spectra(traj.spectra, grid, sp, dec),
+                       a_norms_of_spectra(traj.spectra, grid, sp0, dec)))
     # Only odd integer r makes |u|^(r-1) u a polynomial that padding can
     # dealias exactly; r = 2 (|u| u) is not one.
     if not (float(m.r).is_integer() and int(m.r) % 2 == 1):

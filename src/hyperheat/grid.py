@@ -282,25 +282,6 @@ def real_samples(spectra, grid):
                             workers=fft_workers())
 
 
-def spectra_of_fields(fields, grid, batch):
-    """Half-lattice spectra of a sequence of real fields as one stack,
-    transformed ``batch`` fields at a time (no stack of samples is built)."""
-    out = np.empty((len(fields),) + grid.half_shape, dtype=np.complex128)
-    for start in range(0, len(fields), batch):
-        samples = np.stack([f.samples for f in fields[start:start + batch]])
-        out[start:start + batch] = real_spectra(samples, grid)
-    return out
-
-
-def fields_of_spectra(spectra, grid, batch):
-    """Real fields from a stack of half-lattice spectra, ``batch`` at a time."""
-    fields = []
-    for start in range(0, len(spectra), batch):
-        samples = real_samples(spectra[start:start + batch], grid)
-        fields.extend(RealField(grid, s) for s in samples)
-    return tuple(fields)
-
-
 def l2_norms_of_spectra(spectra, grid):
     """Physical L_2 norm of each field in a stack of half-lattice spectra.
 

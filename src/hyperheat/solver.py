@@ -28,9 +28,8 @@ from numpy.polynomial.legendre import leggauss
 from .dyadic import a_norms_of_spectra, build_decomposition
 from .errors import (BlowupSuspectedError, InconsistentGridError, IntegrationError,
                      ParameterError)
-from .grid import (_PAD_BATCH_BYTES, RealField, fft_workers, fields_of_spectra,
-                   half_lattice, l2_norms_of_spectra, real_samples, real_spectra,
-                   spectra_of_fields)
+from .grid import (_PAD_BATCH_BYTES, RealField, fft_workers, half_lattice,
+                   l2_norms_of_spectra, real_samples, real_spectra)
 from .semigroup import _orbit_multipliers, dissipation_symbol
 from .timenorms import Trajectory, admissibility, log_time_grid, time_weighted_norm
 
@@ -44,7 +43,8 @@ class SolverConfig:
     norms see the decades near t = 0), then ``slabs`` uniform samples up
     to the horizon (so centered time differences stay accurate). An
     explicit ``times`` tuple overrides the construction; ``extra_times``
-    are merged in.
+    are merged in. The slab quadrature has no option: the forcing is
+    reconstructed piecewise linearly in tau and integrated exactly.
     """
 
     horizon: float
@@ -52,7 +52,6 @@ class SolverConfig:
     picard_tol: float = 1e-10
     picard_max_iter: int = 50
     dealias_factor: float = 1.5
-    quadrature_order: int = 2
     t_min_frac: float = 1e-4
     uniform_start_frac: float = 1e-2
     geometric_per_decade: int = 32
@@ -70,10 +69,6 @@ class SolverConfig:
             raise ParameterError("picard_max_iter must be >= 1")
         if not self.dealias_factor >= 1:
             raise ParameterError(f"dealias_factor must be >= 1, got {self.dealias_factor}")
-        if self.quadrature_order not in (1, 2):
-            raise ParameterError(
-                f"quadrature_order must be 1 (piecewise constant) or 2 (piecewise "
-                f"linear), got {self.quadrature_order}")
         if not 0 < self.t_min_frac < self.uniform_start_frac < 1:
             raise ParameterError("need 0 < t_min_frac < uniform_start_frac < 1")
         if self.times is not None:
@@ -251,10 +246,12 @@ def aliasing_probe(u, r, dealias_factor=1.5):
 
 @dataclass(frozen=True, eq=False)
 class _SlabWeights:
-    """Stacked per-slab factors on the half lattice, slab i = (t_{i-1}, t_i]:
-    decay = exp(z), phi1 = dt phi1(z), phi2 = dt phi2(z) (None at order 1)
-    with z = -dt |xi|^(2 alpha), and orbit = exp(-t_i |xi|^(2 alpha))."""
+    """Per-slab factors on the half lattice, slab i = (t_{i-1}, t_i]:
+    decay = exp(z), phi1 = dt phi1(z) and phi2 = dt phi2(z) with
+    z = -dt |xi|^(2 alpha), one row per distinct step dt, slab i reading row
+    ``step[i]``; and orbit = exp(-t_i |xi|^(2 alpha)), one row per slab."""
 
+    step: np.ndarray
     decay: np.ndarray
     phi1: np.ndarray
     phi2: np.ndarray
@@ -262,39 +259,36 @@ class _SlabWeights:
 
 
 @lru_cache(maxsize=2)
-def _slab_weights(grid, m, times, order):
+def _slab_weights(grid, m, times):
     """The slab weights for a tuple of slab-end times, built once and shared by
     the Duhamel recursion and the exponential integrator (read-only)."""
     lam = half_lattice(dissipation_symbol(grid, m))
-    t = np.asarray(times).reshape((-1,) + (1,) * grid.n)
-    dt = np.diff(t, axis=0, prepend=0.0)
+    steps, step = np.unique(np.diff(times, prepend=0.0), return_inverse=True)
+    dt = steps.reshape((-1,) + (1,) * grid.n)
     z = -dt * lam
-    arrays = [np.exp(z), dt * phi1(z), dt * phi2(z) if order == 2 else None,
+    arrays = [step, np.exp(z), dt * phi1(z), dt * phi2(z),
               _orbit_multipliers(grid, m, times)]
     for a in arrays:
-        if a is not None:
-            a.setflags(write=False)
+        a.setflags(write=False)
     return _SlabWeights(*arrays)
 
 
-def _duhamel_terms(start, forcing, weights, order, offset=0, carry=None):
+def _duhamel_terms(start, forcing, weights, offset=0, carry=None):
     """D(t_i) = integral_0^{t_i} e^{-(t_i - tau) lam} w(tau) dtau for the
     slabs i = offset+1 .. offset+len(forcing).
 
     ``forcing`` stacks w_i at those slab ends, ``start`` is the forcing at
     the left end of the first of them (w_0 at tau = 0) and ``carry`` is D
-    there (None: zero, at tau = 0). Piecewise linear in tau at order 2,
-    left-endpoint constant at order 1; each slab integral is exact for the
-    reconstruction via phi1/phi2.
+    there (None: zero, at tau = 0). The forcing is piecewise linear in tau;
+    each slab integral is exact for that reconstruction via phi1/phi2.
     """
-    span = slice(offset, offset + len(forcing))
+    rows = weights.step[offset:offset + len(forcing)]
     previous = np.concatenate([start[None], forcing[:-1]])
-    terms = weights.phi1[span] * previous
-    if order == 2:
-        rise = np.subtract(forcing, previous, out=previous)
-        rise *= weights.phi2[span]
-        terms += rise
-    decay = weights.decay[span]
+    terms = weights.phi1[rows] * previous
+    rise = np.subtract(forcing, previous, out=previous)
+    rise *= weights.phi2[rows]
+    terms += rise
+    decay = weights.decay[rows]
     if carry is not None:
         terms[0] += decay[0] * carry
     for i in range(1, len(terms)):
@@ -302,7 +296,7 @@ def _duhamel_terms(start, forcing, weights, order, offset=0, carry=None):
     return terms
 
 
-def _duhamel_sweep(w0_hat, weights, order, batches):
+def _duhamel_sweep(w0_hat, weights, batches):
     """The slab recursion run over ``batches``, a ``_power_batches`` iterator
     over a trajectory's spectra, with ``w0_hat`` the forcing at tau = 0.
 
@@ -311,16 +305,10 @@ def _duhamel_sweep(w0_hat, weights, order, batches):
     """
     left, carry = w0_hat, None
     for start, stop, forcing in batches:
-        terms = _duhamel_terms(left, forcing, weights, order, start, carry)
+        terms = _duhamel_terms(left, forcing, weights, start, carry)
         left = forcing[-1].copy()
         carry = terms[-1].copy()
         yield start, stop, terms
-
-
-def _trajectory(times, spectra, grid, dealias_factor):
-    """A trajectory from a stack of half-lattice spectra, built batch by batch."""
-    return Trajectory(times=tuple(times), fields=fields_of_spectra(
-        spectra, grid, _batch_length(grid, dealias_factor)))
 
 
 def _duhamel_spectra(spectra, times, cfg, m, grid):
@@ -329,12 +317,11 @@ def _duhamel_spectra(spectra, times, cfg, m, grid):
     ``times``. The image is swept in batches over ``spectra[1:]``, which it
     overwrites and which is returned.
     """
-    order = cfg.quadrature_order
-    weights = _slab_weights(grid, m, tuple(float(t) for t in times), order)
+    weights = _slab_weights(grid, m, tuple(float(t) for t in times))
     u0_hat, trajectory = spectra[0], spectra[1:]
     w0_hat = _power_spectra(u0_hat[None], grid, m.r, cfg.dealias_factor)[0]
     batches = _power_batches(trajectory, grid, m.r, cfg.dealias_factor)
-    for start, stop, terms in _duhamel_sweep(w0_hat, weights, order, batches):
+    for start, stop, terms in _duhamel_sweep(w0_hat, weights, batches):
         image = np.multiply(weights.orbit[start:stop], u0_hat, out=trajectory[start:stop])
         image += terms
     return trajectory
@@ -353,10 +340,11 @@ def duhamel_apply(u0, traj, cfg, m):
         raise ParameterError(
             f"trajectory must end at the horizon {cfg.horizon}, got {times[-1]}")
     grid = u0.grid
-    spectra = spectra_of_fields((u0,) + traj.fields, grid,
-                                _batch_length(grid, cfg.dealias_factor))
-    return _trajectory(times, _duhamel_spectra(spectra, times, cfg, m, grid), grid,
-                       cfg.dealias_factor)
+    spectra = np.empty((len(traj) + 1,) + grid.half_shape, dtype=np.complex128)
+    spectra[0] = real_spectra(u0.samples, grid)
+    spectra[1:] = traj.spectra
+    return Trajectory.from_spectra(times, _duhamel_spectra(spectra, times, cfg, m, grid),
+                                   grid)
 
 
 @dataclass(frozen=True)
@@ -407,8 +395,7 @@ def picard_solve(u0, cfg, m, w, sp):
     times = slab_times(cfg)
     grid = u0.grid
     dec = build_decomposition(grid)
-    order = cfg.quadrature_order
-    weights = _slab_weights(grid, m, tuple(times.tolist()), order)
+    weights = _slab_weights(grid, m, tuple(times.tolist()))
     u0_hat = real_spectra(u0.samples, grid)
     u0_l2 = l2_norms_of_spectra(u0_hat[None], grid)[0]
     w0_hat = _power_spectra(u0_hat[None], grid, m.r, cfg.dealias_factor)[0]
@@ -423,7 +410,7 @@ def picard_solve(u0, cfg, m, w, sp):
     for iterations in range(1, cfg.picard_max_iter + 1):
         peak = 0.0
         batches = _power_batches(current, grid, m.r, cfg.dealias_factor)
-        for start, stop, new in _duhamel_sweep(w0_hat, weights, order, batches):
+        for start, stop, new in _duhamel_sweep(w0_hat, weights, batches):
             new += weights.orbit[start:stop] * u0_hat
             old = current[start:stop]
             norms[start:stop] = a_norms_of_spectra(new, grid, sp, dec)
@@ -463,22 +450,21 @@ def _build_report(converged, iterations, cfg, distances, weighted, times, grid,
                         tolerance=cfg.picard_tol, distances=tuple(distances),
                         contraction_factors=factors, weighted_norm=float(weighted),
                         ball_radius=1.0,
-                        trajectory=_trajectory(times, spectra, grid, cfg.dealias_factor),
+                        trajectory=Trajectory.from_spectra(times, spectra, grid),
                         note=note)
 
 
 def etd_oracle(u0, cfg, m, nonlinear=True):
     """Independent exponential predictor-corrector march over the same slabs.
 
-    Order 2 (predictor with phi1, corrector with phi2); with
-    quadrature_order = 1 the corrector is skipped. ``nonlinear=False``
+    Order 2 (predictor with phi1, corrector with phi2). The marched spectra
+    fill one stack, which becomes the returned trajectory. ``nonlinear=False``
     integrates only the linear flow, which must reproduce the semigroup
     exactly. Non-finite or violently growing steps raise IntegrationError.
     """
     times = slab_times(cfg)
     grid = u0.grid
-    order = cfg.quadrature_order
-    weights = _slab_weights(grid, m, tuple(times.tolist()), order)
+    weights = _slab_weights(grid, m, tuple(times.tolist()))
 
     def power(c):
         return _power_spectra(c[None], grid, m.r, cfg.dealias_factor)[0]
@@ -487,21 +473,19 @@ def etd_oracle(u0, cfg, m, nonlinear=True):
     bound = 1e6 * max(l2_norms_of_spectra(u[None], grid)[0], 1.0)
     marched = np.empty((len(times),) + u.shape, dtype=np.complex128)
     for i, t in enumerate(times):
-        decay = weights.decay[i]
+        row = weights.step[i]
+        decay = weights.decay[row]
         if nonlinear:
             nu = power(u)
-            predictor = decay * u + weights.phi1[i] * nu
-            if order == 2:
-                u = predictor + weights.phi2[i] * (power(predictor) - nu)
-            else:
-                u = predictor
+            predictor = decay * u + weights.phi1[row] * nu
+            u = predictor + weights.phi2[row] * (power(predictor) - nu)
         else:
             u = decay * u
         if not np.all(np.isfinite(u)) or l2_norms_of_spectra(u[None], grid)[0] > bound:
             raise IntegrationError(
                 f"unstable step {i + 1} at t = {t:.6g}", step=i + 1, time=float(t))
         marched[i] = u
-    return _trajectory(times, marched, grid, cfg.dealias_factor)
+    return Trajectory.from_spectra(times, marched, grid)
 
 
 def pde_residual(traj, m, dealias_factor=1.5):
@@ -521,7 +505,7 @@ def pde_residual(traj, m, dealias_factor=1.5):
     # Batches of interior samples, each transformed with its two neighbours.
     for start in range(0, len(traj) - 2, batch):
         stop = min(start + batch, len(traj) - 2)
-        spectra = spectra_of_fields(traj.fields[start:stop + 2], grid, batch + 2)
+        spectra = traj.spectra[start:stop + 2]
         before, middle, after = spectra[:-2], spectra[1:-1], spectra[2:]
         h0 = h[start:stop].reshape(shape)
         h1 = h[start + 1:stop + 1].reshape(shape)
@@ -557,8 +541,8 @@ def strong_convergence_check(traj, u0, sp0, at_times=None, count=8,
         indices = [int(np.argmin(np.abs(times - target))) for target in at_times]
     else:
         indices = list(range(min(count, len(times))))
-    gaps = np.stack([traj.fields[i].samples for i in indices]) - u0.samples
-    dists = a_norms_of_spectra(real_spectra(gaps, grid), grid, sp0, dec)
+    gaps = traj.spectra[indices] - real_spectra(u0.samples, grid)
+    dists = a_norms_of_spectra(gaps, grid, sp0, dec)
     return [(float(times[i]), float(dist)) for i, dist in zip(indices, dists)]
 
 

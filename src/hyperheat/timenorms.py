@@ -26,13 +26,14 @@ on the regime a < 2 - inv_v where these exponents are used.
 """
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dyadic import a_norms_of_spectra, build_decomposition
 from .errors import InconsistentGridError, ParameterError
-from .grid import _PAD_BATCH_BYTES, spectra_of_fields
+from .grid import _PAD_BATCH_BYTES, RealField, TorusGrid, real_samples, real_spectra
 
 
 @dataclass(frozen=True)
@@ -61,38 +62,88 @@ class TimeWeight:
         return self.b < 1.0 - self.inv_v
 
 
-@dataclass(frozen=True, eq=False)
+def _sample_times(times, count):
+    """The sample times as a tuple of floats, checked against ``count`` fields."""
+    times = tuple(float(t) for t in times)
+    if len(times) != count or not times:
+        raise ParameterError("times and fields must be equal-length and nonempty")
+    arr = np.asarray(times)
+    if np.any(arr <= 0) or np.any(np.diff(arr) <= 0):
+        raise ParameterError("sample times must be positive and strictly increasing")
+    return times
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Trajectory:
-    """Time samples 0 < t_1 < ... < t_M with one real field per sample."""
+    """Time samples 0 < t_1 < ... < t_M and the real field at each of them,
+    held as one read-only stack ``spectra`` of shape (M,) + grid.half_shape:
+    the unitary rfftn half spectrum of every field.
+
+    ``Trajectory(times, fields)`` transforms a sequence of real fields on one
+    grid; ``from_spectra`` adopts a stack the library has built.
+    """
 
     times: tuple
-    fields: tuple
+    spectra: np.ndarray
+    grid: TorusGrid
 
-    def __post_init__(self):
-        times = tuple(float(t) for t in self.times)
-        fields = tuple(self.fields)
-        if len(times) != len(fields) or not times:
-            raise ParameterError("times and fields must be equal-length and nonempty")
-        arr = np.asarray(times)
-        if np.any(arr <= 0) or np.any(np.diff(arr) <= 0):
-            raise ParameterError("sample times must be positive and strictly increasing")
-        g = fields[0].grid
-        for f in fields[1:]:
-            if f.grid != g:
+    def __init__(self, times, fields):
+        fields = tuple(fields)
+        times = _sample_times(times, len(fields))
+        grid = fields[0].grid
+        spectra = np.empty((len(fields),) + grid.half_shape, dtype=np.complex128)
+        batch = max(1, _PAD_BATCH_BYTES // (16 * math.prod(grid.half_shape)))
+        for start in range(0, len(fields), batch):
+            chunk = fields[start:start + batch]
+            if any(f.grid != grid for f in chunk):
                 raise InconsistentGridError("all trajectory fields must share one grid")
+            samples = np.stack([f.samples for f in chunk])
+            spectra[start:start + batch] = real_spectra(samples, grid)
+        self._adopt(times, spectra, grid)
+
+    @classmethod
+    def from_spectra(cls, times, spectra, grid):
+        """A trajectory owning ``spectra`` (locked in place, not copied)."""
+        if spectra.dtype != np.complex128 or spectra.shape[1:] != grid.half_shape:
+            raise ParameterError(
+                f"spectra of shape {spectra.shape} and type {spectra.dtype} are not a "
+                f"complex128 stack of half spectra {grid.half_shape}")
+        traj = cls.__new__(cls)
+        traj._adopt(_sample_times(times, len(spectra)), spectra, grid)
+        return traj
+
+    def _adopt(self, times, spectra, grid):
+        spectra.setflags(write=False)
         object.__setattr__(self, "times", times)
-        object.__setattr__(self, "fields", fields)
+        object.__setattr__(self, "spectra", spectra)
+        object.__setattr__(self, "grid", grid)
 
     def __len__(self):
         return len(self.times)
 
     @property
-    def grid(self):
-        return self.fields[0].grid
+    def fields(self):
+        """The real fields, each transformed from ``spectra`` when accessed."""
+        return _Fields(self.spectra, self.grid)
 
     @property
     def terminal(self):
         return self.fields[-1]
+
+
+class _Fields(Sequence):
+    """Read-only sequence of the real fields of a spectra stack; every access
+    makes one inverse transform and keeps nothing."""
+
+    def __init__(self, spectra, grid):
+        self._spectra = spectra
+        self._grid = grid
+
+    def __len__(self):
+        return len(self._spectra)
+
+    def __getitem__(self, index):
+        return RealField(self._grid, real_samples(self._spectra[index], self._grid))
 
 
 def log_time_grid(t_min, t_max, per_decade=64):
@@ -135,12 +186,11 @@ def weighted_norm(traj, w, sp, vexp, decomposition=None):
         "weighted norm may miss mass near the endpoints")
     if not math.isinf(vexp) and times.size < 2:
         raise ParameterError("finite-exponent weighted norms need at least two samples")
-    # Norms batch by batch: no stack of all samples or spectra is built.
+    # Norms batch by batch: no temporary spans the whole stack.
     grid = traj.grid
     batch = max(1, _PAD_BATCH_BYTES // (16 * math.prod(grid.half_shape)))
     norms = np.concatenate([
-        a_norms_of_spectra(spectra_of_fields(traj.fields[start:start + batch], grid, batch),
-                           grid, sp, dec)
+        a_norms_of_spectra(traj.spectra[start:start + batch], grid, sp, dec)
         for start in range(0, len(traj), batch)])
     return WeightedNormResult(value=time_weighted_norm(times, norms, w.b, vexp),
                               coverage_ok=coverage_ok, note=note)

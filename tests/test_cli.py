@@ -10,6 +10,10 @@ from hyperheat.cli import build_parser, main
 # The sweep verb is the cheapest end-to-end run; a small tuple budget keeps
 # each CLI invocation here well under a second.
 FAST_SWEEP = "[experiment]\nid = sweep\ntuples = 500\n"
+# A solve on a 16^2 grid with 48 uniform slabs (enough for the residual
+# check to pass): every check and series of the full verb, in well under a second.
+FAST_SOLVE = ("[experiment]\nid = solve\n\n[grid]\npoints_per_dim = 16\n\n"
+              "[solver]\nhorizon = 0.25\nslabs = 48\n")
 
 
 def write(tmp_path, name, text):
@@ -102,6 +106,18 @@ class TestOutputs:
         assert main(["sweep", "--config", cfg, "--out", str(b)]) == 0
         assert (a / "record.json").read_bytes() == (b / "record.json").read_bytes()
         assert (a / "sweep_sample.csv").read_bytes() == (b / "sweep_sample.csv").read_bytes()
+
+    def test_solve_reruns_are_byte_identical(self, tmp_path, capsys):
+        cfg = write(tmp_path, "solve.ini", FAST_SOLVE)
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["solve", "--config", cfg, "--out", str(a)]) == 0
+        assert main(["solve", "--config", cfg, "--out", str(b)]) == 0
+        written = sorted(p.name for p in a.iterdir())
+        assert written == sorted(p.name for p in b.iterdir())
+        assert "record.json" in written
+        assert {"strong_convergence.csv", "trajectory_norms.csv"} <= set(written)
+        for name in written:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
     def test_default_config_round_trips_through_cli(self, tmp_path, capsys):
         # Emitting the baked-in defaults and feeding them back must agree

@@ -99,6 +99,11 @@ class TestParsing:
         with pytest.raises(ConfigError, match="key"):
             parse_config("[experiment]\nid = solve\n\n[model]\nmass = 1\n")
 
+    def test_removed_quadrature_order_key_rejected(self):
+        # The slab quadrature is always piecewise linear; the key is gone.
+        with pytest.raises(ConfigError, match="quadrature_order"):
+            parse_config("[experiment]\nid = solve\n\n[solver]\nquadrature_order = 2\n")
+
     def test_invalid_value_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("[experiment]\nid = solve\n\n[model]\nr = sometimes\n")

@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from hyperheat import (ParameterError, RealField, SpaceParams, TorusGrid, a_norm,
-                       a_norm_of_coefficients, block, build_decomposition,
-                       constant_field, cosine_mode, forward_transform, lp_norm,
-                       power_map_probe, radial_profile, random_band_limited,
+from hyperheat import (ParameterError, RealField, SpaceParams, TorusGrid, a_norm, block,
+                       build_decomposition, constant_field, cosine_mode, forward_transform,
+                       lp_norm, power_map_probe, radial_profile, random_band_limited,
                        smooth_step)
 from hyperheat.dyadic import a_norms_of_spectra
 from hyperheat.grid import real_spectra
+from reference_norms import a_norm_of_coefficients, a_norm_of_field
 
 
 class TestProfiles:
@@ -171,7 +171,7 @@ class TestNorms:
             samples = rng.standard_normal((4,) + grid.shape)
             dec = build_decomposition(grid)
             got = a_norms_of_spectra(real_spectra(samples, grid), grid, sp, dec)
-            want = [a_norm(RealField(grid, s), sp, dec) for s in samples]
+            want = [a_norm_of_field(RealField(grid, s), sp, dec) for s in samples]
             assert_allclose(got, want, rtol=1e-13)
 
     @settings(max_examples=20, deadline=None)

@@ -57,7 +57,6 @@ class TestSolverConfig:
         dict(horizon=1.0, slabs=2),
         dict(horizon=1.0, picard_tol=2.0),
         dict(horizon=1.0, dealias_factor=0.5),
-        dict(horizon=1.0, quadrature_order=3),
         dict(horizon=1.0, t_min_frac=0.5, uniform_start_frac=0.1),
     ])
     def test_rejects_bad_parameters(self, kwargs):

@@ -13,11 +13,12 @@ import scipy.fft
 from numpy.testing import assert_allclose
 
 from hyperheat import (BlowupSuspectedError, ModelParams, RealField, SolverConfig,
-                       SpaceParams, TimeWeight, TorusGrid, a_norm_of_coefficients,
-                       build_decomposition, dissipation_symbol, nonlinearity, nyquist_mask,
-                       phi1, phi2, picard_solve, random_band_limited, slab_times)
+                       SpaceParams, TimeWeight, TorusGrid, build_decomposition,
+                       dissipation_symbol, nonlinearity, nyquist_mask, phi1, phi2,
+                       picard_solve, random_band_limited, slab_times)
 from hyperheat import solver
 from hyperheat.grid import real_spectra
+from reference_norms import a_norm_of_coefficients
 
 
 def reference_power_coefficients(c, grid, r, dealias_factor):
@@ -172,3 +173,23 @@ class TestBlowupReport:
         # The partial iterate has run away from the data it started from.
         peak = max(np.max(np.abs(f.samples)) for f in traj.fields)
         assert peak > np.max(np.abs(u0.samples))
+
+
+class TestSlabWeights:
+    def test_rows_per_distinct_step_equal_per_slab_weights(self):
+        # The default hybrid grid repeats step sizes, both in its uniform part
+        # and between its log-spaced samples.
+        grid = TorusGrid(2, 16)
+        m = ModelParams(alpha=1, r=3.0, n=2)
+        times = tuple(slab_times(SolverConfig(horizon=0.25)).tolist())
+        weights = solver._slab_weights(grid, m, times)
+        lam = dissipation_symbol(grid, m)[..., :9]
+        dts = np.diff(times, prepend=0.0)
+        assert len(weights.decay) == len(set(dts.tolist())) < len(times) / 2
+        for i, dt in enumerate(dts):
+            z = -dt * lam
+            row = weights.step[i]
+            assert weights.decay[row].tobytes() == np.exp(z).tobytes()
+            assert weights.phi1[row].tobytes() == (dt * phi1(z)).tobytes()
+            assert weights.phi2[row].tobytes() == (dt * phi2(z)).tobytes()
+            assert np.array_equal(weights.orbit[i], np.exp(-times[i] * lam))

@@ -7,11 +7,13 @@ the peak above what was allocated before the call, so the returned value
 counts; the cached slab weights and the dyadic tables are built first.
 """
 
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.fft
 
 import test_time_stacks
 from hyperheat import (BlowupSuspectedError, ModelParams, SolverConfig, SpaceParams,
@@ -50,8 +52,7 @@ class TestWorkingMemory:
 
     def stacks_above_kept(self, call):
         times = slab_times(self.CFG)
-        solver._slab_weights(self.GRID, MODEL, tuple(times.tolist()),
-                             self.CFG.quadrature_order)
+        solver._slab_weights(self.GRID, MODEL, tuple(times.tolist()))
         build_decomposition(self.GRID).half_block_weights
         stack = 16 * len(times) * math.prod(self.GRID.half_shape)
         was_tracing = tracemalloc.is_tracing()
@@ -91,6 +92,29 @@ class TestWorkingMemory:
         _, traj = solved
         assert self.stacks_above_kept(
             lambda: weighted_norm(traj, self.WEIGHT, SPACE, 6.0)) <= 0.5
+
+    # With the trajectory stored as one spectra stack, no call converts it to
+    # or from fields: each keeps about one stack beyond its result.
+    def test_picard_solve_keeps_only_its_iterate(self, solved):
+        u0, _ = solved
+        assert self.stacks_above_kept(
+            lambda: picard_solve(u0, self.CFG, MODEL, self.WEIGHT, SPACE)) <= 1.5
+
+    def test_duhamel_apply_copies_the_stack_once(self, solved):
+        u0, traj = solved
+        assert self.stacks_above_kept(
+            lambda: duhamel_apply(u0, traj, self.CFG, MODEL)) <= 1.5
+
+    def test_etd_oracle_returns_its_marched_stack(self, solved):
+        u0, _ = solved
+        assert self.stacks_above_kept(lambda: etd_oracle(u0, self.CFG, MODEL)) <= 1.25
+
+    def test_slab_weight_cache_stores_one_row_per_distinct_step(self):
+        times = tuple(slab_times(self.CFG).tolist())
+        weights = solver._slab_weights(self.GRID, MODEL, times)
+        assert len(weights.decay) < len(times) / 2
+        cached = sum(getattr(weights, f.name).nbytes for f in dataclasses.fields(weights))
+        assert cached <= 32e6
 
 
 def relative(a, b):
@@ -162,3 +186,40 @@ class TestBatchBoundaries:
     def test_contraction_ratios_match_field_route(self, budget, monkeypatch):
         set_batch_bytes(monkeypatch, self.BUDGETS[budget])
         test_time_stacks.TestContraction().test_ratios_match_field_route()
+
+
+class TestNoFieldRoundTrips:
+    # A solved trajectory is already a spectra stack: reading it back must not
+    # transform grid samples forward again.
+    GRID = TorusGrid(2, 16)
+    CFG = SolverConfig(horizon=0.1, slabs=24)
+    WEIGHT = TimeWeight(b=0.5 / 6.0, v=1.0, T=0.1)
+
+    def fields_transformed(self, monkeypatch, call):
+        """Grid-shaped fields passed to ``scipy.fft.rfftn`` during ``call``."""
+        counted = []
+        forward = scipy.fft.rfftn
+
+        def counting(x, *args, **kwargs):
+            if np.shape(x)[-self.GRID.n:] == self.GRID.shape:
+                counted.append(np.size(x) // self.GRID.size)
+            return forward(x, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(scipy.fft, "rfftn", counting)
+            call()
+        return sum(counted)
+
+    @pytest.mark.parametrize("space", [SPACE, SpaceParams("F", 1.1, 2.0, 4.0)],
+                             ids=["B", "F"])
+    def test_solved_trajectory_is_read_as_spectra(self, monkeypatch, space):
+        u0 = random_band_limited(self.GRID, 7, 3.0, amplitude=0.8)
+        traj = picard_solve(u0, self.CFG, MODEL, self.WEIGHT, SPACE).trajectory
+        assert len(traj) > 20
+        # duhamel_apply transforms its data u0, one field, and nothing else.
+        assert self.fields_transformed(
+            monkeypatch, lambda: duhamel_apply(u0, traj, self.CFG, MODEL)) == 1
+        assert self.fields_transformed(
+            monkeypatch, lambda: pde_residual(traj, MODEL, self.CFG.dealias_factor)) == 0
+        assert self.fields_transformed(
+            monkeypatch, lambda: weighted_norm(traj, self.WEIGHT, space, 6.0)) == 0

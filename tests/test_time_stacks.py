@@ -2,8 +2,8 @@
 
 Every reference here takes the single-field full-lattice route one time at
 a time: ``forward_transform``, the multiplier on the full lattice, an
-explicit Hermitian projection, ``inverse_transform`` and ``a_norm`` /
-``a_norm_of_coefficients``.
+explicit Hermitian projection, ``inverse_transform`` and the full-lattice
+norm of ``reference_norms``.
 """
 
 import dataclasses
@@ -15,8 +15,7 @@ from numpy.testing import assert_allclose
 
 from hyperheat import (InconsistentGridError, ModelParams, RealField, SpaceParams,
                        SpectralField, SolverConfig, TimeWeight, TorusGrid, Trajectory,
-                       a_norm, a_norm_of_coefficients,
-                       apply_semigroup, band_limit, block, build_decomposition,
+                       a_norm, apply_semigroup, band_limit, block, build_decomposition,
                        conj_reverse, default_config, dissipation_symbol, duhamel_apply,
                        forward_transform, inverse_transform, l2_norm_of_coefficients,
                        nyquist_mask, pde_residual, picard_solve, power_spectrum_field,
@@ -25,6 +24,7 @@ from hyperheat import (InconsistentGridError, ModelParams, RealField, SpaceParam
                        strong_convergence_check, synthesize_kernel, weighted_norm)
 from hyperheat.grid import l2_norms_of_spectra, real_samples, real_spectra
 from hyperheat.solver import _duhamel_terms, _power_spectra, _slab_weights
+from reference_norms import a_norm_of_coefficients, a_norm_of_field
 
 
 def with_extras(cfg, **overrides):
@@ -45,7 +45,7 @@ def orbit_norms_reference(f, sp, d, times, m, dec):
     F = forward_transform(f)
     norms = [a_norm_of_coefficients(semigroup_reference(F, float(t), m).coefficients,
                                     f.grid, gained, dec) for t in times]
-    return a_norm(f, sp, dec), np.array(norms)
+    return a_norm_of_field(f, sp, dec), np.array(norms)
 
 
 def relative_sup(got, want):
@@ -242,8 +242,8 @@ class TestStackedDistances:
                 indices = range(kwargs["count"])
             for (t, dist), i in zip(got, indices):
                 assert t == traj.times[i]
-                assert dist == pytest.approx(a_norm(traj.fields[i] - u0, sp0, dec),
-                                             rel=1e-12)
+                assert dist == pytest.approx(
+                    a_norm_of_field(traj.fields[i] - u0, sp0, dec), rel=1e-12)
 
     def test_strong_convergence_rejects_data_on_another_grid(self, small_solve):
         _, traj, _, _ = small_solve
@@ -265,7 +265,8 @@ class TestStackedDistances:
         w = cfg.time_weight()
         base = picard_solve(u0, cfg.solver, cfg.model, w, sp).trajectory
         pert = picard_solve(u0 + direction * 1e-2, cfg.solver, cfg.model, w, sp).trajectory
-        want = [a_norm(f1 - f2, sp0, dec) for f1, f2 in zip(base.fields, pert.fields)]
+        want = [a_norm_of_field(f1 - f2, sp0, dec)
+                for f1, f2 in zip(base.fields, pert.fields)]
         rows = np.array(rec.series["stability_profile"].rows)
         assert_allclose(rows[:, 0], base.times, rtol=0, atol=0)
         assert_allclose(rows[:, 1], want, rtol=1e-12, atol=0)
@@ -315,10 +316,10 @@ class TestInPlaceAccumulation:
     def test_duhamel_apply_bytes_match_out_of_place_sum(self, small_solve):
         u0, traj, cfg, m = small_solve
         grid = u0.grid
-        weights = _slab_weights(grid, m, traj.times, cfg.quadrature_order)
-        spectra = real_spectra(np.stack([u0.samples] + [f.samples for f in traj.fields]), grid)
+        weights = _slab_weights(grid, m, traj.times)
+        spectra = np.concatenate([real_spectra(u0.samples, grid)[None], traj.spectra])
         forcing = _power_spectra(spectra, grid, m.r, cfg.dealias_factor)
-        terms = _duhamel_terms(forcing[0], forcing[1:], weights, cfg.quadrature_order)
+        terms = _duhamel_terms(forcing[0], forcing[1:], weights)
         want = real_samples(weights.orbit * spectra[0] + terms, grid)
         got = np.stack([f.samples for f in duhamel_apply(u0, traj, cfg, m).fields])
         assert np.array_equal(got, want)
@@ -330,7 +331,7 @@ class TestInPlaceAccumulation:
         shape = (-1,) + (1,) * grid.n
         h = np.diff(np.asarray(traj.times))
         h0, h1 = h[:-1].reshape(shape), h[1:].reshape(shape)
-        spectra = real_spectra(np.stack([f.samples for f in traj.fields]), grid)
+        spectra = traj.spectra
         before, middle, after = spectra[:-2], spectra[1:-1], spectra[2:]
         dudt = (-h1 / (h0 * (h0 + h1)) * before
                 + (h1 - h0) / (h0 * h1) * middle

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperheat import (ModelParams, ParameterError, SpaceParams, TimeWeight,
-                       Trajectory, admissibility, a_norm, cosine_mode,
-                       equivalence_check, log_time_grid, weighted_norm)
+from hyperheat import (InconsistentGridError, ModelParams, ParameterError, RealField,
+                       SpaceParams, TimeWeight, TorusGrid, Trajectory, admissibility,
+                       a_norm, cosine_mode, equivalence_check, log_time_grid,
+                       weighted_norm)
+from hyperheat import timenorms
 
 
 def power_trajectory(grid, beta, T, per_decade=128):
@@ -52,8 +54,68 @@ class TestTrajectory:
     def test_terminal(self, grid1d):
         f = cosine_mode(grid1d, (1,))
         traj = Trajectory((0.5, 1.0), (f, 2.0 * f))
-        assert traj.terminal is traj.fields[-1]
+        assert np.array_equal(traj.terminal.samples, traj.fields[-1].samples)
+        assert np.allclose(traj.terminal.samples, 2.0 * f.samples, rtol=0, atol=1e-15)
         assert len(traj) == 2
+
+    def test_rejects_mixed_grids(self, grid1d):
+        other = TorusGrid(1, 64, length=4.0 * math.pi)
+        with pytest.raises(InconsistentGridError):
+            Trajectory((0.5, 1.0), (cosine_mode(grid1d, (1,)), cosine_mode(other, (1,))))
+
+
+def white_noise_fields(grid, count, seed):
+    rng = np.random.default_rng(seed)
+    return [RealField(grid, s) for s in rng.standard_normal((count,) + grid.shape)]
+
+
+class TestSpectraLayout:
+    GRIDS = [TorusGrid(1, 64), TorusGrid(2, 32), TorusGrid(3, 16)]
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"n{g.n}")
+    def test_fields_round_trip(self, grid):
+        # White noise fills every mode, the Nyquist planes included.
+        fields = white_noise_fields(grid, 7, grid.n)
+        traj = Trajectory(np.linspace(0.1, 0.7, 7), fields)
+        assert traj.spectra.shape == (7,) + grid.half_shape
+        assert traj.spectra.dtype == np.complex128
+        assert traj.grid == grid and len(traj.fields) == 7
+        for got, want in zip(traj.fields, fields):
+            assert got.grid == grid
+            assert (np.linalg.norm(got.samples - want.samples)
+                    <= 1e-15 * np.linalg.norm(want.samples))
+        assert traj.terminal.samples.tobytes() == traj.fields[6].samples.tobytes()
+        with pytest.raises(IndexError):
+            traj.fields[7]
+
+    def test_spectra_are_read_only(self, grid2d):
+        traj = Trajectory((0.5, 1.0), white_noise_fields(grid2d, 2, 0))
+        assert not traj.spectra.flags.writeable
+        with pytest.raises(ValueError):
+            traj.spectra[0] = 0.0
+        with pytest.raises(ValueError):
+            traj.fields[0].samples[0, 0] = 1.0
+        # Fields are transformed on access, never stored.
+        assert traj.fields[0] is not traj.fields[0]
+
+    def test_batches_do_not_change_the_stack(self, grid2d, monkeypatch):
+        fields = white_noise_fields(grid2d, 9, 3)
+        times = np.linspace(0.1, 0.9, 9)
+        stacks = []
+        # One field per batch, four (a ragged last batch) and all at once.
+        for budget in (1, 4 * 16 * math.prod(grid2d.half_shape), 1 << 40):
+            monkeypatch.setattr(timenorms, "_PAD_BATCH_BYTES", budget)
+            stacks.append(Trajectory(times, fields).spectra.tobytes())
+        assert stacks[0] == stacks[1] == stacks[2]
+
+    def test_from_spectra_adopts_the_stack(self, grid2d):
+        spectra = Trajectory((0.5, 1.0), white_noise_fields(grid2d, 2, 1)).spectra.copy()
+        traj = Trajectory.from_spectra((0.5, 1.0), spectra, grid2d)
+        assert traj.spectra is spectra and not spectra.flags.writeable
+        with pytest.raises(ParameterError):
+            Trajectory.from_spectra((0.5,), spectra, grid2d)
+        with pytest.raises(ParameterError):
+            Trajectory.from_spectra((0.5, 1.0), spectra[..., :-1].copy(), grid2d)
 
 
 class TestLogTimeGrid:
