@@ -413,7 +413,8 @@ def run_solve(cfg):
                   float(report.converged), "==", 1.0)
     rec.add_metric("picard_iterations", report.iterations)
     rec.add_metric("weighted_norm", report.weighted_norm)
-    rec.add_metric("ball_radius", report.ball_radius)
+    rec.add_metric("frozen_slab_share",
+                   sum(report.frozen) / (report.iterations * len(traj.times)))
     if report.contraction_factors:
         rec.add_metric("max_contraction_factor", max(report.contraction_factors))
     oracle = etd_oracle(u0, scfg, m)

@@ -12,6 +12,10 @@ endpoints; the slab weights are the phi-functions
 
 with z = -dt |xi|^(2 alpha). Fixed points are found by Picard iteration
 from u^(0) = W_t u0, with distances measured in the time-weighted norm.
+Because (T u)(t) reads u only on [0, t], the iterate settles on a prefix of
+slabs before the horizon; once its predicted next change is below roundoff
+that prefix is frozen and later iterations sweep only the slabs after it
+(waveform relaxation with adaptive windows).
 An exponential predictor-corrector integrator marching the same slabs
 provides an independent trajectory for cross-validation.
 """
@@ -296,15 +300,17 @@ def _duhamel_terms(start, forcing, weights, offset=0, carry=None):
     return terms
 
 
-def _duhamel_sweep(w0_hat, weights, batches):
+def _duhamel_sweep(left, weights, batches, offset=0, carry=None):
     """The slab recursion run over ``batches``, a ``_power_batches`` iterator
-    over a trajectory's spectra, with ``w0_hat`` the forcing at tau = 0.
+    over the spectra of slabs offset+1.., with ``left`` the forcing at their
+    left end and ``carry`` D there (defaults: tau = 0, D = 0).
 
     Yields ``(start, stop, terms)`` per batch, ``terms`` holding D at the
-    slab ends start+1..stop; the caller may then overwrite those slabs.
+    slab ends start+1..stop (counted from tau = 0); the caller may then
+    overwrite those slabs.
     """
-    left, carry = w0_hat, None
     for start, stop, forcing in batches:
+        start, stop = start + offset, stop + offset
         terms = _duhamel_terms(left, forcing, weights, start, carry)
         left = forcing[-1].copy()
         carry = terms[-1].copy()
@@ -352,9 +358,9 @@ class PicardReport:
     """Outcome of a Picard solve.
 
     ``distances`` are the weighted norms of consecutive-iterate differences,
-    relative to the weighted norm of the current iterate; ``weighted_norm``
-    is that of the final trajectory, to be read against the unit
-    ``ball_radius`` of the fixed-point argument.
+    relative to the weighted norm of the current iterate; frozen slabs count
+    0 in them. ``frozen`` holds the frozen prefix length, in slabs, that each
+    iteration used. ``weighted_norm`` is that of the final trajectory.
     """
 
     converged: bool
@@ -362,8 +368,8 @@ class PicardReport:
     tolerance: float
     distances: tuple
     contraction_factors: tuple
+    frozen: tuple
     weighted_norm: float
-    ball_radius: float
     trajectory: Trajectory
     note: str = ""
 
@@ -373,6 +379,14 @@ def picard_solve(u0, cfg, m, w, sp):
     between consecutive iterates drops below picard_tol (relative).
 
     Each iterate is one stack of half-lattice spectra over all slab times.
+    The operator is causal, so the iterate on a slab prefix settles before
+    the horizon does. After each iteration the longest prefix of slabs whose
+    predicted next change, gap * min(1, gap / previous gap) in the A-norm,
+    is at most 1e-2 picard_tol times the slab's norm is frozen: later sweeps
+    start at the first unfrozen slab, from the Duhamel integral and the
+    forcing of the frozen iterate at the edge. The prefix never shrinks and
+    never takes the horizon slab.
+
     Preconditions: the exponent tuple implied by (w, sp) must be admissible
     and the space must sit in the multiplication regime s > n/p. Three
     consecutive growing distances, or amplitude growth past 1e3 times the
@@ -398,19 +412,27 @@ def picard_solve(u0, cfg, m, w, sp):
     weights = _slab_weights(grid, m, tuple(times.tolist()))
     u0_hat = real_spectra(u0.samples, grid)
     u0_l2 = l2_norms_of_spectra(u0_hat[None], grid)[0]
-    w0_hat = _power_spectra(u0_hat[None], grid, m.r, cfg.dealias_factor)[0]
+    # The forcing and the Duhamel integral at the left end of the first
+    # unfrozen slab.
+    left = _power_spectra(u0_hat[None], grid, m.r, cfg.dealias_factor)[0]
+    carry = None
     # The one iterate stack, overwritten batch by batch as the sweep passes.
     current = weights.orbit * u0_hat
     norms = np.empty(len(times))
-    gaps = np.empty(len(times))
+    gaps = np.zeros(len(times))
+    previous = np.zeros(len(times))
     distances = []
+    frozen_used = []
+    frozen = 0
     converged = False
     iterations = 0
     note = ""
     for iterations in range(1, cfg.picard_max_iter + 1):
         peak = 0.0
-        batches = _power_batches(current, grid, m.r, cfg.dealias_factor)
-        for start, stop, new in _duhamel_sweep(w0_hat, weights, batches):
+        previous, gaps = gaps, previous
+        gaps[:frozen] = 0.0
+        batches = _power_batches(current[frozen:], grid, m.r, cfg.dealias_factor)
+        for start, stop, new in _duhamel_sweep(left, weights, batches, frozen, carry):
             new += weights.orbit[start:stop] * u0_hat
             old = current[start:stop]
             norms[start:stop] = a_norms_of_spectra(new, grid, sp, dec)
@@ -419,6 +441,7 @@ def picard_solve(u0, cfg, m, w, sp):
                                                   sp, dec)
             peak = max(peak, float(np.max(l2_norms_of_spectra(new, grid))))
             old[...] = new
+        frozen_used.append(frozen)
         scale = time_weighted_norm(times, norms, w.b, vexp)
         rel = time_weighted_norm(times, gaps, w.b, vexp) / scale if scale > 0 else 0.0
         distances.append(rel)
@@ -426,30 +449,46 @@ def picard_solve(u0, cfg, m, w, sp):
             converged = True
             break
         if u0_l2 > 0 and peak > 1e3 * u0_l2:
-            report = _build_report(False, iterations, cfg, distances, scale, times,
-                                   grid, current, "amplitude grew past 1e3 x data")
+            report = _build_report(False, iterations, cfg, distances, frozen_used, scale,
+                                   times, grid, current, "amplitude grew past 1e3 x data")
             raise BlowupSuspectedError(
                 f"iterate amplitude {peak:.3e} exceeds 1e3 x data norm {u0_l2:.3e}",
                 report=report)
         if len(distances) >= 3 and distances[-1] > distances[-2] > distances[-3]:
-            report = _build_report(False, iterations, cfg, distances, scale, times,
-                                   grid, current, "three consecutive growing distances")
+            report = _build_report(False, iterations, cfg, distances, frozen_used, scale,
+                                   times, grid, current, "three consecutive growing distances")
             raise BlowupSuspectedError(
                 "Picard distances grew three times in a row", report=report)
+        edge = frozen + _settled_prefix(gaps[frozen:-1], previous[frozen:-1],
+                                        1e-2 * cfg.picard_tol * norms[frozen:-1])
+        if edge > frozen:
+            frozen = edge
+            carry = current[frozen - 1] - weights.orbit[frozen - 1] * u0_hat
+            left = _power_spectra(current[frozen - 1:frozen], grid, m.r,
+                                  cfg.dealias_factor)[0]
     if not converged:
         note = "max iterations reached without convergence"
-    return _build_report(converged, iterations, cfg, distances, scale, times, grid,
-                         current, note)
+    return _build_report(converged, iterations, cfg, distances, frozen_used, scale, times,
+                         grid, current, note)
 
 
-def _build_report(converged, iterations, cfg, distances, weighted, times, grid,
+def _settled_prefix(gaps, previous, bound):
+    """Length of the leading run of slabs whose predicted next change,
+    gap * min(1, gap / previous), is at most ``bound`` (ratio 1 where no
+    previous gap is known)."""
+    ratio = np.divide(gaps, previous, out=np.ones_like(gaps), where=previous > 0)
+    settled = gaps * np.minimum(ratio, 1.0) <= bound
+    return len(settled) if settled.all() else int(np.argmin(settled))
+
+
+def _build_report(converged, iterations, cfg, distances, frozen, weighted, times, grid,
                   spectra, note):
     factors = tuple(distances[i] / distances[i - 1] for i in range(1, len(distances))
                     if distances[i - 1] > 0)
     return PicardReport(converged=converged, iterations=iterations,
                         tolerance=cfg.picard_tol, distances=tuple(distances),
-                        contraction_factors=factors, weighted_norm=float(weighted),
-                        ball_radius=1.0,
+                        contraction_factors=factors, frozen=tuple(frozen),
+                        weighted_norm=float(weighted),
                         trajectory=Trajectory.from_spectra(times, spectra, grid),
                         note=note)
 

@@ -187,7 +187,7 @@ class TestPicard:
         w = small_weight(0.25)
         report = picard_solve(u0, cfg, MODEL, w, SPACE)
         assert report.converged
-        assert report.weighted_norm < report.ball_radius
+        assert report.weighted_norm < 1.0
         # One more operator application leaves the trajectory in place.
         again = duhamel_apply(u0, report.trajectory, cfg, MODEL)
         worst = max(np.max(np.abs(a.samples - b.samples))
@@ -231,6 +231,38 @@ class TestPicard:
             picard_solve(u0, cfg, MODEL, small_weight(1.0), SPACE)
         assert err.value.report is not None
         assert not err.value.report.converged
+
+
+class TestConstantDataClosedForm:
+    """Constant data c solve u' = u^3, so u(t) = c (1 - 2 c^2 t)^(-1/2), which
+    blows up at T* = 1 / (2 c^2); here c = 1 on the 8^2 torus."""
+
+    @staticmethod
+    def solve(horizon, slabs):
+        m = ModelParams(alpha=1, r=3.0, n=2)
+        w = TimeWeight(b=0.5 / (2 * m.r), v=1.0, T=horizon)
+        cfg = SolverConfig(horizon=horizon,
+                           times=tuple(np.linspace(0.0, horizon, slabs + 1)[1:]))
+        return picard_solve(constant_field(TorusGrid(2, 8), 1.0), cfg, m, w,
+                            SpaceParams("B", 1.5, 2.0, 2.0, s0=1.5))
+
+    def test_picard_is_second_order_on_the_frozen_path(self):
+        exact = 1.0 / math.sqrt(1.0 - 2.0 * 0.25)
+        errors = {}
+        for slabs in (80, 160, 320):
+            report = self.solve(0.25, slabs)
+            assert report.converged
+            assert report.frozen[-1] > 0
+            errors[slabs] = np.max(np.abs(report.trajectory.terminal.samples - exact))
+        for coarse in (80, 160):
+            assert math.log2(errors[coarse] / errors[2 * coarse]) == pytest.approx(2.0, abs=0.2)
+        assert errors[160] <= 1e-5 and errors[320] <= 1e-5
+
+    def test_blowup_detector_fires_past_the_blowup_time(self):
+        report = self.solve(0.4, 160)
+        assert report.converged and report.frozen[-1] > 0
+        with pytest.raises(BlowupSuspectedError):
+            self.solve(0.6, 160)
 
 
 class TestEtdOracle:

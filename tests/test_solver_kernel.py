@@ -135,23 +135,59 @@ class TestPowerKernel:
             nonlinearity(RealField(grid, kernel_inputs(grid, 1, 0)[0]), 3.0, 0.5)
 
 
+def frozen_case():
+    """A 16^2 amplitude-1 solve whose later iterations skip a frozen prefix."""
+    grid = TorusGrid(2, 16)
+    m = ModelParams(alpha=1, r=3.0, n=2)
+    cfg = SolverConfig(horizon=0.25, slabs=16)
+    w = TimeWeight(b=0.5 / (2 * m.r), v=1.0, T=0.25)
+    sp = SpaceParams("B", 1.5, 2.0, 2.0)
+    u0 = random_band_limited(grid, (7, 50), 1.9, amplitude=1.0)
+    return u0, cfg, m, w, sp
+
+
+def terminal_gap(report, terminal):
+    got = report.trajectory.terminal.samples
+    return np.linalg.norm(got - terminal) / np.linalg.norm(terminal)
+
+
 class TestStackedPicard:
     def test_distances_match_reference_loop(self):
-        grid = TorusGrid(2, 16)
-        m = ModelParams(alpha=1, r=3.0, n=2)
-        cfg = SolverConfig(horizon=0.25, slabs=16)
-        w = TimeWeight(b=0.5 / (2 * m.r), v=1.0, T=0.25)
-        sp = SpaceParams("B", 1.5, 2.0, 2.0)
-        u0 = random_band_limited(grid, (7, 50), 1.9, amplitude=1.0)
-        report = picard_solve(u0, cfg, m, w, sp)
-        distances, terminal = reference_picard_distances(u0, cfg, m, w, sp)
+        case = frozen_case()
+        report = picard_solve(*case)
+        distances, terminal = reference_picard_distances(*case)
         assert report.converged
         assert report.iterations == len(distances) >= 5
+        # The reference loop never freezes; the solver's last iterations do.
+        assert len(report.frozen) == report.iterations
+        assert report.frozen[0] == 0 < report.frozen[-1]
+        assert list(report.frozen) == sorted(report.frozen)
         # Distances are relative quantities; near convergence both sides sit
         # at roundoff of the iterates, so agreement is judged absolutely.
         assert_allclose(report.distances, distances, rtol=0, atol=1e-12)
-        got = report.trajectory.terminal.samples
-        assert np.linalg.norm(got - terminal) <= 1e-12 * np.linalg.norm(terminal)
+        assert terminal_gap(report, terminal) <= 1e-12
+
+    def test_dropping_the_carried_integral_is_caught(self, monkeypatch):
+        sweep = solver._duhamel_sweep
+
+        def without_carry(left, weights, batches, offset=0, carry=None):
+            return sweep(left, weights, batches, offset, None)
+
+        monkeypatch.setattr(solver, "_duhamel_sweep", without_carry)
+        case = frozen_case()
+        report = picard_solve(*case)
+        _, terminal = reference_picard_distances(*case)
+        assert report.frozen[-1] > 0
+        assert terminal_gap(report, terminal) > 1e-12
+
+    def test_bytes_do_not_depend_on_fft_workers(self, monkeypatch):
+        results = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("HYPERHEAT_THREADS", threads)
+            report = picard_solve(*frozen_case())
+            results.append((report.frozen, report.trajectory.spectra.tobytes()))
+        assert results[0][0][-1] > 0
+        assert results[0] == results[1]
 
 
 class TestBlowupReport:
