@@ -10,8 +10,10 @@ endpoints; the slab weights are the phi-functions
 
     phi1(z) = (e^z - 1)/z,    phi2(z) = (e^z - 1 - z)/z^2,
 
-with z = -dt |xi|^(2 alpha). Fixed points are found by Picard iteration
-from u^(0) = W_t u0, with distances measured in the time-weighted norm.
+with z = -dt |xi|^(2 alpha); the recursion carries the solution itself from
+slab end to slab end, U_i = e^z U_{i-1} + (slab integral), U_0 = u0. Fixed
+points are found by Picard iteration from u^(0) = W_t u0, with distances
+measured in the time-weighted norm.
 Because (T u)(t) reads u only on [0, t], the iterate settles on a prefix of
 slabs before the horizon; once its predicted next change is below roundoff
 that prefix is frozen and later iterations sweep only the slabs after it
@@ -34,7 +36,7 @@ from .errors import (BlowupSuspectedError, InconsistentGridError, IntegrationErr
                      ParameterError)
 from .grid import (_PAD_BATCH_BYTES, RealField, fft_workers, half_lattice,
                    l2_norms_of_spectra, real_samples, real_spectra)
-from .semigroup import _orbit_multipliers, dissipation_symbol
+from .semigroup import dissipation_symbol
 from .timenorms import Trajectory, admissibility, log_time_grid, time_weighted_norm
 
 
@@ -253,13 +255,12 @@ class _SlabWeights:
     """Per-slab factors on the half lattice, slab i = (t_{i-1}, t_i]:
     decay = exp(z), phi1 = dt phi1(z) and phi2 = dt phi2(z) with
     z = -dt |xi|^(2 alpha), one row per distinct step dt, slab i reading row
-    ``step[i]``; and orbit = exp(-t_i |xi|^(2 alpha)), one row per slab."""
+    ``step[i]``. The recursion carries the solution, so no row needs t_i."""
 
     step: np.ndarray
     decay: np.ndarray
     phi1: np.ndarray
     phi2: np.ndarray
-    orbit: np.ndarray
 
 
 @lru_cache(maxsize=2)
@@ -270,21 +271,20 @@ def _slab_weights(grid, m, times):
     steps, step = np.unique(np.diff(times, prepend=0.0), return_inverse=True)
     dt = steps.reshape((-1,) + (1,) * grid.n)
     z = -dt * lam
-    arrays = [step, np.exp(z), dt * phi1(z), dt * phi2(z),
-              _orbit_multipliers(grid, m, times)]
+    arrays = [step, np.exp(z), dt * phi1(z), dt * phi2(z)]
     for a in arrays:
         a.setflags(write=False)
     return _SlabWeights(*arrays)
 
 
-def _duhamel_terms(start, forcing, weights, offset=0, carry=None):
-    """D(t_i) = integral_0^{t_i} e^{-(t_i - tau) lam} w(tau) dtau for the
-    slabs i = offset+1 .. offset+len(forcing).
+def _duhamel_terms(start, carry, forcing, weights, offset=0):
+    """The solution U_i = e^{-dt_i lam} U_{i-1} + (slab integral of w) at the
+    slab ends i = offset+1 .. offset+len(forcing).
 
-    ``forcing`` stacks w_i at those slab ends, ``start`` is the forcing at
-    the left end of the first of them (w_0 at tau = 0) and ``carry`` is D
-    there (None: zero, at tau = 0). The forcing is piecewise linear in tau;
-    each slab integral is exact for that reconstruction via phi1/phi2.
+    ``forcing`` stacks w_i at those slab ends; ``start`` and ``carry`` are
+    the forcing and the solution at the left end of the first of them (w_0
+    and u0 at tau = 0). The forcing is piecewise linear in tau; each slab
+    integral is exact for that reconstruction via phi1/phi2.
     """
     rows = weights.step[offset:offset + len(forcing)]
     previous = np.concatenate([start[None], forcing[:-1]])
@@ -293,25 +293,24 @@ def _duhamel_terms(start, forcing, weights, offset=0, carry=None):
     rise *= weights.phi2[rows]
     terms += rise
     decay = weights.decay[rows]
-    if carry is not None:
-        terms[0] += decay[0] * carry
+    terms[0] += decay[0] * carry
     for i in range(1, len(terms)):
         terms[i] += decay[i] * terms[i - 1]
     return terms
 
 
-def _duhamel_sweep(left, weights, batches, offset=0, carry=None):
+def _duhamel_sweep(left, carry, weights, batches, offset=0):
     """The slab recursion run over ``batches``, a ``_power_batches`` iterator
-    over the spectra of slabs offset+1.., with ``left`` the forcing at their
-    left end and ``carry`` D there (defaults: tau = 0, D = 0).
+    over the spectra of slabs offset+1.., with ``left`` the forcing and
+    ``carry`` the solution at their left end (w_0 and u0 at tau = 0).
 
-    Yields ``(start, stop, terms)`` per batch, ``terms`` holding D at the
-    slab ends start+1..stop (counted from tau = 0); the caller may then
-    overwrite those slabs.
+    Yields ``(start, stop, terms)`` per batch, ``terms`` holding the image
+    at the slab ends start+1..stop (counted from tau = 0); the caller may
+    then overwrite those slabs.
     """
     for start, stop, forcing in batches:
         start, stop = start + offset, stop + offset
-        terms = _duhamel_terms(left, forcing, weights, start, carry)
+        terms = _duhamel_terms(left, carry, forcing, weights, start)
         left = forcing[-1].copy()
         carry = terms[-1].copy()
         yield start, stop, terms
@@ -327,9 +326,8 @@ def _duhamel_spectra(spectra, times, cfg, m, grid):
     u0_hat, trajectory = spectra[0], spectra[1:]
     w0_hat = _power_spectra(u0_hat[None], grid, m.r, cfg.dealias_factor)[0]
     batches = _power_batches(trajectory, grid, m.r, cfg.dealias_factor)
-    for start, stop, terms in _duhamel_sweep(w0_hat, weights, batches):
-        image = np.multiply(weights.orbit[start:stop], u0_hat, out=trajectory[start:stop])
-        image += terms
+    for start, stop, terms in _duhamel_sweep(w0_hat, u0_hat, weights, batches):
+        trajectory[start:stop] = terms
     return trajectory
 
 
@@ -383,9 +381,9 @@ def picard_solve(u0, cfg, m, w, sp):
     the horizon does. After each iteration the longest prefix of slabs whose
     predicted next change, gap * min(1, gap / previous gap) in the A-norm,
     is at most 1e-2 picard_tol times the slab's norm is frozen: later sweeps
-    start at the first unfrozen slab, from the Duhamel integral and the
-    forcing of the frozen iterate at the edge. The prefix never shrinks and
-    never takes the horizon slab.
+    start at the first unfrozen slab, carrying the frozen iterate at the
+    edge and its forcing. The prefix never shrinks and never takes the
+    horizon slab.
 
     Preconditions: the exponent tuple implied by (w, sp) must be admissible
     and the space must sit in the multiplication regime s > n/p. Three
@@ -412,12 +410,14 @@ def picard_solve(u0, cfg, m, w, sp):
     weights = _slab_weights(grid, m, tuple(times.tolist()))
     u0_hat = real_spectra(u0.samples, grid)
     u0_l2 = l2_norms_of_spectra(u0_hat[None], grid)[0]
-    # The forcing and the Duhamel integral at the left end of the first
-    # unfrozen slab.
+    # The forcing and the solution at the left end of the first unfrozen slab.
     left = _power_spectra(u0_hat[None], grid, m.r, cfg.dealias_factor)[0]
-    carry = None
-    # The one iterate stack, overwritten batch by batch as the sweep passes.
-    current = weights.orbit * u0_hat
+    carry = u0_hat
+    # The one iterate stack, overwritten batch by batch as the sweep passes;
+    # it starts as W_t u0, carried slab to slab by the decay rows.
+    current = np.empty((len(times),) + u0_hat.shape, dtype=np.complex128)
+    for i, row in enumerate(weights.step):
+        np.multiply(weights.decay[row], current[i - 1] if i else u0_hat, out=current[i])
     norms = np.empty(len(times))
     gaps = np.zeros(len(times))
     previous = np.zeros(len(times))
@@ -432,8 +432,7 @@ def picard_solve(u0, cfg, m, w, sp):
         previous, gaps = gaps, previous
         gaps[:frozen] = 0.0
         batches = _power_batches(current[frozen:], grid, m.r, cfg.dealias_factor)
-        for start, stop, new in _duhamel_sweep(left, weights, batches, frozen, carry):
-            new += weights.orbit[start:stop] * u0_hat
+        for start, stop, new in _duhamel_sweep(left, carry, weights, batches, frozen):
             old = current[start:stop]
             norms[start:stop] = a_norms_of_spectra(new, grid, sp, dec)
             # The old slabs become new - old, then new.
@@ -463,7 +462,7 @@ def picard_solve(u0, cfg, m, w, sp):
                                         1e-2 * cfg.picard_tol * norms[frozen:-1])
         if edge > frozen:
             frozen = edge
-            carry = current[frozen - 1] - weights.orbit[frozen - 1] * u0_hat
+            carry = current[frozen - 1].copy()
             left = _power_spectra(current[frozen - 1:frozen], grid, m.r,
                                   cfg.dealias_factor)[0]
     if not converged:

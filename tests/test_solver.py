@@ -237,13 +237,17 @@ class TestConstantDataClosedForm:
     """Constant data c solve u' = u^3, so u(t) = c (1 - 2 c^2 t)^(-1/2), which
     blows up at T* = 1 / (2 c^2); here c = 1 on the 8^2 torus."""
 
+    MODEL = ModelParams(alpha=1, r=3.0, n=2)
+
     @staticmethod
-    def solve(horizon, slabs):
-        m = ModelParams(alpha=1, r=3.0, n=2)
-        w = TimeWeight(b=0.5 / (2 * m.r), v=1.0, T=horizon)
-        cfg = SolverConfig(horizon=horizon,
-                           times=tuple(np.linspace(0.0, horizon, slabs + 1)[1:]))
-        return picard_solve(constant_field(TorusGrid(2, 8), 1.0), cfg, m, w,
+    def uniform(horizon, slabs):
+        return SolverConfig(horizon=horizon,
+                            times=tuple(np.linspace(0.0, horizon, slabs + 1)[1:]))
+
+    def solve(self, horizon, slabs):
+        w = TimeWeight(b=0.5 / (2 * self.MODEL.r), v=1.0, T=horizon)
+        return picard_solve(constant_field(TorusGrid(2, 8), 1.0),
+                            self.uniform(horizon, slabs), self.MODEL, w,
                             SpaceParams("B", 1.5, 2.0, 2.0, s0=1.5))
 
     def test_picard_is_second_order_on_the_frozen_path(self):
@@ -257,6 +261,16 @@ class TestConstantDataClosedForm:
         for coarse in (80, 160):
             assert math.log2(errors[coarse] / errors[2 * coarse]) == pytest.approx(2.0, abs=0.2)
         assert errors[160] <= 1e-5 and errors[320] <= 1e-5
+
+    def test_oracle_is_second_order(self):
+        exact = 1.0 / math.sqrt(1.0 - 2.0 * 0.25)
+        errors = {}
+        for slabs in (80, 160, 320):
+            traj = etd_oracle(constant_field(TorusGrid(2, 8), 1.0),
+                              self.uniform(0.25, slabs), self.MODEL)
+            errors[slabs] = np.max(np.abs(traj.terminal.samples - exact))
+        for coarse in (80, 160):
+            assert math.log2(errors[coarse] / errors[2 * coarse]) == pytest.approx(2.0, abs=0.2)
 
     def test_blowup_detector_fires_past_the_blowup_time(self):
         report = self.solve(0.4, 160)

@@ -170,8 +170,11 @@ class TestStackedPicard:
     def test_dropping_the_carried_integral_is_caught(self, monkeypatch):
         sweep = solver._duhamel_sweep
 
-        def without_carry(left, weights, batches, offset=0, carry=None):
-            return sweep(left, weights, batches, offset, None)
+        # Sweeps from the frozen edge restart from zero instead of the frozen
+        # iterate there; sweeps from tau = 0 keep their carry, u0.
+        def without_carry(left, carry, weights, batches, offset=0):
+            return sweep(left, np.zeros_like(carry) if offset else carry, weights,
+                         batches, offset)
 
         monkeypatch.setattr(solver, "_duhamel_sweep", without_carry)
         case = frozen_case()
@@ -188,6 +191,39 @@ class TestStackedPicard:
             results.append((report.frozen, report.trajectory.spectra.tobytes()))
         assert results[0][0][-1] > 0
         assert results[0] == results[1]
+
+
+class TestFoldedLinearFlow:
+    """With the forcing switched off the carried recursion is the semigroup
+    alone: U_i = exp(-t_i |xi|^2) u0 at every slab end."""
+
+    def test_zero_forcing_reproduces_the_semigroup(self, monkeypatch):
+        power_batches = solver._power_batches
+
+        def zero_forcing(*args):
+            for start, stop, power in power_batches(*args):
+                yield start, stop, np.zeros_like(power)
+
+        monkeypatch.setattr(solver, "_power_batches", zero_forcing)
+        grid = TorusGrid(2, 32)
+        m = ModelParams(alpha=1, r=3.0, n=2)
+        cfg = SolverConfig(horizon=0.25)
+        w = TimeWeight(b=0.5 / (2 * m.r), v=1.0, T=0.25)
+        u0 = random_band_limited(grid, (11, 50), 6.0, amplitude=1.0)
+        report = picard_solve(u0, cfg, m, w, SpaceParams("B", 1.5, 2.0, 2.0))
+        image = solver.duhamel_apply(u0, report.trajectory, cfg, m)
+        times = slab_times(cfg)
+        k = np.fft.fftfreq(32, 1.0 / 32)
+        lam = (k[:, None] ** 2 + k[None, :] ** 2)[:, :17]
+        want = (np.exp(-times[:, None, None] * lam)
+                * np.fft.rfftn(u0.samples, norm="ortho"))
+        scale = np.linalg.norm(want, axis=(1, 2))
+        assert len(times) > 200
+        for traj in (report.trajectory, image):
+            gap = np.linalg.norm(traj.spectra - want, axis=(1, 2))
+            assert np.max(gap / scale) <= 1e-13
+        # The initial iterate W_t u0 and the first sweep agree.
+        assert report.distances[0] <= 1e-14
 
 
 class TestBlowupReport:
@@ -228,4 +264,3 @@ class TestSlabWeights:
             assert weights.decay[row].tobytes() == np.exp(z).tobytes()
             assert weights.phi1[row].tobytes() == (dt * phi1(z)).tobytes()
             assert weights.phi2[row].tobytes() == (dt * phi2(z)).tobytes()
-            assert np.array_equal(weights.orbit[i], np.exp(-times[i] * lam))

@@ -4,7 +4,8 @@ that do not depend on where the batch boundaries fall.
 A "stack" below is one half-lattice spectrum array over all slab times,
 the size of one Picard iterate. Memory is measured with ``tracemalloc`` as
 the peak above what was allocated before the call, so the returned value
-counts; the cached slab weights and the dyadic tables are built first.
+counts; the dyadic tables are built first, and so are the cached slab
+weights unless the measurement is cold.
 """
 
 import dataclasses
@@ -50,9 +51,11 @@ class TestWorkingMemory:
         u0 = random_band_limited(self.GRID, (0, 50), 1.9, amplitude=1e-3)
         return u0, picard_solve(u0, self.CFG, MODEL, self.WEIGHT, SPACE).trajectory
 
-    def stacks_above_kept(self, call):
+    def stacks_above_kept(self, call, cold=False):
         times = slab_times(self.CFG)
-        solver._slab_weights(self.GRID, MODEL, tuple(times.tolist()))
+        solver._slab_weights.cache_clear()
+        if not cold:
+            solver._slab_weights(self.GRID, MODEL, tuple(times.tolist()))
         build_decomposition(self.GRID).half_block_weights
         stack = 16 * len(times) * math.prod(self.GRID.half_shape)
         was_tracing = tracemalloc.is_tracing()
@@ -115,6 +118,27 @@ class TestWorkingMemory:
         assert len(weights.decay) < len(times) / 2
         cached = sum(getattr(weights, f.name).nbytes for f in dataclasses.fields(weights))
         assert cached <= 32e6
+
+    # The recursion carries the solution, so no weight is indexed by slab
+    # time: 225 times at 128^2 cache 74 rows of three weights.
+    def test_slab_weight_cache_holds_no_per_time_rows(self):
+        times = tuple(slab_times(self.CFG).tolist())
+        weights = solver._slab_weights(self.GRID, MODEL, times)
+        arrays = [getattr(weights, f.name) for f in dataclasses.fields(weights)]
+        assert sum(a.nbytes for a in arrays) <= 16e6
+        row = math.prod(self.GRID.half_shape)
+        assert all(a.size < len(times) * row for a in arrays)
+
+    # Cold: the slab weights are built inside the measured call.
+    def test_cold_picard_solve_counts_its_weights(self, solved):
+        u0, _ = solved
+        assert self.stacks_above_kept(
+            lambda: picard_solve(u0, self.CFG, MODEL, self.WEIGHT, SPACE), cold=True) <= 2.0
+
+    def test_cold_etd_oracle_counts_its_weights(self, solved):
+        u0, _ = solved
+        assert self.stacks_above_kept(
+            lambda: etd_oracle(u0, self.CFG, MODEL), cold=True) <= 1.75
 
 
 def relative(a, b):

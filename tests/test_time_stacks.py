@@ -314,13 +314,14 @@ class TestContraction:
 
 class TestInPlaceAccumulation:
     def test_duhamel_apply_bytes_match_out_of_place_sum(self, small_solve):
+        # The reference runs the recursion from u0 over every slab at once.
         u0, traj, cfg, m = small_solve
         grid = u0.grid
         weights = _slab_weights(grid, m, traj.times)
         spectra = np.concatenate([real_spectra(u0.samples, grid)[None], traj.spectra])
         forcing = _power_spectra(spectra, grid, m.r, cfg.dealias_factor)
-        terms = _duhamel_terms(forcing[0], forcing[1:], weights)
-        want = real_samples(weights.orbit * spectra[0] + terms, grid)
+        terms = _duhamel_terms(forcing[0], spectra[0], forcing[1:], weights)
+        want = real_samples(terms, grid)
         got = np.stack([f.samples for f in duhamel_apply(u0, traj, cfg, m).fields])
         assert np.array_equal(got, want)
 
