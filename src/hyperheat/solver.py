@@ -12,8 +12,10 @@ endpoints; the slab weights are the phi-functions
 
 with z = -dt |xi|^(2 alpha); the recursion carries the solution itself from
 slab end to slab end, U_i = e^z U_{i-1} + (slab integral), U_0 = u0. Fixed
-points are found by Picard iteration from u^(0) = W_t u0, with distances
-measured in the time-weighted norm.
+points are found by Picard iteration, with distances measured in the
+time-weighted norm, from a first iterate near the fixed point: one causal
+march of the same recursion, each slab's end forcing taken at an exponential
+Adams-Bashforth 2 prediction (Cox & Matthews 2002).
 Because (T u)(t) reads u only on [0, t], the iterate settles on a prefix of
 slabs before the horizon; once its predicted next change is below roundoff
 that prefix is frozen and later iterations sweep only the slabs after it
@@ -173,25 +175,38 @@ def _index_blocks(n, N, M):
     return tuple(blocks)
 
 
+@lru_cache(maxsize=4)
+def _kernel_plan(grid, dealias_factor):
+    """The padded size and index blocks of the power kernel, and its padded
+    and output buffers for one field, built once per (grid, dealias factor).
+    Every one-field call writes these buffers: no two threads may share them."""
+    M = _padded_points(grid.points_per_dim, dealias_factor)
+    single = tuple(np.zeros((1,) + shape, dtype=np.complex128)
+                   for shape in ((M,) * (grid.n - 1) + (M // 2 + 1,), grid.half_shape))
+    return M, _index_blocks(grid.n, grid.points_per_dim, M), single
+
+
 def _power_batches(spectra, grid, r, dealias_factor):
     """Half-lattice spectra of |u|^{r-1} u for a stack of half-lattice spectra
     of real fields u, dealiased, one batch of slabs at a time.
 
     Yields ``(start, stop, power)``, ``power`` being the result for
     ``spectra[start:stop]``. It is a view of one buffer that the next batch
-    overwrites, and each batch is read from ``spectra`` only when it is
-    reached, so the caller may overwrite the slabs it has been given.
+    overwrites (for one field, also the next call), and each batch is read
+    from ``spectra`` only when it is reached, so the caller may overwrite the
+    slabs it has been given.
 
     Each field is zero-padded to the lattice enlarged by ``dealias_factor``,
     evaluated pointwise there and truncated back. The unpaired Nyquist planes
     are zero on the way in and out (they cannot be embedded symmetrically);
     band-limited workflows never populate them. Every batch writes the same
-    block entries of one padded and one output buffer, so the rest stays zero.
+    block entries of one padded and one output buffer, so the rest stays
+    zero; one-field calls all share the plan's pair, so they cost only their
+    transforms.
     """
     n = grid.n
     N = grid.points_per_dim
-    M = _padded_points(N, dealias_factor)
-    blocks = _index_blocks(n, N, M)
+    M, blocks, single = _kernel_plan(grid, dealias_factor)
     axes = tuple(range(1, n + 1))
     # Unitary transforms on the two lattices differ by (M/N)^(n/2); the power
     # map is homogeneous of degree r, so the factor is applied once, on the
@@ -199,8 +214,8 @@ def _power_batches(spectra, grid, r, dealias_factor):
     gain = ((M / N) ** (n / 2.0)) ** (r - 1.0)
     batch = max(1, min(len(spectra), _batch_length(grid, dealias_factor)))
     workers = fft_workers()
-    padded = np.zeros((batch,) + (M,) * (n - 1) + (M // 2 + 1,), dtype=np.complex128)
-    out = np.zeros((batch,) + spectra.shape[1:], dtype=np.complex128)
+    padded, out = single if batch == 1 else (
+        np.zeros((batch,) + a.shape[1:], dtype=np.complex128) for a in single)
     for start in range(0, len(spectra), batch):
         stop = min(start + batch, len(spectra))
         fill = padded[:stop - start]
@@ -359,6 +374,8 @@ class PicardReport:
     relative to the weighted norm of the current iterate; frozen slabs count
     0 in them. ``frozen`` holds the frozen prefix length, in slabs, that each
     iteration used. ``weighted_norm`` is that of the final trajectory.
+    ``note`` says why the iteration stopped short, and where the starting
+    march left the amplitude bound, if it did.
     """
 
     converged: bool
@@ -373,8 +390,18 @@ class PicardReport:
 
 
 def picard_solve(u0, cfg, m, w, sp):
-    """Iterate the operator from u^(0) = W_t u0 until the weighted distance
-    between consecutive iterates drops below picard_tol (relative).
+    """Iterate the operator until the weighted distance between consecutive
+    iterates drops below picard_tol (relative).
+
+    The first iterate marches the slab recursion once, slab by slab. The
+    forcing w_i at each slab end is evaluated once, at the exponential
+    Adams-Bashforth 2 prediction
+    e^z U_{i-1} + dt phi1 w_{i-1} + dt phi2 (w_{i-1} - w_{i-2}) dt_i/dt_{i-1}
+    (no phi2 term on the first slab), and the recursion integrates the line
+    from w_{i-1} to w_i, so the start lies near the fixed point. From the
+    first slab whose prediction is not finite or exceeds 1e3 times the
+    data's L2 norm, the decay rows alone carry it, and the report's note
+    and any blow-up message name that slab's time.
 
     Each iterate is one stack of half-lattice spectra over all slab times.
     The operator is causal, so the iterate on a slab prefix settles before
@@ -414,10 +441,24 @@ def picard_solve(u0, cfg, m, w, sp):
     left = _power_spectra(u0_hat[None], grid, m.r, cfg.dealias_factor)[0]
     carry = u0_hat
     # The one iterate stack, overwritten batch by batch as the sweep passes;
-    # it starts as W_t u0, carried slab to slab by the decay rows.
+    # the march writes the first iterate straight into it.
     current = np.empty((len(times),) + u0_hat.shape, dtype=np.complex128)
+    dt = np.diff(times, prepend=0.0)
+    # Equal forcings on the first slab leave its prediction without phi2 term.
+    forcing = before = left
+    escaped = ""
     for i, row in enumerate(weights.step):
-        np.multiply(weights.decay[row], current[i - 1] if i else u0_hat, out=current[i])
+        u = np.multiply(weights.decay[row], current[i - 1] if i else u0_hat, out=current[i])
+        if escaped:
+            continue
+        base = u + weights.phi1[row] * forcing
+        guess = base + weights.phi2[row] * ((forcing - before) * (dt[i] / dt[i - 1]))
+        if not l2_norms_of_spectra(guess[None], grid)[0] <= 1e3 * u0_l2:
+            escaped = f"; the starting march left 1e3 x data at t = {times[i]:.6g}"
+            continue
+        before, forcing = forcing, _power_spectra(guess[None], grid, m.r,
+                                                  cfg.dealias_factor)[0]
+        np.add(base, weights.phi2[row] * (forcing - before), out=u)
     norms = np.empty(len(times))
     gaps = np.zeros(len(times))
     previous = np.zeros(len(times))
@@ -426,7 +467,6 @@ def picard_solve(u0, cfg, m, w, sp):
     frozen = 0
     converged = False
     iterations = 0
-    note = ""
     for iterations in range(1, cfg.picard_max_iter + 1):
         peak = 0.0
         previous, gaps = gaps, previous
@@ -447,17 +487,16 @@ def picard_solve(u0, cfg, m, w, sp):
         if rel <= cfg.picard_tol:
             converged = True
             break
-        if u0_l2 > 0 and peak > 1e3 * u0_l2:
+        grew = u0_l2 > 0 and peak > 1e3 * u0_l2
+        if grew or len(distances) >= 3 and distances[-1] > distances[-2] > distances[-3]:
+            note, message = (
+                ("amplitude grew past 1e3 x data",
+                 f"iterate amplitude {peak:.3e} exceeds 1e3 x data norm {u0_l2:.3e}") if grew
+                else ("three consecutive growing distances",
+                      "Picard distances grew three times in a row"))
             report = _build_report(False, iterations, cfg, distances, frozen_used, scale,
-                                   times, grid, current, "amplitude grew past 1e3 x data")
-            raise BlowupSuspectedError(
-                f"iterate amplitude {peak:.3e} exceeds 1e3 x data norm {u0_l2:.3e}",
-                report=report)
-        if len(distances) >= 3 and distances[-1] > distances[-2] > distances[-3]:
-            report = _build_report(False, iterations, cfg, distances, frozen_used, scale,
-                                   times, grid, current, "three consecutive growing distances")
-            raise BlowupSuspectedError(
-                "Picard distances grew three times in a row", report=report)
+                                   times, grid, current, note + escaped)
+            raise BlowupSuspectedError(message + escaped, report=report)
         edge = frozen + _settled_prefix(gaps[frozen:-1], previous[frozen:-1],
                                         1e-2 * cfg.picard_tol * norms[frozen:-1])
         if edge > frozen:
@@ -465,10 +504,9 @@ def picard_solve(u0, cfg, m, w, sp):
             carry = current[frozen - 1].copy()
             left = _power_spectra(current[frozen - 1:frozen], grid, m.r,
                                   cfg.dealias_factor)[0]
-    if not converged:
-        note = "max iterations reached without convergence"
+    note = ("" if converged else "max iterations reached without convergence") + escaped
     return _build_report(converged, iterations, cfg, distances, frozen_used, scale, times,
-                         grid, current, note)
+                         grid, current, note.removeprefix("; "))
 
 
 def _settled_prefix(gaps, previous, bound):

@@ -1,6 +1,7 @@
 """Duhamel machinery: phi functions, dealiased powers, Picard, ETD cross-check."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -196,8 +197,10 @@ class TestPicard:
         assert worst < 10.0 * cfg.picard_tol * amp
 
     def test_contraction_factors_reported(self, grid1d):
+        # The marched start lands within picard_tol of the fixed point for
+        # amplitude-0.01 data; at 0.3 Picard still takes three iterations.
         cfg = SolverConfig(horizon=0.25, slabs=16)
-        u0 = random_band_limited(grid1d, 89, max_radius=6.0, amplitude=0.01)
+        u0 = random_band_limited(grid1d, 89, max_radius=6.0, amplitude=0.3)
         report = picard_solve(u0, cfg, MODEL, small_weight(0.25), SPACE)
         assert report.contraction_factors
         assert all(f < 1.0 for f in report.contraction_factors)
@@ -277,6 +280,15 @@ class TestConstantDataClosedForm:
         assert report.converged and report.frozen[-1] > 0
         with pytest.raises(BlowupSuspectedError):
             self.solve(0.6, 160)
+
+    def test_blowup_names_where_the_start_grew(self):
+        # Picard starts from a march of the equation itself, which passes
+        # 1e3 x data near T* = 0.5; the error says where.
+        with pytest.raises(BlowupSuspectedError) as err:
+            self.solve(0.6, 160)
+        for text in (err.value.report.note, str(err.value)):
+            found = re.search(r"starting march left 1e3 x data at t = (\S+)$", text)
+            assert found and 0.4 <= float(found.group(1)) <= 0.6
 
 
 class TestEtdOracle:

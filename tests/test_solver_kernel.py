@@ -6,6 +6,7 @@ fftshift round trip, per-slab phi weights, and per-time, per-block norms.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ from numpy.testing import assert_allclose
 
 from hyperheat import (BlowupSuspectedError, ModelParams, RealField, SolverConfig,
                        SpaceParams, TimeWeight, TorusGrid, build_decomposition,
-                       dissipation_symbol, nonlinearity, nyquist_mask, phi1, phi2,
-                       picard_solve, random_band_limited, slab_times)
+                       dissipation_symbol, etd_oracle, nonlinearity, nyquist_mask,
+                       phi1, phi2, picard_solve, random_band_limited, slab_times)
 from hyperheat import solver
 from hyperheat.grid import real_spectra
 from reference_norms import a_norm_of_coefficients
@@ -44,41 +45,81 @@ def reference_power_coefficients(c, grid, r, dealias_factor):
     return cw
 
 
-def reference_picard_distances(u0, cfg, m, w, sp):
-    """Picard distances and terminal samples from a loop over full spectra."""
-    grid = u0.grid
-    times = slab_times(cfg)
-    dec = build_decomposition(grid)
-    lam = dissipation_symbol(grid, m)
-    vexp = 2.0 * m.r * w.v
+class ReferenceLoop:
+    """Picard's iteration for a solve, one full spectrum at a time."""
 
-    def power(c):
-        return reference_power_coefficients(c, grid, m.r, cfg.dealias_factor)
+    def __init__(self, u0, cfg, m, w, sp):
+        self.grid = u0.grid
+        self.cfg, self.w, self.sp = cfg, w, sp
+        self.r = m.r
+        self.times = slab_times(cfg)
+        self.dec = build_decomposition(self.grid)
+        self.lam = dissipation_symbol(self.grid, m)
+        self.vexp = 2.0 * m.r * w.v
+        self.u0_hat = scipy.fft.fftn(u0.samples, norm="ortho")
 
-    def weighted(spectra):
-        norms = np.array([a_norm_of_coefficients(c, grid, sp, dec) for c in spectra])
-        integrand = times ** (w.b * vexp) * norms ** vexp
-        return np.trapezoid(integrand * times, np.log(times)) ** (1.0 / vexp)
+    def power(self, c):
+        return reference_power_coefficients(c, self.grid, self.r, self.cfg.dealias_factor)
 
-    u0_hat = scipy.fft.fftn(u0.samples, norm="ortho")
-    homogeneous = [np.exp(-t * lam) * u0_hat for t in times]
-    current = homogeneous
-    w0_hat = power(u0_hat)
-    distances = []
-    for _ in range(cfg.picard_max_iter):
-        forcing = [w0_hat] + [power(c) for c in current]
-        D = np.zeros_like(u0_hat)
+    def weighted(self, spectra):
+        norms = np.array([a_norm_of_coefficients(c, self.grid, self.sp, self.dec)
+                          for c in spectra])
+        integrand = self.times ** (self.w.b * self.vexp) * norms ** self.vexp
+        return np.trapezoid(integrand * self.times, np.log(self.times)) ** (1.0 / self.vexp)
+
+    def march(self):
+        """The first iterate: each slab's end forcing is taken at the
+        exponential Adams-Bashforth 2 prediction, which continues the
+        forcing's line through the last two slab ends (only w0 on the first
+        slab); the slab integral then uses that forcing."""
+        marched = []
+        u, forcing, before = self.u0_hat, self.power(self.u0_hat), None
+        prev_t = prev_dt = 0.0
+        for t in self.times:
+            dt = t - prev_t
+            z = -dt * self.lam
+            base = np.exp(z) * u + dt * phi1(z) * forcing
+            guess = base
+            if before is not None:
+                guess = base + dt * phi2(z) * (forcing - before) * (dt / prev_dt)
+            before, forcing = forcing, self.power(guess)
+            u = base + dt * phi2(z) * (forcing - before)
+            marched.append(u)
+            prev_t, prev_dt = t, dt
+        return marched
+
+    def apply(self, current):
+        """The operator at every slab end: W_t u0 plus the slab integrals of
+        the forcing, linear in tau between slab ends."""
+        forcing = [self.power(self.u0_hat)] + [self.power(c) for c in current]
+        D = np.zeros_like(self.u0_hat)
         new = []
         prev_t = 0.0
-        for i, t in enumerate(times, start=1):
-            z = -(t - prev_t) * lam
+        for i, t in enumerate(self.times, start=1):
+            z = -(t - prev_t) * self.lam
             slab = (t - prev_t) * phi1(z) * forcing[i - 1]
             slab = slab + (t - prev_t) * phi2(z) * (forcing[i] - forcing[i - 1])
             D = np.exp(z) * D + slab
-            new.append(homogeneous[i - 1] + D)
+            new.append(np.exp(-t * self.lam) * self.u0_hat + D)
             prev_t = t
+        return new
+
+    def defect(self, traj):
+        """Weighted distance from ``traj`` to its image, relative to ``traj``."""
+        current = [scipy.fft.fftn(f.samples, norm="ortho") for f in traj.fields]
+        new = self.apply(current)
+        return self.weighted([a - b for a, b in zip(new, current)]) / self.weighted(current)
+
+
+def reference_picard_distances(u0, cfg, m, w, sp):
+    """Picard distances and terminal samples from a loop over full spectra."""
+    loop = ReferenceLoop(u0, cfg, m, w, sp)
+    current = loop.march()
+    distances = []
+    for _ in range(cfg.picard_max_iter):
+        new = loop.apply(current)
         diff = [a - b for a, b in zip(new, current)]
-        distances.append(weighted(diff) / weighted(new))
+        distances.append(loop.weighted(diff) / loop.weighted(new))
         current = new
         if distances[-1] <= cfg.picard_tol:
             break
@@ -129,6 +170,44 @@ class TestPowerKernel:
         got = nonlinearity(u, 3.0).samples
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
+    def test_single_field_calls_reuse_one_plan(self, monkeypatch):
+        index_blocks = solver._index_blocks
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return index_blocks(*args)
+
+        monkeypatch.setattr(solver, "_index_blocks", counting)
+        solver._kernel_plan.cache_clear()
+        grid = GRIDS[2]
+        m = ModelParams(alpha=1, r=3.0, n=2)
+        u0 = random_band_limited(grid, 5, max_radius=6.0)
+        padded = {}
+        for dealias_factor in (1.5, 2.0):
+            # 100 steps, each evaluating the power of one field twice.
+            cfg = SolverConfig(horizon=0.1, dealias_factor=dealias_factor,
+                               times=tuple(np.linspace(0.0, 0.1, 101)[1:]))
+            for _ in range(2):
+                etd_oracle(u0, cfg, m)
+                one_field = solver._kernel_plan(grid, dealias_factor)[2][0]
+                assert padded.setdefault(dealias_factor, one_field) is one_field
+        assert built == [(2, 32, 48), (2, 32, 64)]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_shared_buffers_keep_single_fields_bit_identical(self, n):
+        # One-field calls share cached buffers; the entries outside the
+        # index blocks, Nyquist planes included, must stay zero.
+        grid = GRIDS[n]
+        spectra = real_spectra(kernel_inputs(grid, 7, n), grid)
+        solver._kernel_plan.cache_clear()
+        first = solver._power_spectra(spectra[:1], grid, 3.0, 1.5)
+        whole = solver._power_spectra(spectra[::-1], grid, 3.0, 1.5)[::-1]
+        single = [solver._power_spectra(spectra[i:i + 1], grid, 3.0, 1.5)
+                  for i in range(len(spectra))]
+        assert first.tobytes() == single[0].tobytes()
+        assert np.concatenate(single).tobytes() == whole.tobytes()
+
     def test_rejects_padding_below_one(self):
         grid = GRIDS[1]
         with pytest.raises(ValueError, match="dealias_factor"):
@@ -158,6 +237,8 @@ class TestStackedPicard:
         distances, terminal = reference_picard_distances(*case)
         assert report.converged
         assert report.iterations == len(distances) >= 5
+        # Both start from the march; the cold start W_t u0 took 10 iterations.
+        assert report.iterations == 6
         # The reference loop never freezes; the solver's last iterations do.
         assert len(report.frozen) == report.iterations
         assert report.frozen[0] == 0 < report.frozen[-1]
@@ -193,6 +274,46 @@ class TestStackedPicard:
         assert results[0] == results[1]
 
 
+def identity_operator(monkeypatch):
+    """Make the solver's slab recursion return its input: T u = u."""
+    power_batches = solver._power_batches
+    swept = []
+
+    def recording(spectra, *args):
+        swept.append(spectra)
+        return power_batches(spectra, *args)
+
+    def identity(left, carry, weights, batches, offset=0):
+        spectra = swept[-1]
+        for start, stop, _ in batches:
+            yield start + offset, stop + offset, spectra[start:stop].copy()
+
+    monkeypatch.setattr(solver, "_power_batches", recording)
+    monkeypatch.setattr(solver, "_duhamel_sweep", identity)
+
+
+class TestReferenceFixedPointDefect:
+    """The marched start is itself a second-order integrator, so an operator
+    that returns its input "converges" on it at once, and every check that
+    reuses the solver's own recursion passes. One application of the
+    reference operator to the solver's fixed point does not."""
+
+    def test_solution_is_a_fixed_point_of_the_reference_operator(self):
+        case = frozen_case()
+        report = picard_solve(*case)
+        assert ReferenceLoop(*case).defect(report.trajectory) <= 2.0 * case[1].picard_tol
+
+    def test_identity_operator_is_caught(self, monkeypatch):
+        identity_operator(monkeypatch)
+        case = frozen_case()
+        u0, cfg, m = case[:3]
+        report = picard_solve(*case)
+        assert report.converged and report.iterations == 1
+        again = solver.duhamel_apply(u0, report.trajectory, cfg, m)
+        assert np.array_equal(again.spectra, report.trajectory.spectra)
+        assert ReferenceLoop(*case).defect(report.trajectory) > 2.0 * cfg.picard_tol
+
+
 class TestFoldedLinearFlow:
     """With the forcing switched off the carried recursion is the semigroup
     alone: U_i = exp(-t_i |xi|^2) u0 at every slab end."""
@@ -200,7 +321,10 @@ class TestFoldedLinearFlow:
     def test_zero_forcing_reproduces_the_semigroup(self, monkeypatch):
         power_batches = solver._power_batches
 
+        single = []
+
         def zero_forcing(*args):
+            single.append(len(args[0]) == 1)
             for start, stop, power in power_batches(*args):
                 yield start, stop, np.zeros_like(power)
 
@@ -222,8 +346,18 @@ class TestFoldedLinearFlow:
         for traj in (report.trajectory, image):
             gap = np.linalg.norm(traj.spectra - want, axis=(1, 2))
             assert np.max(gap / scale) <= 1e-13
-        # The initial iterate W_t u0 and the first sweep agree.
+        # The march evaluates the zeroed forcing once per slab end before the
+        # horizon, and once more at tau = 0, so it is W_t u0 and the first
+        # sweep agrees with it.
+        assert sum(single) >= len(times)
         assert report.distances[0] <= 1e-14
+
+
+def march_escape(text):
+    """The slab time a blow-up message names for the starting march."""
+    found = re.search(r"starting march left 1e3 x data at t = (\S+)$", text)
+    assert found, text
+    return found.group(1)
 
 
 class TestBlowupReport:
@@ -245,6 +379,10 @@ class TestBlowupReport:
         # The partial iterate has run away from the data it started from.
         peak = max(np.max(np.abs(f.samples)) for f in traj.fields)
         assert peak > np.max(np.abs(u0.samples))
+        # The march that starts Picard grew past 1e3 x data at a slab end.
+        for text in (report.note, str(err.value)):
+            t = float(march_escape(text))
+            assert min(abs(s - t) for s in traj.times) <= 1e-5 * t
 
 
 class TestSlabWeights:
