@@ -2,19 +2,20 @@
 
 The on-disk format is INI. [experiment] holds the id, the seed, and any
 experiment-specific keys (kept as strings); the typed sections [model],
-[grid], [space], [time_weight], [solver] reject unknown keys. Parsing
-starts from the per-experiment defaults, so a config file only needs the
-keys it overrides. parse_config(emit_config(cfg)) round-trips exactly.
+[grid], [space], [time_weight], [solver] are read from one table,
+``_sections``, and reject unknown keys. Parsing starts from the
+per-experiment defaults, so a config file only needs the keys it overrides.
+parse_config(emit_config(cfg)) round-trips exactly.
 """
 
 import configparser
 import hashlib
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .dyadic import SpaceParams
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError
 from .grid import TorusGrid
 from .semigroup import ModelParams
 from .solver import SolverConfig
@@ -180,9 +181,37 @@ def default_config(experiment):
                             extras=extras)
 
 
-def _float_repr(x):
-    x = float(x)
-    return repr(x)
+def _sections(cfg):
+    """The typed INI sections of a config as ``{section: {key: value}}``: every
+    field of the model, space and solver; [grid] takes its dimension from n."""
+    def fields_of(obj):
+        return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+    return {
+        "model": fields_of(cfg.model),
+        "grid": {"points_per_dim": cfg.grid.points_per_dim, "length": cfg.grid.length},
+        "space": fields_of(cfg.space),
+        "time_weight": {"a": cfg.weight_a, "v": cfg.weight_v},
+        "solver": fields_of(cfg.solver),
+    }
+
+
+def _text(value):
+    """INI text of a value: floats in round-trip form, tuples comma-separated."""
+    if isinstance(value, tuple):
+        return ",".join(_text(float(x)) for x in value)
+    return repr(float(value)) if isinstance(value, float) else str(value)
+
+
+def _coerce(key, raw, default):
+    """Parse INI text to the type of the key's default. Integer keys reject
+    non-integral text; alpha alone may be an integer or a float."""
+    if key == "alpha":
+        value = float(raw)
+        return int(value) if value.is_integer() else value
+    if isinstance(default, tuple):
+        return tuple(float(x) for x in raw.split(",") if x.strip())
+    return type(default)(raw)
 
 
 def emit_config(cfg):
@@ -192,59 +221,11 @@ def emit_config(cfg):
     parser["experiment"] = {"id": cfg.experiment, "seed": str(cfg.seed)}
     for key in sorted(cfg.extras):
         parser["experiment"][key] = str(cfg.extras[key])
-    parser["model"] = {
-        "alpha": _float_repr(cfg.model.alpha),
-        "r": _float_repr(cfg.model.r),
-        "n": str(cfg.model.n),
-    }
-    parser["grid"] = {
-        "points_per_dim": str(cfg.grid.points_per_dim),
-        "length": _float_repr(cfg.grid.length),
-    }
-    parser["space"] = {
-        "family": cfg.space.family,
-        "s": _float_repr(cfg.space.s),
-        "p": _float_repr(cfg.space.p),
-        "q": _float_repr(cfg.space.q),
-        "s0": _float_repr(cfg.space.s0),
-    }
-    parser["time_weight"] = {
-        "a": _float_repr(cfg.weight_a),
-        "v": _float_repr(cfg.weight_v),
-    }
-    solver = cfg.solver
-    parser["solver"] = {
-        "horizon": _float_repr(solver.horizon),
-        "slabs": str(solver.slabs),
-        "picard_tol": _float_repr(solver.picard_tol),
-        "picard_max_iter": str(solver.picard_max_iter),
-        "dealias_factor": _float_repr(solver.dealias_factor),
-        "t_min_frac": _float_repr(solver.t_min_frac),
-        "uniform_start_frac": _float_repr(solver.uniform_start_frac),
-        "geometric_per_decade": str(solver.geometric_per_decade),
-        "times": ",".join(_float_repr(t) for t in solver.times) if solver.times else "",
-        "extra_times": ",".join(_float_repr(t) for t in solver.extra_times),
-    }
+    for section, values in _sections(cfg).items():
+        parser[section] = {key: _text(value) for key, value in values.items()}
     buffer = io.StringIO()
     parser.write(buffer)
     return buffer.getvalue()
-
-
-_SECTION_KEYS = {
-    "model": {"alpha", "r", "n"},
-    "grid": {"points_per_dim", "length"},
-    "space": {"family", "s", "p", "q", "s0"},
-    "time_weight": {"a", "v"},
-    "solver": {"horizon", "slabs", "picard_tol", "picard_max_iter", "dealias_factor",
-               "t_min_frac", "uniform_start_frac", "geometric_per_decade", "times",
-               "extra_times"},
-}
-
-
-def _get(parser, section, key, fallback):
-    if parser.has_option(section, key):
-        return parser.get(section, key)
-    return fallback
 
 
 def parse_config(text):
@@ -257,70 +238,36 @@ def parse_config(text):
         raise ConfigError(f"malformed config: {exc}") from exc
     if not parser.has_section("experiment") or not parser.has_option("experiment", "id"):
         raise ConfigError("config must carry [experiment] with an 'id' key")
-    for section in parser.sections():
-        if section != "experiment" and section not in _SECTION_KEYS:
-            raise ConfigError(f"unknown section [{section}]")
-        if section in _SECTION_KEYS:
-            unknown = set(parser.options(section)) - _SECTION_KEYS[section]
-            if unknown:
-                raise ConfigError(f"unknown keys in [{section}]: {', '.join(sorted(unknown))}")
     experiment = parser.get("experiment", "id")
     base = default_config(experiment)
-    extras = dict(base.extras)
-    seed = base.seed
-    for key in parser.options("experiment"):
-        if key == "id":
+    table = _sections(base)
+    for section in parser.sections():
+        if section == "experiment":
             continue
-        if key == "seed":
-            try:
-                seed = int(parser.get("experiment", "seed"))
-            except ValueError as exc:
-                raise ConfigError("seed must be an integer") from exc
-            continue
-        extras[key] = parser.get("experiment", key)
+        if section not in table:
+            raise ConfigError(f"unknown section [{section}]")
+        unknown = set(parser.options(section)) - set(table[section])
+        if unknown:
+            raise ConfigError(f"unknown keys in [{section}]: {', '.join(sorted(unknown))}")
+    extras = {**base.extras, **parser["experiment"]}
+    del extras["id"]
     try:
-        alpha_raw = float(_get(parser, "model", "alpha", base.model.alpha))
-        alpha = int(alpha_raw) if float(alpha_raw).is_integer() else alpha_raw
-        model = ModelParams(alpha=alpha,
-                            r=float(_get(parser, "model", "r", base.model.r)),
-                            n=int(_get(parser, "model", "n", base.model.n)))
-        grid = TorusGrid(n=model.n,
-                         points_per_dim=int(_get(parser, "grid", "points_per_dim",
-                                                 base.grid.points_per_dim)),
-                         length=float(_get(parser, "grid", "length", base.grid.length)))
-        space = SpaceParams(_get(parser, "space", "family", base.space.family),
-                            float(_get(parser, "space", "s", base.space.s)),
-                            float(_get(parser, "space", "p", base.space.p)),
-                            float(_get(parser, "space", "q", base.space.q)),
-                            s0=float(_get(parser, "space", "s0", base.space.s0)))
-        times_raw = _get(parser, "solver", "times", "")
-        extra_raw = _get(parser, "solver", "extra_times", "")
-        times = tuple(float(x) for x in times_raw.split(",") if x.strip()) or None
-        extra_times = tuple(float(x) for x in extra_raw.split(",") if x.strip())
-        solver = SolverConfig(
-            horizon=float(_get(parser, "solver", "horizon", base.solver.horizon)),
-            slabs=int(_get(parser, "solver", "slabs", base.solver.slabs)),
-            picard_tol=float(_get(parser, "solver", "picard_tol", base.solver.picard_tol)),
-            picard_max_iter=int(_get(parser, "solver", "picard_max_iter",
-                                     base.solver.picard_max_iter)),
-            dealias_factor=float(_get(parser, "solver", "dealias_factor",
-                                      base.solver.dealias_factor)),
-            t_min_frac=float(_get(parser, "solver", "t_min_frac", base.solver.t_min_frac)),
-            uniform_start_frac=float(_get(parser, "solver", "uniform_start_frac",
-                                          base.solver.uniform_start_frac)),
-            geometric_per_decade=int(_get(parser, "solver", "geometric_per_decade",
-                                          base.solver.geometric_per_decade)),
-            times=times,
-            extra_times=extra_times,
-        )
-        weight_a = float(_get(parser, "time_weight", "a", base.weight_a))
-        weight_v = float(_get(parser, "time_weight", "v", base.weight_v))
-    except ParameterError as exc:
-        raise ConfigError(str(exc)) from exc
+        seed = int(extras.pop("seed", base.seed))
     except ValueError as exc:
-        raise ConfigError(f"malformed value: {exc}") from exc
+        raise ConfigError("seed must be an integer") from exc
+    try:
+        for section, values in table.items():
+            for key, raw in (parser[section].items() if section in parser else ()):
+                values[key] = _coerce(key, raw, values[key])
+        model = ModelParams(**table["model"])
+        grid = TorusGrid(n=model.n, **table["grid"])
+        space = SpaceParams(**table["space"])
+        solver = SolverConfig(**table["solver"])
+    except ValueError as exc:  # a ParameterError or text of the wrong type
+        raise ConfigError(f"invalid value: {exc}") from exc
+    weight = table["time_weight"]
     return ExperimentConfig(experiment=experiment, seed=seed, model=model, grid=grid,
-                            space=space, weight_a=weight_a, weight_v=weight_v,
+                            space=space, weight_a=weight["a"], weight_v=weight["v"],
                             solver=solver, extras=extras)
 
 

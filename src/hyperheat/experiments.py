@@ -275,7 +275,7 @@ def run_contraction(cfg):
     max_ratios = []
     mean_ratios = []
     for T in horizons:
-        scfg = replace(cfg.solver, horizon=T, times=None)
+        scfg = replace(cfg.solver, horizon=T, times=())
         times = slab_times(scfg)
         orbit = _orbit_multipliers(grid, m, times)
 

@@ -238,17 +238,16 @@ def forward_transform(f):
     return SpectralField(f.grid, c)
 
 
-def inverse_transform(F, symmetry_tol=1e-10):
+def inverse_transform(F):
     """Unitary inverse DFT; requires Hermitian input, returns a real field.
 
-    A relative Hermitian defect above ``symmetry_tol`` raises SymmetryError.
+    A relative Hermitian defect above 1e-10 raises SymmetryError.
     The imaginary residue after the transform must sit below 1e-12 relative
     to the field scale; it is asserted and discarded.
     """
     defect = F.hermitian_defect()
-    if defect > symmetry_tol:
-        raise SymmetryError(
-            f"relative Hermitian defect {defect:.3e} exceeds tolerance {symmetry_tol:.3e}")
+    if defect > 1e-10:
+        raise SymmetryError(f"relative Hermitian defect {defect:.3e} exceeds 1e-10")
     y = scipy.fft.ifftn(F.coefficients, norm="ortho", workers=fft_workers())
     scale = max(float(np.max(np.abs(y))), 1e-300)
     residue = float(np.max(np.abs(y.imag)))

@@ -46,12 +46,12 @@ from .timenorms import Trajectory, admissibility, log_time_grid, time_weighted_n
 class SolverConfig:
     """Discretization and iteration controls for one solve.
 
-    The default time grid is hybrid: log-spaced samples from
-    horizon * t_min_frac up to horizon * uniform_start_frac (so weighted
-    norms see the decades near t = 0), then ``slabs`` uniform samples up
-    to the horizon (so centered time differences stay accurate). An
-    explicit ``times`` tuple overrides the construction; ``extra_times``
-    are merged in. The slab quadrature has no option: the forcing is
+    The default time grid is hybrid: 32 log-spaced samples per decade from
+    horizon * 1e-4 up to horizon * 1e-2 (a fixed head, so weighted norms see
+    the decades near t = 0), then ``slabs`` uniform samples up to the horizon
+    (so centered time differences stay accurate). A non-empty ``times``
+    tuple replaces that construction; ``extra_times`` are merged into
+    either grid. The slab quadrature has no option: the forcing is
     reconstructed piecewise linearly in tau and integrated exactly.
     """
 
@@ -60,10 +60,7 @@ class SolverConfig:
     picard_tol: float = 1e-10
     picard_max_iter: int = 50
     dealias_factor: float = 1.5
-    t_min_frac: float = 1e-4
-    uniform_start_frac: float = 1e-2
-    geometric_per_decade: int = 32
-    times: tuple = None
+    times: tuple = ()
     extra_times: tuple = ()
 
     def __post_init__(self):
@@ -77,32 +74,29 @@ class SolverConfig:
             raise ParameterError("picard_max_iter must be >= 1")
         if not self.dealias_factor >= 1:
             raise ParameterError(f"dealias_factor must be >= 1, got {self.dealias_factor}")
-        if not 0 < self.t_min_frac < self.uniform_start_frac < 1:
-            raise ParameterError("need 0 < t_min_frac < uniform_start_frac < 1")
-        if self.times is not None:
-            object.__setattr__(self, "times", tuple(float(t) for t in self.times))
+        times = () if self.times is None else self.times
+        object.__setattr__(self, "times", tuple(float(t) for t in times))
         object.__setattr__(self, "extra_times", tuple(float(t) for t in self.extra_times))
 
 
 def slab_times(cfg):
     """The slab-endpoint grid 0 < t_1 < ... < t_M = horizon."""
     T = cfg.horizon
-    if cfg.times is not None:
+    extra = np.asarray(cfg.extra_times, dtype=np.float64)
+    if extra.size and (np.any(extra <= 0) or np.any(extra >= T * (1 - 1e-9))):
+        raise ParameterError("extra_times must lie strictly inside (0, horizon)")
+    if cfg.times:
         t = np.asarray(cfg.times, dtype=np.float64)
-        if t.ndim != 1 or t.size < 2:
-            raise ParameterError("explicit times must be a 1-D grid with >= 2 points")
+        if t.size < 2:
+            raise ParameterError("explicit times must be a grid of >= 2 points")
         if np.any(t <= 0) or np.any(np.diff(t) <= 0):
             raise ParameterError("explicit times must be positive and strictly increasing")
         if abs(t[-1] - T) > 1e-9 * T:
             raise ParameterError(f"explicit times must end at the horizon {T}, got {t[-1]}")
-        return t
-    extra = np.asarray(cfg.extra_times, dtype=np.float64)
-    if extra.size and (np.any(extra <= 0) or np.any(extra >= T * (1 - 1e-9))):
-        raise ParameterError("extra_times must lie strictly inside (0, horizon)")
-    uniform = np.linspace(0.0, T, cfg.slabs + 1)[1:]
-    geometric = log_time_grid(T * cfg.t_min_frac, T * cfg.uniform_start_frac,
-                              cfg.geometric_per_decade)
-    t = np.unique(np.concatenate([uniform, geometric, extra]))
+    else:
+        t = np.concatenate([np.linspace(0.0, T, cfg.slabs + 1)[1:],
+                            log_time_grid(T * 1e-4, T * 1e-2, 32)])
+    t = np.unique(np.concatenate([t, extra]))
     keep = np.concatenate([[True], np.diff(t) > 1e-12 * T])
     return t[keep]
 
@@ -530,13 +524,12 @@ def _build_report(converged, iterations, cfg, distances, frozen, weighted, times
                         note=note)
 
 
-def etd_oracle(u0, cfg, m, nonlinear=True):
+def etd_oracle(u0, cfg, m):
     """Independent exponential predictor-corrector march over the same slabs.
 
     Order 2 (predictor with phi1, corrector with phi2). The marched spectra
-    fill one stack, which becomes the returned trajectory. ``nonlinear=False``
-    integrates only the linear flow, which must reproduce the semigroup
-    exactly. Non-finite or violently growing steps raise IntegrationError.
+    fill one stack, which becomes the returned trajectory. Non-finite or
+    violently growing steps raise IntegrationError.
     """
     times = slab_times(cfg)
     grid = u0.grid
@@ -551,12 +544,9 @@ def etd_oracle(u0, cfg, m, nonlinear=True):
     for i, t in enumerate(times):
         row = weights.step[i]
         decay = weights.decay[row]
-        if nonlinear:
-            nu = power(u)
-            predictor = decay * u + weights.phi1[row] * nu
-            u = predictor + weights.phi2[row] * (power(predictor) - nu)
-        else:
-            u = decay * u
+        nu = power(u)
+        predictor = decay * u + weights.phi1[row] * nu
+        u = predictor + weights.phi2[row] * (power(predictor) - nu)
         if not np.all(np.isfinite(u)) or l2_norms_of_spectra(u[None], grid)[0] > bound:
             raise IntegrationError(
                 f"unstable step {i + 1} at t = {t:.6g}", step=i + 1, time=float(t))

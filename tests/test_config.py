@@ -1,5 +1,6 @@
 """INI experiment configs: defaults, round-trip, strict parsing."""
 
+import configparser
 import dataclasses
 import math
 
@@ -104,6 +105,21 @@ class TestParsing:
         with pytest.raises(ConfigError, match="quadrature_order"):
             parse_config("[experiment]\nid = solve\n\n[solver]\nquadrature_order = 2\n")
 
+    @pytest.mark.parametrize("key, value", [("t_min_frac", "0.0001"),
+                                            ("uniform_start_frac", "0.01"),
+                                            ("geometric_per_decade", "32")])
+    def test_removed_time_grid_keys_rejected(self, key, value):
+        # The log-spaced head of the slab grid is fixed; its keys are gone,
+        # even when set to the values of that head.
+        with pytest.raises(ConfigError, match=key):
+            parse_config(f"[experiment]\nid = solve\n\n[solver]\n{key} = {value}\n")
+
+    @pytest.mark.parametrize("section, key", [("solver", "slabs"),
+                                              ("grid", "points_per_dim")])
+    def test_non_integral_integer_key_rejected(self, section, key):
+        with pytest.raises(ConfigError):
+            parse_config(f"[experiment]\nid = solve\n\n[{section}]\n{key} = 16.5\n")
+
     def test_invalid_value_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("[experiment]\nid = solve\n\n[model]\nr = sometimes\n")
@@ -115,6 +131,56 @@ class TestParsing:
     def test_free_extras_allowed_in_experiment_section(self):
         cfg = parse_config("[experiment]\nid = solve\noracle_tol = 1e-8\n")
         assert cfg.get_float("oracle_tol") == 1e-8
+
+
+# One non-default value per typed key of the "solve" config, as INI text, and
+# the value the parsed config must carry.
+OVERRIDES = {
+    ("model", "alpha"): ("1.5", 1.5),
+    ("model", "r"): ("2.5", 2.5),
+    ("model", "n"): ("1", 1),
+    ("grid", "points_per_dim"): ("32", 32),
+    ("grid", "length"): ("3.0", 3.0),
+    ("space", "family"): ("F", "F"),
+    ("space", "s"): ("2.5", 2.5),
+    ("space", "p"): ("3.0", 3.0),
+    ("space", "q"): ("1.0", 1.0),
+    ("space", "s0"): ("0.5", 0.5),
+    ("time_weight", "a"): ("0.25", 0.25),
+    ("time_weight", "v"): ("inf", math.inf),
+    ("solver", "horizon"): ("0.5", 0.5),
+    ("solver", "slabs"): ("32", 32),
+    ("solver", "picard_tol"): ("1e-08", 1e-8),
+    ("solver", "picard_max_iter"): ("7", 7),
+    ("solver", "dealias_factor"): ("2.0", 2.0),
+    ("solver", "times"): ("0.125,0.25", (0.125, 0.25)),
+    ("solver", "extra_times"): ("0.1,0.2", (0.1, 0.2)),
+}
+
+
+def carried(cfg, section, key):
+    if section == "time_weight":
+        return {"a": cfg.weight_a, "v": cfg.weight_v}[key]
+    return getattr(getattr(cfg, section), key)
+
+
+class TestTypedKeys:
+    def test_every_emitted_key_has_an_override(self):
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.optionxform = str
+        parser.read_string(emit_config(default_config("solve")))
+        emitted = {(section, key) for section in parser.sections() if section != "experiment"
+                   for key in parser.options(section)}
+        assert emitted == set(OVERRIDES)
+
+    @pytest.mark.parametrize("section, key", sorted(OVERRIDES))
+    def test_override_parses_and_round_trips(self, section, key):
+        text, want = OVERRIDES[section, key]
+        assert carried(default_config("solve"), section, key) != want
+        cfg = parse_config(f"[experiment]\nid = solve\n\n[{section}]\n{key} = {text}\n")
+        assert carried(cfg, section, key) == want
+        assert type(carried(cfg, section, key)) is type(want)
+        assert parse_config(emit_config(cfg)) == cfg
 
 
 class TestExtrasAccessors:

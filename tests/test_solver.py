@@ -17,6 +17,7 @@ from hyperheat import (BlowupSuspectedError, IntegrationError, ModelParams,
                        pde_residual, phi1, phi2, picard_solve,
                        random_band_limited, slab_times, SpectralField,
                        strong_convergence_check, zero_field)
+from hyperheat import solver
 
 MODEL = ModelParams(alpha=1, r=3.0, n=1)
 SPACE = SpaceParams("B", 1.5, 2.0, 2.0)
@@ -58,7 +59,6 @@ class TestSolverConfig:
         dict(horizon=1.0, slabs=2),
         dict(horizon=1.0, picard_tol=2.0),
         dict(horizon=1.0, dealias_factor=0.5),
-        dict(horizon=1.0, t_min_frac=0.5, uniform_start_frac=0.1),
     ])
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ParameterError):
@@ -70,8 +70,8 @@ class TestSolverConfig:
         assert t[0] > 0
         assert t[-1] == pytest.approx(0.5, rel=1e-12)
         assert np.all(np.diff(t) > 0)
-        # The geometric head reaches down to horizon * t_min_frac.
-        assert t[0] <= 0.5 * cfg.t_min_frac * (1 + 1e-9)
+        # The fixed geometric head reaches down to 1e-4 * horizon.
+        assert t[0] <= 1e-4 * 0.5
 
     def test_explicit_times_must_reach_horizon(self):
         cfg = SolverConfig(horizon=1.0, times=(0.25, 0.5))
@@ -85,6 +85,15 @@ class TestSolverConfig:
 
     def test_extra_times_must_be_interior(self):
         cfg = SolverConfig(horizon=1.0, slabs=8, extra_times=(1.5,))
+        with pytest.raises(ParameterError):
+            slab_times(cfg)
+
+    def test_extra_times_merged_into_explicit_times(self):
+        cfg = SolverConfig(horizon=1.0, times=(0.25, 0.5, 1.0), extra_times=(0.1,))
+        assert slab_times(cfg).tolist() == [0.1, 0.25, 0.5, 1.0]
+
+    def test_extra_times_checked_against_explicit_times(self):
+        cfg = SolverConfig(horizon=1.0, times=(0.25, 0.5, 1.0), extra_times=(2.0,))
         with pytest.raises(ParameterError):
             slab_times(cfg)
 
@@ -292,10 +301,13 @@ class TestConstantDataClosedForm:
 
 
 class TestEtdOracle:
-    def test_linear_flow_is_exact(self, grid1d):
+    def test_linear_flow_is_exact(self, grid1d, monkeypatch):
+        # With the forcing zeroed the integrator is the semigroup alone.
+        monkeypatch.setattr(solver, "_power_spectra",
+                            lambda spectra, *args: np.zeros_like(spectra))
         cfg = SolverConfig(horizon=0.3, slabs=16)
         u0 = random_band_limited(grid1d, 101, max_radius=8.0)
-        traj = etd_oracle(u0, cfg, MODEL, nonlinear=False)
+        traj = etd_oracle(u0, cfg, MODEL)
         U0 = forward_transform(u0)
         want = inverse_transform(apply_semigroup(U0, traj.times[-1], MODEL))
         assert np.max(np.abs(traj.terminal.samples - want.samples)) < 1e-12
