@@ -249,6 +249,9 @@ def parse_config(text):
         unknown = set(parser.options(section)) - set(table[section])
         if unknown:
             raise ConfigError(f"unknown keys in [{section}]: {', '.join(sorted(unknown))}")
+    unknown = set(parser.options("experiment")) - {"id", "seed"} - set(base.extras)
+    if unknown:
+        raise ConfigError(f"unknown keys in [experiment]: {', '.join(sorted(unknown))}")
     extras = {**base.extras, **parser["experiment"]}
     del extras["id"]
     try:

@@ -21,10 +21,15 @@ from .errors import InconsistentGridError, ParameterError, SymmetryError
 # fit are rejected at construction time.
 DEFAULT_MAX_FIELD_BYTES = 1 << 30
 
-# Work on a stack of many fields runs in batches whose spectra (on the
-# dealiasing lattice, in the nonlinearity) stay within this many bytes, about
-# one core's L2 cache: the batched transforms run fastest there, and no
-# temporary spans the whole stack.
+# Work on a stack of many fields runs in batches whose working set stays
+# within this many bytes, so no temporary spans the whole stack: the power
+# kernel counts every buffer one slab touches (solver._slab_bytes), the
+# dyadic and time-norm layers their per-field arrays. It bounds memory, not
+# speed: batches save per-call overhead on small grids, but on large ones a
+# batch transforms about as fast per field as one field at a time (a 192^2
+# irfftn/rfftn pair took 0.71-0.75 ms per field in batches of 7 and
+# 0.63-0.74 ms alone, on a 2-vCPU x86-64 host with one FFT worker), and a
+# slab larger than the budget makes a batch of its own.
 _PAD_BATCH_BYTES = 1 << 21
 
 

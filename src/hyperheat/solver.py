@@ -25,6 +25,8 @@ provides an independent trajectory for cross-validation.
 """
 
 import math
+import numbers
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -66,6 +68,10 @@ class SolverConfig:
     def __post_init__(self):
         if not (math.isfinite(self.horizon) and self.horizon > 0):
             raise ParameterError(f"horizon must be positive, got {self.horizon}")
+        for name in ("slabs", "picard_max_iter"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
         if self.slabs < 4:
             raise ParameterError(f"need at least 4 slabs, got {self.slabs}")
         if not 0 < self.picard_tol < 1:
@@ -143,11 +149,22 @@ def _padded_points(N, dealias_factor):
     return M + M % 2
 
 
-def _batch_length(grid, dealias_factor):
-    """Slabs per batch: the padded spectra of one batch fit ``_PAD_BATCH_BYTES``
-    (16 B per padded half-lattice mode)."""
+@lru_cache(maxsize=16)
+def _slab_bytes(grid, dealias_factor):
+    """Bytes one slab of a batch touches: its padded spectrum, real field,
+    magnitude and transformed spectrum on the dealiasing lattice, and its
+    half-lattice output and recursion rows (left forcing, image and three
+    weight rows)."""
     M = _padded_points(grid.points_per_dim, dealias_factor)
-    return max(1, _PAD_BATCH_BYTES // (16 * M ** (grid.n - 1) * (M // 2 + 1)))
+    padded = M ** (grid.n - 1) * (M // 2 + 1)
+    half = math.prod(grid.half_shape)
+    return 16 * 2 * padded + 8 * 2 * M ** grid.n + 16 * 3 * half + 8 * 3 * half
+
+
+def _batch_length(grid, dealias_factor):
+    """Slabs per batch: the whole working set of a batch fits
+    ``_PAD_BATCH_BYTES``, or one slab when a single slab does not."""
+    return max(1, _PAD_BATCH_BYTES // _slab_bytes(grid, dealias_factor))
 
 
 def _index_blocks(n, N, M):
@@ -169,15 +186,33 @@ def _index_blocks(n, N, M):
     return tuple(blocks)
 
 
-@lru_cache(maxsize=4)
+def _workspace(grid, M, batch):
+    """Zeroed padded spectra and half-lattice outputs of ``batch`` slabs for
+    the power kernel on the M-point dealiasing lattice."""
+    padded = (M,) * (grid.n - 1) + (M // 2 + 1,)
+    return (np.zeros((batch,) + padded, dtype=np.complex128),
+            np.zeros((batch,) + grid.half_shape, dtype=np.complex128))
+
+
+@dataclass(eq=False)
+class _KernelPlan:
+    """Padded size, index blocks and the ``_workspace`` of one batch, which
+    only the holder of ``lock`` reads or replaces."""
+
+    M: int
+    blocks: tuple
+    workspace: tuple
+    lock: threading.Lock
+
+
+@lru_cache(maxsize=1)
 def _kernel_plan(grid, dealias_factor):
-    """The padded size and index blocks of the power kernel, and its padded
-    and output buffers for one field, built once per (grid, dealias factor).
-    Every one-field call writes these buffers: no two threads may share them."""
+    """The power kernel's plan for one grid and dealias factor, its workspace
+    one slab until ``_power_batches`` resizes it. One plan is kept, so no
+    idle workspace of another grid stays resident."""
     M = _padded_points(grid.points_per_dim, dealias_factor)
-    single = tuple(np.zeros((1,) + shape, dtype=np.complex128)
-                   for shape in ((M,) * (grid.n - 1) + (M // 2 + 1,), grid.half_shape))
-    return M, _index_blocks(grid.n, grid.points_per_dim, M), single
+    return _KernelPlan(M, _index_blocks(grid.n, grid.points_per_dim, M),
+                       _workspace(grid, M, 1), threading.Lock())
 
 
 def _power_batches(spectra, grid, r, dealias_factor):
@@ -185,8 +220,8 @@ def _power_batches(spectra, grid, r, dealias_factor):
     of real fields u, dealiased, one batch of slabs at a time.
 
     Yields ``(start, stop, power)``, ``power`` being the result for
-    ``spectra[start:stop]``. It is a view of one buffer that the next batch
-    overwrites (for one field, also the next call), and each batch is read
+    ``spectra[start:stop]``. It is a view of the plan's output buffer that the
+    next batch overwrites, and each batch, of ``_batch_length`` slabs, is read
     from ``spectra`` only when it is reached, so the caller may overwrite the
     slabs it has been given.
 
@@ -194,39 +229,55 @@ def _power_batches(spectra, grid, r, dealias_factor):
     evaluated pointwise there and truncated back. The unpaired Nyquist planes
     are zero on the way in and out (they cannot be embedded symmetrically);
     band-limited workflows never populate them. Every batch writes the same
-    block entries of one padded and one output buffer, so the rest stays
-    zero; one-field calls all share the plan's pair, so they cost only their
-    transforms.
+    block entries of the plan's padded and output buffers, so the rest stays
+    zero; one-field calls use their first row. Besides its two transforms a
+    call allocates only a magnitude buffer, which is not kept: between calls
+    only the two zero-padded layouts stay resident.
+
+    One live iterator per plan: every sweep in this module finishes before
+    the next one on the same grid starts. An iterator started while another
+    on the same plan is live (a nested sweep, another thread) allocates a
+    workspace of its own, so results never depend on the interleaving.
     """
     n = grid.n
     N = grid.points_per_dim
-    M, blocks, single = _kernel_plan(grid, dealias_factor)
+    plan = _kernel_plan(grid, dealias_factor)
+    M = plan.M
     axes = tuple(range(1, n + 1))
     # Unitary transforms on the two lattices differ by (M/N)^(n/2); the power
     # map is homogeneous of degree r, so the factor is applied once, on the
     # way out.
     gain = ((M / N) ** (n / 2.0)) ** (r - 1.0)
-    batch = max(1, min(len(spectra), _batch_length(grid, dealias_factor)))
+    limit = _batch_length(grid, dealias_factor)
+    batch = max(1, min(len(spectra), limit))
     workers = fft_workers()
-    padded, out = single if batch == 1 else (
-        np.zeros((batch,) + a.shape[1:], dtype=np.complex128) for a in single)
-    for start in range(0, len(spectra), batch):
-        stop = min(start + batch, len(spectra))
-        fill = padded[:stop - start]
-        for src, dst in blocks:
-            fill[dst] = spectra[start:stop][src]
-        fine = scipy.fft.irfftn(fill, s=(M,) * n, axes=axes, norm="ortho",
-                                workers=workers)
-        magnitude = np.abs(fine)
-        magnitude **= r - 1.0
-        fine *= magnitude
-        del magnitude
-        fine_hat = scipy.fft.rfftn(fine, axes=axes, norm="ortho", workers=workers)
-        del fine
-        power = out[:stop - start]
-        for src, dst in blocks:
-            np.multiply(fine_hat[dst], gain, out=power[src])
-        yield start, stop, power
+    shared = plan.lock.acquire(blocking=False)
+    try:
+        # The shared workspace follows the longest batch in use and the budget.
+        if shared and not batch <= len(plan.workspace[0]) <= limit:
+            plan.workspace = _workspace(grid, M, batch)
+        padded, out = plan.workspace if shared else _workspace(grid, M, batch)
+        magnitudes = np.empty((batch,) + (M,) * n)
+        for start in range(0, len(spectra), batch):
+            stop = min(start + batch, len(spectra))
+            fill = padded[:stop - start]
+            for src, dst in plan.blocks:
+                fill[dst] = spectra[start:stop][src]
+            fine = scipy.fft.irfftn(fill, s=(M,) * n, axes=axes, norm="ortho",
+                                    workers=workers)
+            magnitude = np.abs(fine, out=magnitudes[:stop - start])
+            magnitude **= r - 1.0
+            fine *= magnitude
+            fine_hat = scipy.fft.rfftn(fine, axes=axes, norm="ortho", workers=workers)
+            del fine
+            power = out[:stop - start]
+            for src, dst in plan.blocks:
+                np.multiply(fine_hat[dst], gain, out=power[src])
+            del fine_hat
+            yield start, stop, power
+    finally:
+        if shared:
+            plan.lock.release()
 
 
 def _power_spectra(spectra, grid, r, dealias_factor):
@@ -315,13 +366,13 @@ def _duhamel_sweep(left, carry, weights, batches, offset=0):
 
     Yields ``(start, stop, terms)`` per batch, ``terms`` holding the image
     at the slab ends start+1..stop (counted from tau = 0); the caller may
-    then overwrite those slabs.
+    then overwrite those slabs, but not ``terms``, whose last slab carries.
     """
     for start, stop, forcing in batches:
         start, stop = start + offset, stop + offset
         terms = _duhamel_terms(left, carry, forcing, weights, start)
         left = forcing[-1].copy()
-        carry = terms[-1].copy()
+        carry = terms[-1]
         yield start, stop, terms
 
 
@@ -461,17 +512,23 @@ def picard_solve(u0, cfg, m, w, sp):
     frozen = 0
     converged = False
     iterations = 0
+    # A batch's new slabs and their change, normed in one call: the dyadic
+    # weights are read once per batch, however short the batches are.
+    batch = min(len(times), _batch_length(grid, cfg.dealias_factor))
+    pairs = np.empty((2 * batch,) + u0_hat.shape, dtype=np.complex128)
     for iterations in range(1, cfg.picard_max_iter + 1):
         peak = 0.0
         previous, gaps = gaps, previous
         gaps[:frozen] = 0.0
         batches = _power_batches(current[frozen:], grid, m.r, cfg.dealias_factor)
         for start, stop, new in _duhamel_sweep(left, carry, weights, batches, frozen):
+            count = stop - start
             old = current[start:stop]
-            norms[start:stop] = a_norms_of_spectra(new, grid, sp, dec)
-            # The old slabs become new - old, then new.
-            gaps[start:stop] = a_norms_of_spectra(np.subtract(new, old, out=old), grid,
-                                                  sp, dec)
+            pair = pairs[:2 * count]
+            pair[:count] = new
+            np.subtract(new, old, out=pair[count:])
+            norms[start:stop], gaps[start:stop] = np.split(
+                a_norms_of_spectra(pair, grid, sp, dec), 2)
             peak = max(peak, float(np.max(l2_norms_of_spectra(new, grid))))
             old[...] = new
         frozen_used.append(frozen)
@@ -566,13 +623,11 @@ def pde_residual(traj, m, dealias_factor=1.5):
     lam = half_lattice(dissipation_symbol(grid, m))
     shape = (-1,) + (1,) * grid.n
     h = np.diff(np.asarray(traj.times))
-    batch = _batch_length(grid, dealias_factor)
+    spectra = traj.spectra
     worst = 0.0
-    # Batches of interior samples, each transformed with its two neighbours.
-    for start in range(0, len(traj) - 2, batch):
-        stop = min(start + batch, len(traj) - 2)
-        spectra = traj.spectra[start:stop + 2]
-        before, middle, after = spectra[:-2], spectra[1:-1], spectra[2:]
+    # The kernel's batches of interior samples, each with its two neighbours.
+    for start, stop, power in _power_batches(spectra[1:-1], grid, m.r, dealias_factor):
+        before, middle, after = (spectra[start + k:stop + k] for k in range(3))
         h0 = h[start:stop].reshape(shape)
         h1 = h[start + 1:stop + 1].reshape(shape)
         # The centered difference plus the dissipation, accumulated in place.
@@ -582,7 +637,7 @@ def pde_residual(traj, m, dealias_factor=1.5):
         resid += np.multiply(h0 / (h1 * (h0 + h1)), after, out=term)
         resid += np.multiply(lam, middle, out=term)
         del term
-        resid -= _power_spectra(middle, grid, m.r, dealias_factor)
+        resid -= power
         scale = l2_norms_of_spectra(middle, grid)
         live = scale > 0.0
         ratios = l2_norms_of_spectra(resid, grid)[live] / scale[live]

@@ -128,6 +128,14 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_config("[experiment]\nid = solve\n\n[model]\nalpha = -1\n")
 
+    @pytest.mark.parametrize("experiment, key", [("solve", "oracle_tl"),
+                                                 ("contraction", "oracle_tol"),
+                                                 ("sweep", "seeds")])
+    def test_unknown_experiment_key_rejected(self, experiment, key):
+        # A misspelled knob, or one of another experiment, would be ignored.
+        with pytest.raises(ConfigError, match=key):
+            parse_config(f"[experiment]\nid = {experiment}\n{key} = 1\n")
+
     def test_free_extras_allowed_in_experiment_section(self):
         cfg = parse_config("[experiment]\nid = solve\noracle_tol = 1e-8\n")
         assert cfg.get_float("oracle_tol") == 1e-8

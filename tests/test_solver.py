@@ -64,6 +64,19 @@ class TestSolverConfig:
         with pytest.raises(ParameterError):
             SolverConfig(**kwargs)
 
+    @pytest.mark.parametrize("key, value", [("slabs", 16.5), ("slabs", 16.0),
+                                            ("slabs", True), ("slabs", "16"),
+                                            ("picard_max_iter", 2.5),
+                                            ("picard_max_iter", False)])
+    def test_integer_fields_reject_other_types(self, key, value):
+        with pytest.raises(ParameterError, match=key):
+            SolverConfig(horizon=1.0, **{key: value})
+
+    def test_integer_fields_take_numpy_integers(self):
+        cfg = SolverConfig(horizon=1.0, slabs=np.int64(16), picard_max_iter=np.int32(5))
+        assert cfg == SolverConfig(horizon=1.0, slabs=16, picard_max_iter=5)
+        assert len(slab_times(cfg)) == len(slab_times(SolverConfig(horizon=1.0, slabs=16)))
+
     def test_slab_grid_structure(self):
         cfg = SolverConfig(horizon=0.5, slabs=16)
         t = slab_times(cfg)

@@ -153,13 +153,13 @@ class TestPowerKernel:
     def test_bytes_do_not_depend_on_batching(self, n, monkeypatch):
         grid = GRIDS[n]
         spectra = real_spectra(kernel_inputs(grid, 7, n), grid)
-        M = 3 * grid.points_per_dim // 2
-        padded_mode_bytes = 16 * M ** (n - 1) * (M // 2 + 1)
         results = []
         # One slab per batch, three per batch (a ragged last batch), all in one.
-        for budget in (1, 3 * padded_mode_bytes, 1 << 40):
+        for budget, batch in ((1, 1), (3 * solver._slab_bytes(grid, 1.5), 3),
+                              (1 << 40, 7)):
             monkeypatch.setattr(solver, "_PAD_BATCH_BYTES", budget)
             results.append(solver._power_spectra(spectra, grid, 2.5, 1.5).tobytes())
+            assert len(solver._kernel_plan(grid, 1.5).workspace[0]) == batch
         assert results[0] == results[1] == results[2]
 
     def test_public_nonlinearity_uses_the_kernel(self):
@@ -190,7 +190,7 @@ class TestPowerKernel:
                                times=tuple(np.linspace(0.0, 0.1, 101)[1:]))
             for _ in range(2):
                 etd_oracle(u0, cfg, m)
-                one_field = solver._kernel_plan(grid, dealias_factor)[2][0]
+                one_field = solver._kernel_plan(grid, dealias_factor).workspace[0]
                 assert padded.setdefault(dealias_factor, one_field) is one_field
         assert built == [(2, 32, 48), (2, 32, 64)]
 
@@ -207,6 +207,38 @@ class TestPowerKernel:
                   for i in range(len(spectra))]
         assert first.tobytes() == single[0].tobytes()
         assert np.concatenate(single).tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("grid", [TorusGrid(1, 512), TorusGrid(1, 64), TorusGrid(2, 32),
+                                      TorusGrid(2, 64), TorusGrid(3, 16)],
+                             ids=["1d512", "1d64", "2d32", "2d64", "3d16"])
+    def test_batch_working_set_fits_the_budget(self, grid, monkeypatch):
+        # The per-slab count covers at least the kernel's own arrays, read
+        # off a sweep: its workspace rows, its two transforms' outputs and
+        # a magnitude row as large as the real field.
+        row_bytes = {}
+        for name in ("irfftn", "rfftn"):
+            def recording(*args, _name=name, _transform=getattr(scipy.fft, name), **kwargs):
+                result = _transform(*args, **kwargs)
+                row_bytes[_name] = result.nbytes // len(result)
+                return result
+            monkeypatch.setattr(scipy.fft, name, recording)
+        batch = solver._batch_length(grid, 1.5)
+        spectra = real_spectra(kernel_inputs(grid, 2 * batch + 1, grid.n), grid)
+        solver._power_spectra(spectra, grid, 3.0, 1.5)
+        workspace = solver._kernel_plan(grid, 1.5).workspace
+        assert len(workspace[0]) == batch > 1
+        kernel = (sum(a[0].nbytes for a in workspace) + 2 * row_bytes["irfftn"]
+                  + row_bytes["rfftn"])
+        per_slab = solver._slab_bytes(grid, 1.5)
+        assert kernel <= per_slab
+        assert batch * per_slab <= solver._PAD_BATCH_BYTES
+
+    @pytest.mark.parametrize("points", [128, 256])
+    def test_large_grids_take_one_slab_per_batch(self, points):
+        # Two 128^2 slabs exceed the budget; one 256^2 slab alone does.
+        grid = TorusGrid(2, points)
+        assert 2 * solver._slab_bytes(grid, 1.5) > solver._PAD_BATCH_BYTES
+        assert solver._batch_length(grid, 1.5) == 1
 
     def test_rejects_padding_below_one(self):
         grid = GRIDS[1]

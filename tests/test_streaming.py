@@ -8,8 +8,11 @@ counts; the dyadic tables are built first, and so are the cached slab
 weights unless the measurement is cold.
 """
 
+import collections
 import dataclasses
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -18,10 +21,11 @@ import scipy.fft
 
 import test_time_stacks
 from hyperheat import (BlowupSuspectedError, ModelParams, SolverConfig, SpaceParams,
-                       TimeWeight, TorusGrid, build_decomposition, duhamel_apply,
-                       etd_oracle, pde_residual, picard_solve, random_band_limited,
-                       slab_times, weighted_norm)
+                       TimeWeight, TorusGrid, build_decomposition, default_config,
+                       duhamel_apply, etd_oracle, pde_residual, picard_solve,
+                       random_band_limited, slab_times, weighted_norm)
 from hyperheat import dyadic, solver, timenorms
+from hyperheat.grid import real_spectra
 
 MODEL = ModelParams(alpha=1, r=3.0, n=2)
 SPACE = SpaceParams("B", 1.5, 2.0, 2.0)
@@ -33,9 +37,20 @@ def set_batch_bytes(monkeypatch, budget):
         monkeypatch.setattr(module, "_PAD_BATCH_BYTES", budget)
 
 
-def padded_slab_bytes(g, dealias_factor):
-    M = solver._padded_points(g.points_per_dim, dealias_factor)
-    return 16 * M ** (g.n - 1) * (M // 2 + 1)
+def traced_peak(call):
+    """Peak ``tracemalloc`` bytes above those allocated before ``call``; the
+    returned value counts, as it is allocated during the call."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
 
 
 class TestWorkingMemory:
@@ -58,19 +73,7 @@ class TestWorkingMemory:
             solver._slab_weights(self.GRID, MODEL, tuple(times.tolist()))
         build_decomposition(self.GRID).half_block_weights
         stack = 16 * len(times) * math.prod(self.GRID.half_shape)
-        was_tracing = tracemalloc.is_tracing()
-        if not was_tracing:
-            tracemalloc.start()
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        try:
-            result = call()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            if not was_tracing:
-                tracemalloc.stop()
-        del result  # held until the peak was read, so the returned value counts
-        return (peak - base) / stack
+        return traced_peak(call) / stack
 
     def test_picard_solve_holds_one_iterate_stack(self, solved):
         u0, _ = solved
@@ -141,6 +144,103 @@ class TestWorkingMemory:
             lambda: etd_oracle(u0, self.CFG, MODEL), cold=True) <= 1.75
 
 
+class TestKernelWorkspace:
+    # The contraction experiment's grid and top slab grid: 32^2, 129 slab
+    # times, several kernel batches per sweep.
+    CONFIG = default_config("contraction")
+    GRID = CONFIG.grid
+
+    def stacks(self, count, seed):
+        rng = np.random.default_rng(seed)
+        return real_spectra(rng.standard_normal((count,) + self.GRID.shape), self.GRID)
+
+    def test_warm_sweep_peaks_within_the_batch_budget(self):
+        # Batches are sized by their whole working set and the kernel writes
+        # into its plan's workspace, so a sweep holds one batch's temporaries.
+        times = slab_times(self.CONFIG.solver)
+        assert len(times) == 129
+        assert len(times) > 4 * solver._batch_length(self.GRID, 1.5)
+        u = random_band_limited(self.GRID, 3, 1.9, 1.0)
+        scale = np.linspace(0.5, 1.0, len(times) + 1).reshape(-1, 1, 1)
+        stack = real_spectra(scale * u.samples, self.GRID)
+
+        def sweep(spectra):
+            solver._duhamel_spectra(spectra, times, self.CONFIG.solver, self.CONFIG.model,
+                                    self.GRID)
+
+        sweep(stack.copy())  # warm: slab weights and kernel plan
+        spectra = stack.copy()
+        assert traced_peak(lambda: sweep(spectra)) <= solver._PAD_BATCH_BYTES
+
+    def test_interleaved_iterators_keep_their_own_batches(self):
+        # A second live iterator on one plan must not write the first one's
+        # workspace: each yielded batch is read after the other advanced.
+        batch = solver._batch_length(self.GRID, 1.5)
+        x, y = self.stacks(2 * batch + 3, 1), self.stacks(2 * batch + 3, 2)
+        want = [solver._power_spectra(s, self.GRID, 3.0, 1.5).tobytes() for s in (x, y)]
+        got = [np.empty_like(x), np.empty_like(y)]
+        pairs = zip(solver._power_batches(x, self.GRID, 3.0, 1.5),
+                    solver._power_batches(y, self.GRID, 3.0, 1.5))
+        for (a0, a1, pa), (b0, b1, pb) in pairs:
+            got[0][a0:a1] = pa
+            got[1][b0:b1] = pb
+        assert [g.tobytes() for g in got] == want
+        # The plan's workspace is free again: a later call shares it.
+        workspace = solver._kernel_plan(self.GRID, 1.5).workspace
+        solver._power_spectra(x, self.GRID, 3.0, 1.5)
+        assert solver._kernel_plan(self.GRID, 1.5).workspace is workspace
+
+    def test_threads_sharing_a_plan_keep_their_own_results(self):
+        # More threads than cores on one plan, switching often: a thread that
+        # wrote into another's live workspace would change its bytes.
+        batch = solver._batch_length(self.GRID, 1.5)
+        stacks = [self.stacks(2 * batch + 3, seed) for seed in range(4)]
+        want = [solver._power_spectra(s, self.GRID, 3.0, 1.5).tobytes() for s in stacks]
+        got = [[] for _ in stacks]
+
+        def work(i):
+            for _ in range(5):
+                got[i].append(solver._power_spectra(stacks[i], self.GRID, 3.0, 1.5).tobytes())
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(stacks))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [[w] * 5 for w in want]
+
+    def test_library_keeps_one_live_iterator_per_plan(self, monkeypatch):
+        live = collections.Counter()
+        most = []
+        power_batches = solver._power_batches
+
+        def tracking(spectra, grid, r, dealias_factor):
+            key = (grid, dealias_factor)
+            live[key] += 1
+            most.append(live[key])
+            try:
+                yield from power_batches(spectra, grid, r, dealias_factor)
+            finally:
+                live[key] -= 1
+
+        monkeypatch.setattr(solver, "_power_batches", tracking)
+        grid = TorusGrid(2, 16)
+        cfg = SolverConfig(horizon=0.1, slabs=24)
+        u0 = random_band_limited(grid, 7, 3.0, amplitude=0.8)
+        traj = picard_solve(u0, cfg, MODEL, TimeWeight(b=0.5 / 6.0, v=1.0, T=0.1),
+                            SPACE).trajectory
+        duhamel_apply(u0, traj, cfg, MODEL)
+        pde_residual(traj, MODEL, cfg.dealias_factor)
+        etd_oracle(u0, cfg, MODEL)
+        assert len(most) > len(traj) and max(most) == 1
+
+
 def relative(a, b):
     return abs(a - b) / abs(b)
 
@@ -150,7 +250,7 @@ class TestBatchBoundaries:
     CFG = SolverConfig(horizon=0.1, slabs=24, extra_times=(0.05, 0.025, 0.0125))
     WEIGHT = TimeWeight(b=0.5 / 6.0, v=1.0, T=0.1)
     # One slab per batch, three (a ragged last batch) and every slab at once.
-    BUDGETS = {"1 slab": 1, "3 slabs": 3 * padded_slab_bytes(GRID, 1.5),
+    BUDGETS = {"1 slab": 1, "3 slabs": 3 * solver._slab_bytes(GRID, 1.5),
                "all slabs": 1 << 40}
 
     def run(self, monkeypatch, budget):
