@@ -26,7 +26,6 @@ provides an independent trajectory for cross-validation.
 
 import math
 import numbers
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -186,33 +185,12 @@ def _index_blocks(n, N, M):
     return tuple(blocks)
 
 
-def _workspace(grid, M, batch):
-    """Zeroed padded spectra and half-lattice outputs of ``batch`` slabs for
-    the power kernel on the M-point dealiasing lattice."""
-    padded = (M,) * (grid.n - 1) + (M // 2 + 1,)
-    return (np.zeros((batch,) + padded, dtype=np.complex128),
-            np.zeros((batch,) + grid.half_shape, dtype=np.complex128))
-
-
-@dataclass(eq=False)
-class _KernelPlan:
-    """Padded size, index blocks and the ``_workspace`` of one batch, which
-    only the holder of ``lock`` reads or replaces."""
-
-    M: int
-    blocks: tuple
-    workspace: tuple
-    lock: threading.Lock
-
-
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=16)
 def _kernel_plan(grid, dealias_factor):
-    """The power kernel's plan for one grid and dealias factor, its workspace
-    one slab until ``_power_batches`` resizes it. One plan is kept, so no
-    idle workspace of another grid stays resident."""
+    """The power kernel's padded size M and its ``_index_blocks``: immutable,
+    so every call shares them."""
     M = _padded_points(grid.points_per_dim, dealias_factor)
-    return _KernelPlan(M, _index_blocks(grid.n, grid.points_per_dim, M),
-                       _workspace(grid, M, 1), threading.Lock())
+    return M, _index_blocks(grid.n, grid.points_per_dim, M)
 
 
 def _power_batches(spectra, grid, r, dealias_factor):
@@ -220,7 +198,7 @@ def _power_batches(spectra, grid, r, dealias_factor):
     of real fields u, dealiased, one batch of slabs at a time.
 
     Yields ``(start, stop, power)``, ``power`` being the result for
-    ``spectra[start:stop]``. It is a view of the plan's output buffer that the
+    ``spectra[start:stop]``. It is a view of the call's output buffer that the
     next batch overwrites, and each batch, of ``_batch_length`` slabs, is read
     from ``spectra`` only when it is reached, so the caller may overwrite the
     slabs it has been given.
@@ -228,56 +206,42 @@ def _power_batches(spectra, grid, r, dealias_factor):
     Each field is zero-padded to the lattice enlarged by ``dealias_factor``,
     evaluated pointwise there and truncated back. The unpaired Nyquist planes
     are zero on the way in and out (they cannot be embedded symmetrically);
-    band-limited workflows never populate them. Every batch writes the same
-    block entries of the plan's padded and output buffers, so the rest stays
-    zero; one-field calls use their first row. Besides its two transforms a
-    call allocates only a magnitude buffer, which is not kept: between calls
-    only the two zero-padded layouts stay resident.
-
-    One live iterator per plan: every sweep in this module finishes before
-    the next one on the same grid starts. An iterator started while another
-    on the same plan is live (a nested sweep, another thread) allocates a
-    workspace of its own, so results never depend on the interleaving.
+    band-limited workflows never populate them. Each call allocates its own
+    zeroed padded and output buffers and a magnitude buffer, one batch long,
+    and every batch writes the same block entries of them, so the rest stays
+    zero. Nothing outlives the call, so nested and concurrent calls share no
+    buffer.
     """
     n = grid.n
     N = grid.points_per_dim
-    plan = _kernel_plan(grid, dealias_factor)
-    M = plan.M
+    M, blocks = _kernel_plan(grid, dealias_factor)
     axes = tuple(range(1, n + 1))
     # Unitary transforms on the two lattices differ by (M/N)^(n/2); the power
     # map is homogeneous of degree r, so the factor is applied once, on the
     # way out.
     gain = ((M / N) ** (n / 2.0)) ** (r - 1.0)
-    limit = _batch_length(grid, dealias_factor)
-    batch = max(1, min(len(spectra), limit))
+    batch = max(1, min(len(spectra), _batch_length(grid, dealias_factor)))
     workers = fft_workers()
-    shared = plan.lock.acquire(blocking=False)
-    try:
-        # The shared workspace follows the longest batch in use and the budget.
-        if shared and not batch <= len(plan.workspace[0]) <= limit:
-            plan.workspace = _workspace(grid, M, batch)
-        padded, out = plan.workspace if shared else _workspace(grid, M, batch)
-        magnitudes = np.empty((batch,) + (M,) * n)
-        for start in range(0, len(spectra), batch):
-            stop = min(start + batch, len(spectra))
-            fill = padded[:stop - start]
-            for src, dst in plan.blocks:
-                fill[dst] = spectra[start:stop][src]
-            fine = scipy.fft.irfftn(fill, s=(M,) * n, axes=axes, norm="ortho",
-                                    workers=workers)
-            magnitude = np.abs(fine, out=magnitudes[:stop - start])
-            magnitude **= r - 1.0
-            fine *= magnitude
-            fine_hat = scipy.fft.rfftn(fine, axes=axes, norm="ortho", workers=workers)
-            del fine
-            power = out[:stop - start]
-            for src, dst in plan.blocks:
-                np.multiply(fine_hat[dst], gain, out=power[src])
-            del fine_hat
-            yield start, stop, power
-    finally:
-        if shared:
-            plan.lock.release()
+    padded = np.zeros((batch,) + (M,) * (n - 1) + (M // 2 + 1,), dtype=np.complex128)
+    out = np.zeros((batch,) + grid.half_shape, dtype=np.complex128)
+    magnitudes = np.empty((batch,) + (M,) * n)
+    for start in range(0, len(spectra), batch):
+        stop = min(start + batch, len(spectra))
+        fill = padded[:stop - start]
+        for src, dst in blocks:
+            fill[dst] = spectra[start:stop][src]
+        fine = scipy.fft.irfftn(fill, s=(M,) * n, axes=axes, norm="ortho",
+                                workers=workers)
+        magnitude = np.abs(fine, out=magnitudes[:stop - start])
+        magnitude **= r - 1.0
+        fine *= magnitude
+        fine_hat = scipy.fft.rfftn(fine, axes=axes, norm="ortho", workers=workers)
+        del fine
+        power = out[:stop - start]
+        for src, dst in blocks:
+            np.multiply(fine_hat[dst], gain, out=power[src])
+        del fine_hat
+        yield start, stop, power
 
 
 def _power_spectra(spectra, grid, r, dealias_factor):
@@ -323,10 +287,12 @@ class _SlabWeights:
     phi2: np.ndarray
 
 
-@lru_cache(maxsize=2)
+@lru_cache(maxsize=4)
 def _slab_weights(grid, m, times):
     """The slab weights for a tuple of slab-end times, built once and shared by
-    the Duhamel recursion and the exponential integrator (read-only)."""
+    the Duhamel recursion and the exponential integrator (read-only). Four
+    slab grids are kept, so a solve interleaved with an order study at three
+    slab counts rebuilds none of them."""
     lam = half_lattice(dissipation_symbol(grid, m))
     steps, step = np.unique(np.diff(times, prepend=0.0), return_inverse=True)
     dt = steps.reshape((-1,) + (1,) * grid.n)

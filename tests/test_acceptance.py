@@ -1,6 +1,6 @@
 """End-to-end acceptance battery.
 
-Eleven numbered criteria, each a single test asserting its stated
+Twelve numbered criteria, each a single test asserting its stated
 tolerance and printing one PASS/FAIL line. Criteria over whole experiment
 runs go through the same configs the CLI uses; the others call the library
 directly.
@@ -11,11 +11,12 @@ import math
 
 import numpy as np
 
-from hyperheat import (ModelParams, SpaceParams, TorusGrid, a_norm,
-                       apply_semigroup, block, build_decomposition,
-                       contraction_identity_check, cosine_mode, default_config,
-                       forward_transform, random_band_limited, run_experiment,
-                       semigroup_property_check, synthesize_kernel)
+from hyperheat import (ModelParams, SolverConfig, SpaceParams, TimeWeight, TorusGrid,
+                       a_norm, apply_semigroup, block, build_decomposition,
+                       constant_field, contraction_identity_check, cosine_mode,
+                       default_config, forward_transform, picard_solve,
+                       random_band_limited, run_experiment, semigroup_property_check,
+                       synthesize_kernel)
 
 # One line per criterion; the conftest terminal-summary hook replays these
 # after the run so they survive output capture.
@@ -236,3 +237,28 @@ def test_criterion_11_contraction_for_small_horizons():
            f"min ratio={below.value:.3g}, horizons={len(rows)}")
     assert decreasing.passed
     assert below.passed
+
+
+def closed_form_error():
+    """Largest relative deviation of the Picard solution from constant data
+    c = 1, r = 3, on 8^2 with 160 uniform slabs to T = 0.25, from the exact
+    u(t) = c (1 - 2 c^2 t)^(-1/2) over every slab time. The solution grows by
+    41 % on [0, T], so the nonlinearity, its sign and the slab quadrature's
+    phi2 term all move it by far more than the 1e-5 bound."""
+    c, T = 1.0, 0.25
+    m = ModelParams(alpha=1, r=3.0, n=2)
+    cfg = SolverConfig(horizon=T, times=tuple(np.linspace(0.0, T, 161)[1:]))
+    w = TimeWeight(b=0.5 / (2.0 * m.r), v=1.0, T=T)
+    sp = SpaceParams("B", 1.5, 2.0, 2.0, s0=1.5)
+    traj = picard_solve(constant_field(TorusGrid(2, 8), c), cfg, m, w, sp).trajectory
+    exact = c / np.sqrt(1.0 - 2.0 * c ** 2 * np.asarray(traj.times))
+    samples = np.stack([f.samples for f in traj.fields])
+    return float(np.max(np.abs(samples - exact[:, None, None]) / exact[:, None, None]))
+
+
+def test_criterion_12_constant_data_closed_form():
+    error = closed_form_error()
+    ok = error <= 1e-5
+    report(12, "constant data against the closed form", ok,
+           f"max relative error={error:.3g}, slabs=160")
+    assert ok

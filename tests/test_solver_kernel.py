@@ -155,11 +155,14 @@ class TestPowerKernel:
         spectra = real_spectra(kernel_inputs(grid, 7, n), grid)
         results = []
         # One slab per batch, three per batch (a ragged last batch), all in one.
-        for budget, batch in ((1, 1), (3 * solver._slab_bytes(grid, 1.5), 3),
-                              (1 << 40, 7)):
+        for budget, lengths in ((1, [1] * 7), (3 * solver._slab_bytes(grid, 1.5), [3, 3, 1]),
+                                (1 << 40, [7])):
             monkeypatch.setattr(solver, "_PAD_BATCH_BYTES", budget)
+            assert min(solver._batch_length(grid, 1.5), len(spectra)) == lengths[0]
             results.append(solver._power_spectra(spectra, grid, 2.5, 1.5).tobytes())
-            assert len(solver._kernel_plan(grid, 1.5).workspace[0]) == batch
+            shapes = [power.shape for _, _, power in
+                      solver._power_batches(spectra, grid, 2.5, 1.5)]
+            assert shapes == [(length,) + grid.half_shape for length in lengths]
         assert results[0] == results[1] == results[2]
 
     def test_public_nonlinearity_uses_the_kernel(self):
@@ -183,20 +186,21 @@ class TestPowerKernel:
         grid = GRIDS[2]
         m = ModelParams(alpha=1, r=3.0, n=2)
         u0 = random_band_limited(grid, 5, max_radius=6.0)
-        padded = {}
+        plans = {}
         for dealias_factor in (1.5, 2.0):
             # 100 steps, each evaluating the power of one field twice.
             cfg = SolverConfig(horizon=0.1, dealias_factor=dealias_factor,
                                times=tuple(np.linspace(0.0, 0.1, 101)[1:]))
             for _ in range(2):
                 etd_oracle(u0, cfg, m)
-                one_field = solver._kernel_plan(grid, dealias_factor).workspace[0]
-                assert padded.setdefault(dealias_factor, one_field) is one_field
+                plan = solver._kernel_plan(grid, dealias_factor)
+                assert plans.setdefault(dealias_factor, plan) is plan
         assert built == [(2, 32, 48), (2, 32, 64)]
+        assert [M for M, _ in plans.values()] == [48, 64]
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_shared_buffers_keep_single_fields_bit_identical(self, n):
-        # One-field calls share cached buffers; the entries outside the
+        # Every batch reuses its call's buffers; the entries outside the
         # index blocks, Nyquist planes included, must stay zero.
         grid = GRIDS[n]
         spectra = real_spectra(kernel_inputs(grid, 7, n), grid)
@@ -213,21 +217,25 @@ class TestPowerKernel:
                              ids=["1d512", "1d64", "2d32", "2d64", "3d16"])
     def test_batch_working_set_fits_the_budget(self, grid, monkeypatch):
         # The per-slab count covers at least the kernel's own arrays, read
-        # off a sweep: its workspace rows, its two transforms' outputs and
-        # a magnitude row as large as the real field.
+        # off a sweep: its padded input and output rows, its two transforms'
+        # outputs and a magnitude row as large as the real field.
         row_bytes = {}
         for name in ("irfftn", "rfftn"):
             def recording(*args, _name=name, _transform=getattr(scipy.fft, name), **kwargs):
                 result = _transform(*args, **kwargs)
                 row_bytes[_name] = result.nbytes // len(result)
+                if _name == "irfftn":
+                    row_bytes["padded"] = args[0].nbytes // len(args[0])
                 return result
             monkeypatch.setattr(scipy.fft, name, recording)
         batch = solver._batch_length(grid, 1.5)
         spectra = real_spectra(kernel_inputs(grid, 2 * batch + 1, grid.n), grid)
-        solver._power_spectra(spectra, grid, 3.0, 1.5)
-        workspace = solver._kernel_plan(grid, 1.5).workspace
-        assert len(workspace[0]) == batch > 1
-        kernel = (sum(a[0].nbytes for a in workspace) + 2 * row_bytes["irfftn"]
+        lengths = []
+        for _, _, power in solver._power_batches(spectra, grid, 3.0, 1.5):
+            lengths.append(len(power))
+            row_bytes["out"] = power[0].nbytes
+        assert lengths == [batch, batch, 1] and batch > 1
+        kernel = (row_bytes["padded"] + row_bytes["out"] + 2 * row_bytes["irfftn"]
                   + row_bytes["rfftn"])
         per_slab = solver._slab_bytes(grid, 1.5)
         assert kernel <= per_slab

@@ -8,7 +8,6 @@ counts; the dyadic tables are built first, and so are the cached slab
 weights unless the measurement is cold.
 """
 
-import collections
 import dataclasses
 import math
 import sys
@@ -37,9 +36,10 @@ def set_batch_bytes(monkeypatch, budget):
         monkeypatch.setattr(module, "_PAD_BATCH_BYTES", budget)
 
 
-def traced_peak(call):
-    """Peak ``tracemalloc`` bytes above those allocated before ``call``; the
-    returned value counts, as it is allocated during the call."""
+def traced(call):
+    """``tracemalloc`` bytes above those allocated before ``call``: its peak,
+    which counts the returned value (allocated during the call), and what
+    the call still holds once that value is dropped."""
     was_tracing = tracemalloc.is_tracing()
     if not was_tracing:
         tracemalloc.start()
@@ -47,7 +47,8 @@ def traced_peak(call):
     base = tracemalloc.get_traced_memory()[0]
     try:
         call()
-        return tracemalloc.get_traced_memory()[1] - base
+        kept, peak = tracemalloc.get_traced_memory()
+        return peak - base, kept - base
     finally:
         if not was_tracing:
             tracemalloc.stop()
@@ -73,7 +74,7 @@ class TestWorkingMemory:
             solver._slab_weights(self.GRID, MODEL, tuple(times.tolist()))
         build_decomposition(self.GRID).half_block_weights
         stack = 16 * len(times) * math.prod(self.GRID.half_shape)
-        return traced_peak(call) / stack
+        return traced(call)[0] / stack
 
     def test_picard_solve_holds_one_iterate_stack(self, solved):
         u0, _ = solved
@@ -155,8 +156,9 @@ class TestKernelWorkspace:
         return real_spectra(rng.standard_normal((count,) + self.GRID.shape), self.GRID)
 
     def test_warm_sweep_peaks_within_the_batch_budget(self):
-        # Batches are sized by their whole working set and the kernel writes
-        # into its plan's workspace, so a sweep holds one batch's temporaries.
+        # Batches are sized by their whole working set and each kernel call
+        # reuses its own buffers across batches, so a sweep holds one
+        # batch's temporaries.
         times = slab_times(self.CONFIG.solver)
         assert len(times) == 129
         assert len(times) > 4 * solver._batch_length(self.GRID, 1.5)
@@ -170,29 +172,29 @@ class TestKernelWorkspace:
 
         sweep(stack.copy())  # warm: slab weights and kernel plan
         spectra = stack.copy()
-        assert traced_peak(lambda: sweep(spectra)) <= solver._PAD_BATCH_BYTES
+        assert traced(lambda: sweep(spectra))[0] <= solver._PAD_BATCH_BYTES
 
     def test_interleaved_iterators_keep_their_own_batches(self):
-        # A second live iterator on one plan must not write the first one's
-        # workspace: each yielded batch is read after the other advanced.
+        # A second live iterator on one grid must not write the first one's
+        # buffers: each yielded batch is read after the other advanced.
         batch = solver._batch_length(self.GRID, 1.5)
         x, y = self.stacks(2 * batch + 3, 1), self.stacks(2 * batch + 3, 2)
         want = [solver._power_spectra(s, self.GRID, 3.0, 1.5).tobytes() for s in (x, y)]
         got = [np.empty_like(x), np.empty_like(y)]
+        shapes = []
         pairs = zip(solver._power_batches(x, self.GRID, 3.0, 1.5),
                     solver._power_batches(y, self.GRID, 3.0, 1.5))
         for (a0, a1, pa), (b0, b1, pb) in pairs:
             got[0][a0:a1] = pa
             got[1][b0:b1] = pb
+            shapes.append((pa.shape, pb.shape))
         assert [g.tobytes() for g in got] == want
-        # The plan's workspace is free again: a later call shares it.
-        workspace = solver._kernel_plan(self.GRID, 1.5).workspace
-        solver._power_spectra(x, self.GRID, 3.0, 1.5)
-        assert solver._kernel_plan(self.GRID, 1.5).workspace is workspace
+        assert shapes == [((length,) + self.GRID.half_shape,) * 2
+                          for length in (batch, batch, 3)]
 
     def test_threads_sharing_a_plan_keep_their_own_results(self):
-        # More threads than cores on one plan, switching often: a thread that
-        # wrote into another's live workspace would change its bytes.
+        # More threads than cores on one grid, switching often: a thread that
+        # wrote into another's live buffers would change its bytes.
         batch = solver._batch_length(self.GRID, 1.5)
         stacks = [self.stacks(2 * batch + 3, seed) for seed in range(4)]
         want = [solver._power_spectra(s, self.GRID, 3.0, 1.5).tobytes() for s in stacks]
@@ -215,30 +217,19 @@ class TestKernelWorkspace:
         assert not any(thread.is_alive() for thread in threads)
         assert got == [[w] * 5 for w in want]
 
-    def test_library_keeps_one_live_iterator_per_plan(self, monkeypatch):
-        live = collections.Counter()
-        most = []
-        power_batches = solver._power_batches
-
-        def tracking(spectra, grid, r, dealias_factor):
-            key = (grid, dealias_factor)
-            live[key] += 1
-            most.append(live[key])
-            try:
-                yield from power_batches(spectra, grid, r, dealias_factor)
-            finally:
-                live[key] -= 1
-
-        monkeypatch.setattr(solver, "_power_batches", tracking)
-        grid = TorusGrid(2, 16)
-        cfg = SolverConfig(horizon=0.1, slabs=24)
-        u0 = random_band_limited(grid, 7, 3.0, amplitude=0.8)
-        traj = picard_solve(u0, cfg, MODEL, TimeWeight(b=0.5 / 6.0, v=1.0, T=0.1),
-                            SPACE).trajectory
-        duhamel_apply(u0, traj, cfg, MODEL)
-        pde_residual(traj, MODEL, cfg.dealias_factor)
-        etd_oracle(u0, cfg, MODEL)
-        assert len(most) > len(traj) and max(most) == 1
+    @pytest.mark.parametrize("points, count", [(128, 1), (32, 129)],
+                             ids=["128sq-one-slab", "32sq-batches"])
+    def test_cold_call_keeps_no_buffer(self, points, count):
+        # A cold call builds its plan, and keeps no more than that: not even
+        # one slab's output row outlives it, at one slab or over several
+        # batches.
+        grid = TorusGrid(2, points)
+        rng = np.random.default_rng(points)
+        spectra = real_spectra(rng.standard_normal((count,) + grid.shape), grid)
+        assert count == 1 or count > 2 * solver._batch_length(grid, 1.5)
+        solver._kernel_plan.cache_clear()
+        kept = traced(lambda: solver._power_spectra(spectra, grid, 3.0, 1.5))[1]
+        assert kept < 16 * math.prod(grid.half_shape)
 
 
 def relative(a, b):
