@@ -16,10 +16,9 @@ from .errors import (BlowupSuspectedError, ConfigError, HyperheatError,
                      SymmetryError)
 from .fields import (band_limit, cosine_mode, power_spectrum_field,
                      radial_power_field, random_band_limited, spectrum_field)
-from .grid import (RealField, SpectralField, TorusGrid, conj_reverse,
-                   constant_field, fft_workers, forward_transform,
-                   inverse_transform, l2_norm_of_coefficients, lp_norm,
-                   nyquist_mask, require_same_grid, zero_field)
+from .grid import (RealField, SpectralField, TorusGrid, constant_field, fft_workers,
+                   forward_transform, inverse_transform, lp_norm, nyquist_mask,
+                   zero_field)
 from .records import Check, ResultRecord, Series, emit_results
 from .semigroup import (ModelParams, SmoothingReport, apply_semigroup,
                         dissipation_symbol, semigroup_property_check,
@@ -46,10 +45,8 @@ __all__ = [
     "InconsistentGridError", "IntegrationError", "ParameterError", "SymmetryError",
     "band_limit", "cosine_mode", "power_spectrum_field", "radial_power_field",
     "random_band_limited", "spectrum_field",
-    "RealField", "SpectralField", "TorusGrid", "conj_reverse", "constant_field",
-    "fft_workers", "forward_transform", "inverse_transform",
-    "l2_norm_of_coefficients", "lp_norm", "nyquist_mask", "require_same_grid",
-    "zero_field",
+    "RealField", "SpectralField", "TorusGrid", "constant_field", "fft_workers",
+    "forward_transform", "inverse_transform", "lp_norm", "nyquist_mask", "zero_field",
     "Check", "ResultRecord", "Series", "emit_results",
     "ModelParams", "SmoothingReport", "apply_semigroup", "dissipation_symbol",
     "semigroup_property_check", "smoothing_rate", "synthesize_kernel",

@@ -26,7 +26,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import ParameterError
-from .grid import _PAD_BATCH_BYTES, RealField, half_lattice, real_samples, real_spectra
+from .grid import _PAD_BATCH_BYTES, RealField, real_samples, real_spectra
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,8 @@ def radial_profile(rho):
 
 @dataclass(frozen=True, eq=False)
 class DyadicDecomposition:
-    """Tabulated cutoffs phi_0..phi_J on the frequency lattice of one grid."""
+    """Tabulated cutoffs phi_0..phi_J on the rfftn half lattice of one grid,
+    each of shape ``grid.half_shape``."""
 
     grid: object
     J: int
@@ -103,8 +104,8 @@ class DyadicDecomposition:
         return 2.0 ** self.J
 
     def partition_sum(self):
-        """sum_j phi_j on the lattice (equals 1 on the covered ball)."""
-        total = np.zeros(self.grid.shape)
+        """sum_j phi_j on the half lattice (equals 1 on the covered ball)."""
+        total = np.zeros(self.grid.half_shape)
         for phi in self.cutoffs:
             total = total + phi
         return total
@@ -115,7 +116,7 @@ class DyadicDecomposition:
         half-lattice spectrum c of a real field u: cell volume times the
         Parseval multiplicity times phi_j^2, one column per block."""
         grid = self.grid
-        columns = [half_lattice(phi) ** 2 * grid.half_lattice_weights for phi in self.cutoffs]
+        columns = [phi ** 2 * grid.half_lattice_weights for phi in self.cutoffs]
         weights = grid.cell_volume * np.stack([c.ravel() for c in columns], axis=1)
         weights.setflags(write=False)
         return weights
@@ -156,7 +157,7 @@ def block(f, j, decomposition=None):
     dec = decomposition or build_decomposition(f.grid)
     if not 0 <= j <= dec.J:
         raise ParameterError(f"block index {j} outside 0..{dec.J}")
-    c = real_spectra(f.samples, f.grid) * half_lattice(dec.cutoffs[j])
+    c = real_spectra(f.samples, f.grid) * dec.cutoffs[j]
     return RealField(f.grid, real_samples(c, f.grid))
 
 
@@ -192,7 +193,7 @@ def a_norms_of_spectra(spectra, grid, sp, decomposition=None):
         power = (spectra.real ** 2 + spectra.imag ** 2).reshape(len(spectra), -1)
         block_norms = np.sqrt(power @ dec.half_block_weights).T
         return _combine_scales(block_norms, weights[:, None], sp.q)
-    cutoffs = np.stack([half_lattice(phi) for phi in dec.cutoffs])[:, None]
+    cutoffs = np.stack(dec.cutoffs)[:, None]
     batch = max(1, _PAD_BATCH_BYTES // (8 * dec.block_count * grid.size))
     norms = np.empty(len(spectra))
     for start in range(0, len(spectra), batch):

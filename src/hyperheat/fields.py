@@ -5,8 +5,7 @@ import math
 import numpy as np
 
 from .errors import ParameterError
-from .grid import (RealField, conj_reverse, half_lattice, nyquist_mask, real_samples,
-                   real_spectra)
+from .grid import RealField, _partner_index, nyquist_mask, real_samples, real_spectra
 
 
 def cosine_mode(grid, mode, amplitude=1.0, phase=0.0):
@@ -31,9 +30,10 @@ def spectrum_field(grid, envelope, seed, max_radius=None, zero_mean=True):
     """Real field with random phases under a radial spectral envelope.
 
     ``envelope`` maps |xi| (array) to coefficient magnitudes. Modes beyond
-    ``max_radius`` (in frequency units) and the Nyquist planes are zeroed;
-    the result is Hermitian-symmetrized, so samples are real. Deterministic
-    for a given seed.
+    ``max_radius`` (in frequency units) and the Nyquist planes are zeroed.
+    The random draw covers the full lattice; each half-lattice coefficient
+    is the Hermitian part (c(k) + conj(c(-k)))/2 of the weighted draw, so
+    samples are real. Deterministic for a given seed.
     """
     rng = np.random.default_rng(seed)
     radius = np.sqrt(grid.xi_squared)
@@ -41,14 +41,15 @@ def spectrum_field(grid, envelope, seed, max_radius=None, zero_mean=True):
         mag = np.asarray(envelope(radius), dtype=np.float64)
     mag[~np.isfinite(mag)] = 0.0
     raw = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    c = mag * raw
+    # The draw at each half-lattice mode k and at its partner -k mod N.
+    N = grid.points_per_dim
+    c = mag * np.stack([raw[..., : N // 2 + 1], raw[_partner_index(N, grid.half_shape)]])
     if max_radius is not None:
-        c[radius > max_radius] = 0.0
-    c[nyquist_mask(grid)] = 0.0
+        c[:, radius > max_radius] = 0.0
+    c[:, nyquist_mask(grid)] = 0.0
     if zero_mean:
-        c[(0,) * grid.n] = 0.0
-    c = half_lattice(0.5 * (c + conj_reverse(c)))
-    return RealField(grid, real_samples(c, grid))
+        c[(slice(None),) + (0,) * grid.n] = 0.0
+    return RealField(grid, real_samples(0.5 * (c[0] + np.conj(c[1])), grid))
 
 
 def random_band_limited(grid, seed, max_radius, amplitude=1.0, zero_mean=True):
@@ -95,11 +96,11 @@ def radial_power_field(grid, decay, max_radius=None):
     mag[nyquist_mask(grid)] = 0.0
     if not np.any(mag):
         raise ParameterError("empty spectrum")
-    return RealField(grid, real_samples(half_lattice(mag), grid))
+    return RealField(grid, real_samples(mag, grid))
 
 
 def band_limit(f, max_radius):
     """Zero all modes with |xi| > max_radius; returns a new real field."""
     c = real_spectra(f.samples, f.grid)
-    c[np.sqrt(half_lattice(f.grid.xi_squared)) > max_radius] = 0.0
+    c[np.sqrt(f.grid.xi_squared) > max_radius] = 0.0
     return RealField(f.grid, real_samples(c, f.grid))

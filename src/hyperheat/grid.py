@@ -2,7 +2,12 @@
 
 Fields live on the uniform grid of the torus [0, L)^n with N points per
 dimension. The frequency lattice is xi_k = 2*pi*k/L for integer k in
-[-N/2, N/2). Transforms use the unitary normalization (a symmetric
+[-N/2, N/2). A real field has a Hermitian spectrum, c(-k) = conj(c(k)), so
+every array indexed by mode (spectra, multipliers, masks) lives on the rfftn
+half lattice, shape ``TorusGrid.half_shape``: the last axis keeps
+k = 0..N/2, the others the full FFT layout. It holds each conjugate pair
+once, so only the self-conjugate planes k_last = 0 and N/2 can break the
+symmetry. Transforms use the unitary normalization (a symmetric
 1/sqrt(N^n) on both directions) so the discrete Parseval identity holds
 to roundoff; physical L_p norms are Riemann sums with cell volume (L/N)^n.
 """
@@ -63,10 +68,10 @@ class TorusGrid:
     max_field_bytes: int = field(default=DEFAULT_MAX_FIELD_BYTES, compare=False, repr=False)
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
             raise ParameterError(f"dimension n must be a positive integer, got {self.n}")
-        if not isinstance(self.points_per_dim, int) or not _is_power_of_two(self.points_per_dim) \
-                or self.points_per_dim < 8:
+        if isinstance(self.points_per_dim, bool) or not isinstance(self.points_per_dim, int) \
+                or not _is_power_of_two(self.points_per_dim) or self.points_per_dim < 8:
             raise ParameterError(
                 f"points_per_dim must be a power of two >= 8, got {self.points_per_dim}")
         if not (math.isfinite(self.length) and self.length > 0):
@@ -115,21 +120,23 @@ class TorusGrid:
         """Frequencies xi = 2*pi*k/length along one axis, FFT layout."""
         return (2.0 * math.pi / self.length) * self.axis_integer_modes()
 
-    @cached_property
-    def xi_squared(self):
-        """|xi|^2 on the full lattice, shape ``self.shape``."""
-        xi = self.axis_frequencies()
-        axes = np.meshgrid(*([xi] * self.n), indexing="ij", sparse=True)
-        total = np.zeros(self.shape)
-        for a in axes:
-            total = total + a * a
-        total.setflags(write=False)
-        return total
-
     @property
     def half_shape(self):
         """Shape of the rfftn half lattice: the last axis keeps k = 0..N/2."""
         return self.shape[:-1] + (self.points_per_dim // 2 + 1,)
+
+    @cached_property
+    def xi_squared(self):
+        """|xi|^2 on the rfftn half lattice, shape ``self.half_shape``."""
+        xi = self.axis_frequencies()
+        # The last axis keeps k = 0..N/2; |xi|^2 is even in each component.
+        last = xi[: self.points_per_dim // 2 + 1]
+        axes = np.meshgrid(*([xi] * (self.n - 1) + [last]), indexing="ij", sparse=True)
+        total = np.zeros(self.half_shape)
+        for a in axes:
+            total = total + a * a
+        total.setflags(write=False)
+        return total
 
     @cached_property
     def half_lattice_weights(self):
@@ -195,11 +202,19 @@ class RealField:
     __rmul__ = __mul__
 
 
+def _partner_index(N, sizes):
+    """Open-mesh index taking each mode k of an array in FFT layout, with the
+    given lengths on its leading axes, to its partner -k mod N."""
+    return np.ix_(*[-np.arange(size) % N for size in sizes])
+
+
 @dataclass(frozen=True, eq=False)
 class SpectralField:
-    """Fourier coefficients on the FFT lattice of a TorusGrid.
+    """Unitary rfftn coefficients of a real field, shape ``grid.half_shape``.
 
-    A field representing a real function is Hermitian: c(-k) = conj(c(k)).
+    The half lattice holds each conjugate pair c(k), c(-k) = conj(c(k))
+    once; only the self-conjugate planes k_last = 0 and N/2 can break the
+    symmetry, and ``hermitian_defect`` measures that.
     """
 
     grid: TorusGrid
@@ -207,65 +222,41 @@ class SpectralField:
 
     def __post_init__(self):
         coeff = _as_locked(self.coefficients, np.complex128)
-        if coeff.shape != self.grid.shape:
+        if coeff.shape != self.grid.half_shape:
             raise ParameterError(
-                f"coefficient shape {coeff.shape} does not match grid shape {self.grid.shape}")
+                f"coefficient shape {coeff.shape} does not match the half lattice "
+                f"{self.grid.half_shape}")
         if not np.all(np.isfinite(coeff)):
             raise ParameterError("coefficients must be finite")
         object.__setattr__(self, "coefficients", coeff)
 
     def hermitian_defect(self):
-        """Sup-norm distance to the Hermitian part, relative to max |c|."""
+        """Sup-norm distance to the Hermitian part on the self-conjugate
+        planes k_last = 0 and N/2, relative to max |c|."""
         c = self.coefficients
         scale = float(np.max(np.abs(c)))
         if scale == 0.0:
             return 0.0
-        defect = float(np.max(np.abs(c - conj_reverse(c))))
-        return defect / scale
-
-    def symmetrized(self):
-        """Projection onto Hermitian symmetry (exact for already-real fields)."""
-        c = self.coefficients
-        return SpectralField(self.grid, 0.5 * (c + conj_reverse(c)))
-
-
-def conj_reverse(coefficients):
-    """conj(c(-k)) on the FFT lattice: flip every axis, then roll by one."""
-    n = coefficients.ndim
-    flipped = np.flip(coefficients)
-    rolled = np.roll(flipped, shift=(1,) * n, axis=tuple(range(n)))
-    return np.conj(rolled)
+        N = self.grid.points_per_dim
+        planes = c[..., ::N // 2]
+        partners = planes[_partner_index(N, planes.shape[:-1])]
+        return float(np.max(np.abs(planes - np.conj(partners)))) / scale
 
 
 def forward_transform(f):
-    """Unitary DFT of a real field."""
-    c = scipy.fft.fftn(f.samples, norm="ortho", workers=fft_workers())
-    return SpectralField(f.grid, c)
+    """Unitary DFT of a real field, on the half lattice (``real_spectra``)."""
+    return SpectralField(f.grid, real_spectra(f.samples, f.grid))
 
 
 def inverse_transform(F):
-    """Unitary inverse DFT; requires Hermitian input, returns a real field.
+    """Unitary inverse DFT of a half-lattice spectrum (``real_samples``).
 
     A relative Hermitian defect above 1e-10 raises SymmetryError.
-    The imaginary residue after the transform must sit below 1e-12 relative
-    to the field scale; it is asserted and discarded.
     """
     defect = F.hermitian_defect()
     if defect > 1e-10:
         raise SymmetryError(f"relative Hermitian defect {defect:.3e} exceeds 1e-10")
-    y = scipy.fft.ifftn(F.coefficients, norm="ortho", workers=fft_workers())
-    scale = max(float(np.max(np.abs(y))), 1e-300)
-    residue = float(np.max(np.abs(y.imag)))
-    if residue > 1e-12 * scale:
-        raise SymmetryError(
-            f"imaginary residue {residue:.3e} exceeds 1e-12 of field scale {scale:.3e}")
-    return RealField(F.grid, y.real)
-
-
-def half_lattice(values):
-    """Restriction of a full-lattice array that is even in k (such as a
-    radial multiplier) to the rfftn half lattice."""
-    return values[..., : values.shape[-1] // 2 + 1]
+    return RealField(F.grid, real_samples(F.coefficients, F.grid))
 
 
 def real_spectra(samples, grid):
@@ -289,8 +280,7 @@ def real_samples(spectra, grid):
 def l2_norms_of_spectra(spectra, grid):
     """Physical L_2 norm of each field in a stack of half-lattice spectra.
 
-    Parseval over the half lattice, each mode weighted by its multiplicity;
-    agrees with ``l2_norm_of_coefficients`` on the full lattice to roundoff.
+    Parseval over the half lattice, each mode weighted by its multiplicity.
     """
     power = spectra.real ** 2 + spectra.imag ** 2
     squared = power.reshape(len(spectra), -1) @ grid.half_lattice_weights.ravel()
@@ -307,20 +297,15 @@ def lp_norm(f, p):
     return float((np.sum(a ** p) * f.grid.cell_volume) ** (1.0 / p))
 
 
-def l2_norm_of_coefficients(coefficients, grid):
-    """Physical L_2 norm straight from unitary coefficients (Parseval)."""
-    return float(math.sqrt(grid.cell_volume) * np.linalg.norm(coefficients.ravel()))
-
-
 def nyquist_mask(grid):
-    """True on modes whose index hits the unpaired Nyquist plane of any axis."""
-    N = grid.points_per_dim
-    on_axis = grid.axis_integer_modes() == -(N // 2)
-    mask = np.zeros(grid.shape, dtype=bool)
-    for axis in range(grid.n):
+    """True on the half-lattice modes (shape ``grid.half_shape``) that lie
+    on the unpaired Nyquist plane k = N/2 of any axis."""
+    half = grid.points_per_dim // 2
+    mask = np.zeros(grid.half_shape, dtype=bool)
+    for axis, size in enumerate(grid.half_shape):
         shape = [1] * grid.n
-        shape[axis] = N
-        mask |= on_axis.reshape(shape)
+        shape[axis] = size
+        mask |= (np.arange(size) == half).reshape(shape)
     return mask
 
 

@@ -8,7 +8,7 @@ series; identical records produce byte-identical files.
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .errors import ParameterError
@@ -87,17 +87,7 @@ class ResultRecord:
             "seed": self.seed,
             "passed": self.passed,
             "metrics": {k: self.metrics[k] for k in sorted(self.metrics)},
-            "checks": [
-                {
-                    "name": c.name,
-                    "probes": c.probes,
-                    "value": c.value,
-                    "comparison": c.comparison,
-                    "bound": c.bound,
-                    "passed": c.passed,
-                }
-                for c in self.checks
-            ],
+            "checks": [asdict(c) for c in self.checks],
             "series": sorted(self.series),
             "notes": list(self.notes),
         }

@@ -15,8 +15,7 @@ import numpy as np
 
 from .dyadic import a_norms_of_spectra, build_decomposition
 from .errors import ParameterError
-from .grid import (RealField, SpectralField, half_lattice, l2_norm_of_coefficients,
-                   real_samples, real_spectra)
+from .grid import RealField, SpectralField, l2_norms_of_spectra, real_samples, real_spectra
 
 
 @dataclass(frozen=True)
@@ -33,6 +32,10 @@ class ModelParams:
     n: int
 
     def __post_init__(self):
+        for name in ("alpha", "r", "n"):
+            value = getattr(self, name)
+            if isinstance(value, bool):
+                raise ParameterError(f"{name} must be a number, got {value!r}")
         if not (self.alpha > 0 and math.isfinite(self.alpha)):
             raise ParameterError(f"alpha must be positive, got {self.alpha}")
         if not (self.r >= 2 and math.isfinite(self.r)):
@@ -53,7 +56,8 @@ class ModelParams:
 
 
 def dissipation_symbol(grid, m):
-    """|xi|^(2 alpha) on the lattice; (|xi|^2)^alpha, exact for integer alpha."""
+    """|xi|^(2 alpha) on the rfftn half lattice, shape ``grid.half_shape``;
+    (|xi|^2)^alpha, exact for integer alpha."""
     base = grid.xi_squared
     if m.integer_order:
         # Exponentiation by squaring on the |xi|^2 array.
@@ -73,7 +77,7 @@ def _orbit_multipliers(grid, m, times):
     """exp(-t_i |xi|^(2 alpha)) on the rfftn half lattice, stacked over the
     times: W_t for every t_i at once, shape ``(len(times),) + grid.half_shape``."""
     t = np.asarray(times, dtype=np.float64).reshape((-1,) + (1,) * grid.n)
-    return np.exp(-t * half_lattice(dissipation_symbol(grid, m)))
+    return np.exp(-t * dissipation_symbol(grid, m))
 
 
 def apply_semigroup(F, t, m):
@@ -85,19 +89,18 @@ def apply_semigroup(F, t, m):
         raise ParameterError(f"semigroup time must satisfy t >= 0, got {t}")
     if t == 0:
         return F
-    multiplier = np.exp(-t * dissipation_symbol(F.grid, m))
-    return SpectralField(F.grid, F.coefficients * multiplier)
+    return SpectralField(F.grid, F.coefficients * _orbit_multipliers(F.grid, m, [t])[0])
 
 
 def semigroup_property_check(F, t, s, m):
     """Relative defect || W_{t+s} F - W_t W_s F ||_2 / ||F||_2."""
     combined = apply_semigroup(F, t + s, m)
     staged = apply_semigroup(apply_semigroup(F, s, m), t, m)
-    scale = l2_norm_of_coefficients(F.coefficients, F.grid)
+    diff = combined.coefficients - staged.coefficients
+    scale, defect = l2_norms_of_spectra(np.stack([F.coefficients, diff]), F.grid)
     if scale == 0.0:
         return 0.0
-    diff = combined.coefficients - staged.coefficients
-    return l2_norm_of_coefficients(diff, F.grid) / scale
+    return float(defect / scale)
 
 
 def synthesize_kernel(t, grid, m):

@@ -37,8 +37,8 @@ from numpy.polynomial.legendre import leggauss
 from .dyadic import a_norms_of_spectra, build_decomposition
 from .errors import (BlowupSuspectedError, InconsistentGridError, IntegrationError,
                      ParameterError)
-from .grid import (_PAD_BATCH_BYTES, RealField, fft_workers, half_lattice,
-                   l2_norms_of_spectra, real_samples, real_spectra)
+from .grid import (_PAD_BATCH_BYTES, RealField, fft_workers, l2_norms_of_spectra,
+                   real_samples, real_spectra)
 from .semigroup import dissipation_symbol
 from .timenorms import Trajectory, admissibility, log_time_grid, time_weighted_norm
 
@@ -111,33 +111,30 @@ _PHI1_COEFFS = np.array([1.0 / math.factorial(k + 1) for k in range(13)])
 _PHI2_COEFFS = np.array([1.0 / math.factorial(k + 2) for k in range(13)])
 
 
-def _phi_taylor(z, coeffs):
-    out = np.zeros_like(z)
+def _phi(z, coeffs, closed_form):
+    """A phi-function: its Taylor series (``coeffs``, Horner) below
+    |z| = 1/2 to dodge cancellation, ``closed_form`` above."""
+    z = np.asarray(z, dtype=np.float64)
+    small = np.abs(z) <= 0.5
+    out = np.empty_like(z)
+    zs = z[small]
+    taylor = np.zeros_like(zs)
     for c in coeffs[::-1]:
-        out = out * z + c
+        taylor = taylor * zs + c
+    out[small] = taylor
+    zb = z[~small]
+    out[~small] = closed_form(zb)
     return out
 
 
 def phi1(z):
     """(e^z - 1)/z, Taylor below |z| = 1/2 to dodge cancellation."""
-    z = np.asarray(z, dtype=np.float64)
-    small = np.abs(z) <= 0.5
-    out = np.empty_like(z)
-    out[small] = _phi_taylor(z[small], _PHI1_COEFFS)
-    zb = z[~small]
-    out[~small] = np.expm1(zb) / zb
-    return out
+    return _phi(z, _PHI1_COEFFS, lambda zb: np.expm1(zb) / zb)
 
 
 def phi2(z):
     """(e^z - 1 - z)/z^2, Taylor below |z| = 1/2 to dodge cancellation."""
-    z = np.asarray(z, dtype=np.float64)
-    small = np.abs(z) <= 0.5
-    out = np.empty_like(z)
-    out[small] = _phi_taylor(z[small], _PHI2_COEFFS)
-    zb = z[~small]
-    out[~small] = (np.expm1(zb) - zb) / (zb * zb)
-    return out
+    return _phi(z, _PHI2_COEFFS, lambda zb: (np.expm1(zb) - zb) / (zb * zb))
 
 
 def _padded_points(N, dealias_factor):
@@ -293,7 +290,7 @@ def _slab_weights(grid, m, times):
     the Duhamel recursion and the exponential integrator (read-only). Four
     slab grids are kept, so a solve interleaved with an order study at three
     slab counts rebuilds none of them."""
-    lam = half_lattice(dissipation_symbol(grid, m))
+    lam = dissipation_symbol(grid, m)
     steps, step = np.unique(np.diff(times, prepend=0.0), return_inverse=True)
     dt = steps.reshape((-1,) + (1,) * grid.n)
     z = -dt * lam
@@ -586,7 +583,7 @@ def pde_residual(traj, m, dealias_factor=1.5):
     if len(traj) < 3:
         raise ParameterError("residual check needs at least three samples")
     grid = traj.grid
-    lam = half_lattice(dissipation_symbol(grid, m))
+    lam = dissipation_symbol(grid, m)
     shape = (-1,) + (1,) * grid.n
     h = np.diff(np.asarray(traj.times))
     spectra = traj.spectra

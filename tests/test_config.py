@@ -6,8 +6,8 @@ import math
 
 import pytest
 
-from hyperheat import (EXPERIMENTS, ConfigError, config_digest, default_config,
-                       emit_config, load_config, parse_config)
+from hyperheat import (EXPERIMENTS, ConfigError, ParameterError, config_digest,
+                       default_config, emit_config, load_config, parse_config)
 
 
 class TestDefaults:
@@ -38,6 +38,20 @@ class TestRoundTrip:
     def test_parse_inverts_emit(self, experiment):
         cfg = default_config(experiment)
         assert parse_config(emit_config(cfg)) == cfg
+
+    @pytest.mark.parametrize("alpha", [2, 1.5])
+    def test_model_order_round_trips(self, alpha):
+        cfg = default_config("solve")
+        cfg = dataclasses.replace(cfg, model=dataclasses.replace(cfg.model, alpha=alpha))
+        assert parse_config(emit_config(cfg)) == cfg
+
+    @pytest.mark.parametrize("key", ["alpha", "n"])
+    def test_bool_model_parameter_rejected_before_emit(self, key):
+        # Emitted, alpha = True would read "alpha = True", which parse_config
+        # cannot read back; the model rejects it at construction.
+        cfg = default_config("solve")
+        with pytest.raises(ParameterError):
+            dataclasses.replace(cfg.model, **{key: True})
 
     def test_digest_is_stable(self):
         cfg = default_config("sweep")

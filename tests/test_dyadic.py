@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import full_lattice
 from hyperheat import (ParameterError, RealField, SpaceParams, TorusGrid, a_norm, block,
-                       build_decomposition, constant_field, cosine_mode, forward_transform,
-                       lp_norm, power_map_probe, radial_profile, random_band_limited,
-                       smooth_step)
+                       build_decomposition, constant_field, cosine_mode, lp_norm,
+                       power_map_probe, radial_profile, random_band_limited, smooth_step)
 from hyperheat.dyadic import a_norms_of_spectra
 from hyperheat.grid import real_spectra
 from reference_norms import a_norm_of_coefficients, a_norm_of_field
@@ -49,6 +49,13 @@ class TestDecomposition:
         inside = np.sqrt(grid2d.xi_squared) <= dec.covered_radius
         residual = np.max(np.abs(dec.partition_sum() - 1.0)[inside])
         assert residual < 1e-14
+
+    @pytest.mark.parametrize("n, N", [(1, 64), (2, 32), (3, 16)])
+    def test_cutoffs_are_the_full_lattice_cutoffs_on_the_half(self, n, N):
+        dec = build_decomposition(TorusGrid(n, N))
+        for phi, full in zip(dec.cutoffs, full_lattice.cutoffs(dec), strict=True):
+            assert phi.shape == dec.grid.half_shape
+            assert np.array_equal(phi, full[..., : N // 2 + 1])
 
     def test_covered_radius_reaches_lattice(self, grid2d):
         dec = build_decomposition(grid2d)
@@ -153,8 +160,8 @@ class TestNorms:
     def test_coefficient_route_matches_field_route(self, grid2d):
         f = random_band_limited(grid2d, 47, max_radius=6.0)
         sp = SpaceParams("F", 1.1, 2.5, 4.0)
-        C = forward_transform(f)
-        assert a_norm_of_coefficients(C.coefficients, grid2d, sp) == pytest.approx(
+        C = full_lattice.forward(f)
+        assert a_norm_of_coefficients(C, grid2d, sp) == pytest.approx(
             a_norm(f, sp), rel=1e-12)
 
     @pytest.mark.parametrize("sp", [

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import full_lattice
 from hyperheat import (InconsistentGridError, ParameterError, RealField,
-                       SpectralField, SymmetryError, TorusGrid, conj_reverse,
-                       constant_field, cosine_mode, fft_workers,
-                       forward_transform, inverse_transform,
-                       l2_norm_of_coefficients, lp_norm, nyquist_mask,
-                       zero_field)
+                       SpectralField, SymmetryError, TorusGrid, constant_field,
+                       cosine_mode, fft_workers, forward_transform, inverse_transform,
+                       lp_norm, nyquist_mask, zero_field)
+from hyperheat.grid import l2_norms_of_spectra
 
 
 def random_field(grid, seed=0):
@@ -52,6 +52,8 @@ class TestTorusGrid:
         dict(n=1, points_per_dim=16, length=-1.0),
         dict(n=1, points_per_dim=16, length=math.inf),
         dict(n=3, points_per_dim=1024, max_field_bytes=1 << 20),
+        dict(n=True, points_per_dim=16),
+        dict(n=1, points_per_dim=True),
     ])
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ParameterError):
@@ -60,6 +62,12 @@ class TestTorusGrid:
     def test_xi_squared_readonly(self, grid1d):
         with pytest.raises(ValueError):
             grid1d.xi_squared[0] = 1.0
+
+    @pytest.mark.parametrize("n, N", [(1, 16), (2, 8), (3, 8)])
+    def test_xi_squared_is_the_full_lattice_on_the_half(self, n, N):
+        g = TorusGrid(n, N)
+        assert g.xi_squared.shape == g.half_shape
+        assert np.array_equal(g.xi_squared, full_lattice.xi_squared(g)[..., : N // 2 + 1])
 
 
 class TestFields:
@@ -98,15 +106,25 @@ class TestTransforms:
 
     def test_parseval(self, grid2d):
         f = random_field(grid2d, 8)
-        F = forward_transform(f)
         assert lp_norm(f, 2) == pytest.approx(
-            l2_norm_of_coefficients(F.coefficients, grid2d), rel=1e-13)
+            full_lattice.l2_norm(full_lattice.forward(f), grid2d), rel=1e-13)
+
+    @pytest.mark.parametrize("n, N", [(1, 64), (2, 32), (3, 8)])
+    def test_half_lattice_round_trip_and_parseval(self, n, N):
+        g = TorusGrid(n, N)
+        f = random_field(g, 10 + n)
+        F = forward_transform(f)
+        assert F.coefficients.shape == g.half_shape
+        assert_allclose(F.coefficients, full_lattice.forward(f)[..., : N // 2 + 1],
+                        rtol=0, atol=1e-12)
+        assert_allclose(inverse_transform(F).samples, f.samples, rtol=0, atol=1e-12)
+        assert l2_norms_of_spectra(F.coefficients[None], g)[0] == pytest.approx(
+            lp_norm(f, 2), rel=1e-13)
 
     def test_cosine_coefficients(self):
         # Unitary normalization puts sqrt(N)/2 at +/- k for a unit cosine.
         g = TorusGrid(1, 64)
-        F = forward_transform(cosine_mode(g, (5,)))
-        c = F.coefficients
+        c = full_lattice.forward(cosine_mode(g, (5,)))
         assert c[5] == pytest.approx(math.sqrt(64) / 2, abs=1e-12)
         assert c[-5] == pytest.approx(math.sqrt(64) / 2, abs=1e-12)
         others = np.delete(np.abs(c), [5, 64 - 5])
@@ -126,21 +144,50 @@ class TestTransforms:
     def test_conj_reverse_is_involution(self, grid2d):
         c = (np.random.default_rng(4).standard_normal(grid2d.shape)
              + 1j * np.random.default_rng(5).standard_normal(grid2d.shape))
-        assert_allclose(conj_reverse(conj_reverse(c)), c, atol=0)
+        assert_allclose(full_lattice.conj_reverse(full_lattice.conj_reverse(c)), c, atol=0)
 
     def test_inverse_rejects_asymmetric_spectrum(self, grid1d):
+        # On the full lattice a mode with no conjugate partner at -3 is not real.
         c = np.zeros(grid1d.shape, dtype=complex)
-        c[3] = 1.0  # no conjugate partner at -3
+        c[3] = 1.0
+        with pytest.raises(SymmetryError):
+            full_lattice.inverse(c, grid1d)
+
+    def test_inverse_accepts_an_interior_mode_alone(self, grid1d):
+        # The half lattice holds c(3) for itself and its partner c(-3).
+        c = np.zeros(grid1d.half_shape, dtype=complex)
+        c[3] = 1.0
+        F = SpectralField(grid1d, c)
+        assert F.hermitian_defect() == 0.0
+        back = inverse_transform(F)
+        assert_allclose(max(abs(back.samples)), 2.0 / math.sqrt(64), rtol=1e-12)
+
+    @pytest.mark.parametrize("index", [0, 32])
+    def test_inverse_rejects_imaginary_self_conjugate_mode_1d(self, grid1d, index):
+        c = np.zeros(grid1d.half_shape, dtype=complex)
+        c[1] = 1.0
+        c[index] = 0.5j
         with pytest.raises(SymmetryError):
             inverse_transform(SpectralField(grid1d, c))
 
-    def test_symmetrized_projection(self, grid1d):
-        c = np.zeros(grid1d.shape, dtype=complex)
-        c[3] = 1.0
-        sym = SpectralField(grid1d, c).symmetrized()
-        assert sym.hermitian_defect() < 1e-15
-        back = inverse_transform(sym)
-        assert_allclose(max(abs(back.samples)), 1.0 / math.sqrt(64), rtol=1e-12)
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("last", [0, 4])
+    def test_inverse_rejects_broken_pair_on_self_conjugate_plane(self, n, last):
+        g = TorusGrid(n, 8)
+        c = np.zeros(g.half_shape, dtype=complex)
+        mode = (1,) * (n - 1) + (last,)
+        partner = (8 - 1,) * (n - 1) + (last,)
+        c[mode] = 1.0 + 1.0j
+        c[partner] = 1.0 + 1.0j  # conj(c(k)) would be 1 - 1j
+        with pytest.raises(SymmetryError):
+            inverse_transform(SpectralField(g, c))
+        c[partner] = 1.0 - 1.0j
+        assert SpectralField(g, c).hermitian_defect() == 0.0
+        inverse_transform(SpectralField(g, c))
+
+    def test_spectral_field_lives_on_the_half_lattice(self, grid2d):
+        with pytest.raises(ParameterError):
+            SpectralField(grid2d, np.zeros(grid2d.shape, dtype=complex))
 
 
 class TestNorms:
@@ -166,9 +213,16 @@ class TestNorms:
 class TestNyquist:
     def test_mask_counts(self):
         g1 = TorusGrid(1, 8)
-        assert int(np.sum(nyquist_mask(g1))) == 1
+        assert int(np.sum(full_lattice.nyquist_mask(g1))) == 1
         g2 = TorusGrid(2, 8)
-        assert int(np.sum(nyquist_mask(g2))) == 2 * 8 - 1
+        assert int(np.sum(full_lattice.nyquist_mask(g2))) == 2 * 8 - 1
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_mask_is_the_full_mask_on_the_half_lattice(self, n):
+        g = TorusGrid(n, 8)
+        mask = nyquist_mask(g)
+        assert mask.shape == g.half_shape
+        assert np.array_equal(mask, full_lattice.nyquist_mask(g)[..., :5])
 
     def test_mask_position(self):
         g = TorusGrid(1, 8)

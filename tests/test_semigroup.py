@@ -31,6 +31,12 @@ class TestModelParams:
         with pytest.raises(ParameterError):
             ModelParams(alpha=1, r=3.0, n=0)
 
+    @pytest.mark.parametrize("kwargs", [dict(alpha=True, r=3.0, n=1),
+                                        dict(alpha=1, r=3.0, n=True)])
+    def test_bools_rejected(self, kwargs):
+        with pytest.raises(ParameterError):
+            ModelParams(**kwargs)
+
     def test_integer_order_flag(self):
         assert ModelParams(alpha=2, r=3.0, n=1).integer_order
         assert not ModelParams(alpha=1.5, r=3.0, n=1).integer_order

@@ -13,10 +13,11 @@ import pytest
 import scipy.fft
 from numpy.testing import assert_allclose
 
+import full_lattice
 from hyperheat import (BlowupSuspectedError, ModelParams, RealField, SolverConfig,
                        SpaceParams, TimeWeight, TorusGrid, build_decomposition,
-                       dissipation_symbol, etd_oracle, nonlinearity, nyquist_mask,
-                       phi1, phi2, picard_solve, random_band_limited, slab_times)
+                       etd_oracle, nonlinearity, phi1, phi2, picard_solve,
+                       random_band_limited, slab_times)
 from hyperheat import solver
 from hyperheat.grid import real_spectra
 from reference_norms import a_norm_of_coefficients
@@ -27,7 +28,7 @@ def reference_power_coefficients(c, grid, r, dealias_factor):
     N = grid.points_per_dim
     n = grid.n
     work = np.array(c)
-    work[nyquist_mask(grid)] = 0.0
+    work[full_lattice.nyquist_mask(grid)] = 0.0
     M = int(math.ceil(N * dealias_factor))
     M += M % 2
     off = (M - N) // 2
@@ -41,7 +42,7 @@ def reference_power_coefficients(c, grid, r, dealias_factor):
     cw = scipy.fft.fftn(np.abs(fine) ** (r - 1.0) * fine, norm="ortho") / scale
     if M > N:
         cw = np.fft.ifftshift(np.fft.fftshift(cw)[inner])
-    cw[nyquist_mask(grid)] = 0.0
+    cw[full_lattice.nyquist_mask(grid)] = 0.0
     return cw
 
 
@@ -54,7 +55,7 @@ class ReferenceLoop:
         self.r = m.r
         self.times = slab_times(cfg)
         self.dec = build_decomposition(self.grid)
-        self.lam = dissipation_symbol(self.grid, m)
+        self.lam = full_lattice.dissipation_symbol(self.grid, m)
         self.vexp = 2.0 * m.r * w.v
         self.u0_hat = scipy.fft.fftn(u0.samples, norm="ortho")
 
@@ -433,7 +434,7 @@ class TestSlabWeights:
         m = ModelParams(alpha=1, r=3.0, n=2)
         times = tuple(slab_times(SolverConfig(horizon=0.25)).tolist())
         weights = solver._slab_weights(grid, m, times)
-        lam = dissipation_symbol(grid, m)[..., :9]
+        lam = full_lattice.dissipation_symbol(grid, m)[..., :9]
         dts = np.diff(times, prepend=0.0)
         assert len(weights.decay) == len(set(dts.tolist())) < len(times) / 2
         for i, dt in enumerate(dts):

@@ -1,9 +1,9 @@
 """Time-indexed work on stacked half-lattice spectra against per-time references.
 
-Every reference here takes the single-field full-lattice route one time at
-a time: ``forward_transform``, the multiplier on the full lattice, an
-explicit Hermitian projection, ``inverse_transform`` and the full-lattice
-norm of ``reference_norms``.
+Every reference here takes the single-field full-lattice route of
+``full_lattice`` one time at a time: the full DFT, the multiplier on the full
+lattice, an explicit Hermitian projection, the checked inverse DFT and the
+full-lattice norm of ``reference_norms``.
 """
 
 import dataclasses
@@ -13,12 +13,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import full_lattice
 from hyperheat import (InconsistentGridError, ModelParams, RealField, SpaceParams,
                        SpectralField, SolverConfig, TimeWeight, TorusGrid, Trajectory,
                        a_norm, apply_semigroup, band_limit, block, build_decomposition,
-                       conj_reverse, default_config, dissipation_symbol, duhamel_apply,
-                       forward_transform, inverse_transform, l2_norm_of_coefficients,
-                       nyquist_mask, pde_residual, picard_solve, power_spectrum_field,
+                       default_config, duhamel_apply, forward_transform,
+                       pde_residual, picard_solve, power_spectrum_field,
                        radial_power_field, random_band_limited, run_experiment,
                        slab_times, spectrum_field, smoothing_rate,
                        strong_convergence_check, synthesize_kernel, weighted_norm)
@@ -33,17 +33,17 @@ def with_extras(cfg, **overrides):
     return dataclasses.replace(cfg, extras=extras)
 
 
-def semigroup_reference(F, t, m):
-    """W_t on the full lattice, re-projected onto Hermitian symmetry."""
-    c = F.coefficients * np.exp(-t * dissipation_symbol(F.grid, m))
-    return SpectralField(F.grid, 0.5 * (c + conj_reverse(c)))
+def semigroup_reference(c, grid, t, m):
+    """W_t on full-lattice coefficients, re-projected onto Hermitian symmetry."""
+    c = c * np.exp(-t * full_lattice.dissipation_symbol(grid, m))
+    return 0.5 * (c + full_lattice.conj_reverse(c))
 
 
 def orbit_norms_reference(f, sp, d, times, m, dec):
     """(base norm, || W_t f ||_{A^{s+d}} per time), one time at a time."""
     gained = sp.with_smoothness(sp.s + d)
-    F = forward_transform(f)
-    norms = [a_norm_of_coefficients(semigroup_reference(F, float(t), m).coefficients,
+    C = full_lattice.forward(f)
+    norms = [a_norm_of_coefficients(semigroup_reference(C, f.grid, float(t), m),
                                     f.grid, gained, dec) for t in times]
     return a_norm_of_field(f, sp, dec), np.array(norms)
 
@@ -105,9 +105,9 @@ class TestSmoothingRate:
         grid = TorusGrid(1, 64)
         k = np.fft.fftfreq(64, d=1.0 / 64)
         c = np.where(np.isin(np.abs(k), mode), 1.0, 0.0).astype(np.complex128)
-        f = inverse_transform(SpectralField(grid, c))
+        f = full_lattice.inverse(c, grid)
         dec = build_decomposition(grid)
-        weights = [l2_norm_of_coefficients(phi * c, grid) for phi in dec.cutoffs]
+        weights = [full_lattice.l2_norm(phi * c, grid) for phi in full_lattice.cutoffs(dec)]
         active = sum(w > 1e-8 * math.sqrt(sum(x * x for x in weights)) for w in weights)
         assert (active <= 1) == degenerate
         rep = smoothing_rate(f, SpaceParams("B", 1.0, 2.0, 2.0), 1.0,
@@ -142,29 +142,37 @@ class TestApplySemigroup:
     @pytest.mark.parametrize("alpha", [1, 2, 1.5])
     def test_real_field_matches_symmetrized_output(self, grid2d, alpha):
         rng = np.random.default_rng(21)
-        F = forward_transform(RealField(grid2d, rng.standard_normal(grid2d.shape)))
+        f = RealField(grid2d, rng.standard_normal(grid2d.shape))
+        F = forward_transform(f)
         m = ModelParams(alpha=alpha, r=3.0, n=2)
         for t in (1e-4, 0.01, 0.3):
             got = apply_semigroup(F, t, m).coefficients
-            want = semigroup_reference(F, t, m).coefficients
+            want = semigroup_reference(full_lattice.forward(f), grid2d, t, m)
+            want = want[..., : grid2d.points_per_dim // 2 + 1]
             assert relative_sup(got, want) <= 1e-15
             assert SpectralField(grid2d, got).hermitian_defect() <= 1e-15
 
 
-def reference_spectrum_field(grid, envelope, seed, max_radius=None, zero_mean=True):
-    """The full-lattice route: same draws, conj_reverse, inverse_transform."""
+def reference_spectrum(grid, envelope, seed, max_radius=None, zero_mean=True):
+    """The full-lattice route's spectrum: same draws, then conj_reverse."""
     rng = np.random.default_rng(seed)
-    radius = np.sqrt(grid.xi_squared)
+    radius = np.sqrt(full_lattice.xi_squared(grid))
     with np.errstate(divide="ignore", invalid="ignore"):
         mag = np.asarray(envelope(radius), dtype=np.float64)
     mag[~np.isfinite(mag)] = 0.0
     c = mag * (rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
     if max_radius is not None:
         c[radius > max_radius] = 0.0
-    c[nyquist_mask(grid)] = 0.0
+    c[full_lattice.nyquist_mask(grid)] = 0.0
     if zero_mean:
         c[(0,) * grid.n] = 0.0
-    return inverse_transform(SpectralField(grid, 0.5 * (c + conj_reverse(c)))).samples
+    return 0.5 * (c + full_lattice.conj_reverse(c))
+
+
+def reference_spectrum_field(grid, envelope, seed, max_radius=None, zero_mean=True):
+    """The full-lattice route: ``reference_spectrum``, then the checked ifftn."""
+    c = reference_spectrum(grid, envelope, seed, max_radius, zero_mean)
+    return full_lattice.inverse(c, grid).samples
 
 
 GRIDS = [TorusGrid(1, 64), TorusGrid(2, 32), TorusGrid(3, 16)]
@@ -186,33 +194,39 @@ class TestProbeFields:
             # The sup-normalized builders rescale; compare shapes, not scale.
             got, want = got / np.max(np.abs(got)), want / np.max(np.abs(want))
             assert relative_sup(got, want) <= 1e-13
+        # Through the same inverse transform, the unnormalized field is the
+        # full-lattice route's spectrum to the last bit.
+        full = reference_spectrum(grid, np.exp, 8, max_radius=5.0, zero_mean=False)
+        want = real_samples(full[..., : grid.points_per_dim // 2 + 1], grid)
+        got = spectrum_field(grid, np.exp, 8, max_radius=5.0, zero_mean=False).samples
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"n{g.n}")
     def test_deterministic_spectra_match_full_lattice_route(self, grid):
-        radius = np.sqrt(grid.xi_squared)
+        radius = np.sqrt(full_lattice.xi_squared(grid))
         with np.errstate(divide="ignore"):
             mag = np.where((radius > 0) & (radius <= 7.0), radius ** -0.5, 0.0)
-        mag[nyquist_mask(grid)] = 0.0
-        want = inverse_transform(SpectralField(grid, mag.astype(np.complex128))).samples
+        mag[full_lattice.nyquist_mask(grid)] = 0.0
+        want = full_lattice.inverse(mag.astype(np.complex128), grid).samples
         assert relative_sup(radial_power_field(grid, 0.5, max_radius=7.0).samples,
                             want) <= 1e-13
         m = ModelParams(alpha=2, r=3.0, n=grid.n)
         scale = math.sqrt(grid.size) / grid.volume
-        kernel = np.exp(-0.01 * dissipation_symbol(grid, m)) * scale
-        want = inverse_transform(SpectralField(grid, kernel.astype(np.complex128))).samples
+        kernel = np.exp(-0.01 * full_lattice.dissipation_symbol(grid, m)) * scale
+        want = full_lattice.inverse(kernel.astype(np.complex128), grid).samples
         assert relative_sup(synthesize_kernel(0.01, grid, m).samples, want) <= 1e-13
 
     @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"n{g.n}")
     def test_projections_match_full_lattice_route(self, grid):
         # White noise fills every mode, the Nyquist planes included.
         f = RealField(grid, np.random.default_rng(1).standard_normal(grid.shape))
-        F = forward_transform(f).coefficients
-        c = np.where(np.sqrt(grid.xi_squared) > 4.5, 0.0, F)
-        want = inverse_transform(SpectralField(grid, c)).samples
+        F = full_lattice.forward(f)
+        c = np.where(np.sqrt(full_lattice.xi_squared(grid)) > 4.5, 0.0, F)
+        want = full_lattice.inverse(c, grid).samples
         assert relative_sup(band_limit(f, 4.5).samples, want) <= 1e-13
         dec = build_decomposition(grid)
-        for j in range(dec.block_count):
-            want = inverse_transform(SpectralField(grid, F * dec.cutoffs[j])).samples
+        for j, phi in enumerate(full_lattice.cutoffs(dec)):
+            want = full_lattice.inverse(F * phi, grid).samples
             assert relative_sup(block(f, j, dec).samples, want) <= 1e-13
 
 
@@ -290,9 +304,10 @@ class TestContraction:
             w = TimeWeight(b=cfg.weight_a / (2.0 * m.r), v=cfg.weight_v, T=T)
 
             def orbit(f):
-                F = forward_transform(f)
-                return Trajectory(times, [inverse_transform(semigroup_reference(F, t, m))
-                                          for t in times])
+                C = full_lattice.forward(f)
+                return Trajectory(times, [
+                    full_lattice.inverse(semigroup_reference(C, grid, t, m), grid)
+                    for t in times])
 
             def norm(traj):
                 return weighted_norm(traj, w, sp, vexp, dec).value
@@ -328,7 +343,7 @@ class TestInPlaceAccumulation:
     def test_pde_residual_bytes_match_out_of_place_sum(self, small_solve):
         _, traj, cfg, m = small_solve
         grid = traj.grid
-        lam = dissipation_symbol(grid, m)[..., : grid.points_per_dim // 2 + 1]
+        lam = full_lattice.dissipation_symbol(grid, m)[..., : grid.points_per_dim // 2 + 1]
         shape = (-1,) + (1,) * grid.n
         h = np.diff(np.asarray(traj.times))
         h0, h1 = h[:-1].reshape(shape), h[1:].reshape(shape)
