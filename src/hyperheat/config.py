@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field, fields
 
 from .dyadic import SpaceParams
-from .errors import ConfigError
+from .errors import ConfigError, _reject_bools
 from .grid import TorusGrid
 from .semigroup import ModelParams
 from .solver import SolverConfig
@@ -43,6 +43,7 @@ class ExperimentConfig:
                               f"expected one of {', '.join(EXPERIMENTS)}")
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
+        _reject_bools(self, ("weight_a", "weight_v"), ConfigError)
 
     def time_weight(self):
         """TimeWeight with b = a/(2r) over the solver horizon."""
@@ -55,37 +56,37 @@ class ExperimentConfig:
             return math.inf
         return 2.0 * self.model.r * self.weight_v
 
-    def get_str(self, key, default=None):
-        value = self.extras.get(key, default)
+    def get_str(self, key):
+        value = self.extras.get(key)
         if value is None:
             raise ConfigError(f"experiment key {key!r} is required")
         return value
 
-    def get_float(self, key, default=None):
-        raw = self.get_str(key, default if default is None else repr(float(default)))
+    def get_float(self, key):
+        raw = self.get_str(key)
         try:
             return float(raw)
         except ValueError as exc:
             raise ConfigError(f"experiment key {key!r} must be a number, got {raw!r}") from exc
 
-    def get_int(self, key, default=None):
-        raw = self.get_str(key, default if default is None else str(int(default)))
+    def get_int(self, key):
+        raw = self.get_str(key)
         try:
             return int(raw)
         except ValueError as exc:
             raise ConfigError(f"experiment key {key!r} must be an integer, got {raw!r}") from exc
 
-    def get_floats(self, key, default=None):
-        raw = self.get_str(key, default)
+    def get_floats(self, key):
+        raw = self.get_str(key)
         try:
             return tuple(float(part) for part in raw.split(",") if part.strip())
         except ValueError as exc:
             raise ConfigError(f"experiment key {key!r} must be comma-separated numbers, "
                               f"got {raw!r}") from exc
 
-    def get_pairs(self, key, default=None):
+    def get_pairs(self, key):
         """Parse 'a:b,c:d' into ((a, b), (c, d)) of floats."""
-        raw = self.get_str(key, default)
+        raw = self.get_str(key)
         pairs = []
         try:
             for part in raw.split(","):

@@ -25,8 +25,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import ParameterError
-from .grid import _PAD_BATCH_BYTES, RealField, real_samples, real_spectra
+from .errors import InconsistentGridError, ParameterError, _reject_bools
+from .grid import RealField, _batches, _lp_norms, real_samples, real_spectra
 
 
 @dataclass(frozen=True)
@@ -44,6 +44,7 @@ class SpaceParams:
     s0: float = None
 
     def __post_init__(self):
+        _reject_bools(self, ("s", "p", "q", "s0"))
         if self.family not in ("B", "F"):
             raise ParameterError(f"family must be 'B' or 'F', got {self.family!r}")
         if not (self.p >= 1):
@@ -152,9 +153,9 @@ def build_decomposition(grid):
     return DyadicDecomposition(grid=grid, J=J, cutoffs=tuple(cutoffs))
 
 
-def block(f, j, decomposition=None):
+def block(f, j):
     """The j-th dyadic block of a real field, as a real field."""
-    dec = decomposition or build_decomposition(f.grid)
+    dec = build_decomposition(f.grid)
     if not 0 <= j <= dec.J:
         raise ParameterError(f"block index {j} outside 0..{dec.J}")
     c = real_spectra(f.samples, f.grid) * dec.cutoffs[j]
@@ -169,47 +170,48 @@ def _combine_scales(values, weights, q):
     return np.sum(weighted ** q, axis=0) ** (1.0 / q)
 
 
-def _lp_norms(samples, p, grid):
-    """Riemann-sum L_p norm over the trailing grid axes of a stack of samples."""
-    a = np.abs(samples)
-    axes = tuple(range(-grid.n, 0))
-    if math.isinf(p):
-        return np.max(a, axis=axes)
-    return (np.sum(a ** p, axis=axes) * grid.cell_volume) ** (1.0 / p)
+def _block_l2_norms(spectra, grid):
+    """||u_j||_2 of each field (row) and dyadic block (column) of a stack of
+    half-lattice spectra: the square root of |c|^2 @ ``half_block_weights``."""
+    power = (spectra.real ** 2 + spectra.imag ** 2).reshape(len(spectra), -1)
+    return np.sqrt(power @ build_decomposition(grid).half_block_weights)
 
 
 def a_norms_of_spectra(spectra, grid, sp, decomposition=None):
     """Norm in A^s_{p,q} of each real field in a stack of half-lattice spectra.
 
-    For B spaces with p = 2 the squared block norms of every field come from
-    one matrix product, |c|^2 @ ``half_block_weights``. Other spaces take the
-    block fields of a batch of times from one inverse transform of the
-    cutoffs times the spectra, batches sized so that all block samples of one
-    batch fit ``_PAD_BATCH_BYTES``.
+    The stack is normed in ``grid._batches``, so no temporary spans it: for B
+    spaces with p = 2 by ``_block_l2_norms``, else by one inverse transform of
+    the cutoffs times a batch. The decomposition is the grid's own; one
+    passed in must belong to ``grid``.
     """
-    dec = decomposition or build_decomposition(grid)
+    if decomposition is not None and decomposition.grid != grid:
+        raise InconsistentGridError(
+            f"decomposition of {decomposition.grid} used on {grid}")
+    dec = build_decomposition(grid)
     weights = np.array([2.0 ** (j * sp.s) for j in range(dec.block_count)])
-    if sp.family == "B" and sp.p == 2:
-        power = (spectra.real ** 2 + spectra.imag ** 2).reshape(len(spectra), -1)
-        block_norms = np.sqrt(power @ dec.half_block_weights).T
-        return _combine_scales(block_norms, weights[:, None], sp.q)
-    cutoffs = np.stack(dec.cutoffs)[:, None]
-    batch = max(1, _PAD_BATCH_BYTES // (8 * dec.block_count * grid.size))
     norms = np.empty(len(spectra))
-    for start in range(0, len(spectra), batch):
+    if sp.family == "B" and sp.p == 2:
+        for part in _batches(len(spectra), 16 * math.prod(grid.half_shape)):
+            norms[part] = _combine_scales(_block_l2_norms(spectra[part], grid).T,
+                                          weights[:, None], sp.q)
+        return norms
+    cutoffs = np.stack(dec.cutoffs)[:, None]
+    for part in _batches(len(spectra), 8 * dec.block_count * grid.size):
         # Block samples indexed (block, time, x).
-        blocks = real_samples(cutoffs * spectra[None, start:start + batch], grid)
+        blocks = real_samples(cutoffs * spectra[None, part], grid)
         if sp.family == "B":
-            norms[start:start + batch] = _combine_scales(
-                _lp_norms(blocks, sp.p, grid), weights[:, None], sp.q)
+            norms[part] = _combine_scales(_lp_norms(blocks, sp.p, grid), weights[:, None],
+                                          sp.q)
         else:
-            pointwise = _combine_scales(np.abs(blocks),
+            # |u_j| in place: one block-sized array fewer at the peak.
+            pointwise = _combine_scales(np.abs(blocks, out=blocks),
                                         weights.reshape((-1,) + (1,) * (grid.n + 1)), sp.q)
-            norms[start:start + batch] = _lp_norms(pointwise, sp.p, grid)
+            norms[part] = _lp_norms(pointwise, sp.p, grid)
     return norms
 
 
-def a_norm(f, sp, decomposition=None):
+def a_norm(f, sp):
     """Norm of a real field in A^s_{p,q}, A in {B, F}.
 
     Frequencies outside the covered ball |xi| <= 2^J are only partially
@@ -217,7 +219,7 @@ def a_norm(f, sp, decomposition=None):
     exact reconstruction matters.
     """
     spectra = real_spectra(f.samples, f.grid)[None]
-    return float(a_norms_of_spectra(spectra, f.grid, sp, decomposition)[0])
+    return float(a_norms_of_spectra(spectra, f.grid, sp)[0])
 
 
 @dataclass(frozen=True)
@@ -230,7 +232,7 @@ class PowerMapProbe:
     within_hypothesis: bool
 
 
-def power_map_probe(f, r, sp, decomposition=None):
+def power_map_probe(f, r, sp):
     """Ratio || |f|^{r-1} f ||_{A^s} / ||f||_{A^s}^r, with a hypothesis flag.
 
     The flag marks whether n/p < s < r, the regime where the power map is
@@ -241,10 +243,9 @@ def power_map_probe(f, r, sp, decomposition=None):
         raise ParameterError(f"power-map exponent r must exceed 1, got {r}")
     if sp.family == "F" and sp.p == 1 and sp.s == 1:
         raise ParameterError("power-map probe is undefined on the F-family corner p=1, s=1")
-    dec = decomposition or build_decomposition(f.grid)
     w = RealField(f.grid, np.abs(f.samples) ** (r - 1.0) * f.samples)
-    numerator = a_norm(w, sp, dec)
-    denominator = a_norm(f, sp, dec) ** r
+    numerator = a_norm(w, sp)
+    denominator = a_norm(f, sp) ** r
     if denominator == 0.0:
         raise ParameterError("power-map probe needs a nonzero field")
     n_over_p = 0.0 if math.isinf(sp.p) else f.grid.n / sp.p

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and one bool check raising them."""
 
 
 class HyperheatError(Exception):
@@ -42,3 +42,12 @@ class BlowupSuspectedError(HyperheatError, RuntimeError):
 
 class ConfigError(HyperheatError, ValueError):
     """An experiment configuration file is malformed."""
+
+
+def _reject_bools(obj, names, error=ParameterError):
+    """Raise ``error`` if a named attribute of ``obj`` is a bool: range checks
+    take True as 1, and a config holding it emits "True", which it cannot parse."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool):
+            raise error(f"{name} must be a number, not the bool {value!r}")

@@ -13,7 +13,7 @@ from itertools import product
 import numpy as np
 
 from .config import config_digest
-from .dyadic import a_norm, a_norms_of_spectra, build_decomposition
+from .dyadic import a_norm, a_norms_of_spectra
 from .errors import ConfigError, ParameterError
 from .fields import power_spectrum_field, radial_power_field, random_band_limited
 from .grid import RealField, TorusGrid, l2_norms_of_spectra, real_spectra
@@ -62,7 +62,6 @@ def run_smoothing(cfg):
     rec = _new_record(cfg)
     grid = cfg.grid
     sp = cfg.space
-    dec = build_decomposition(grid)
     pairs = cfg.get_pairs("pairs")
     samples = cfg.get_int("window_samples")
     slope_tol = cfg.get_float("slope_tol")
@@ -91,7 +90,7 @@ def run_smoothing(cfg):
             raise ParameterError(
                 f"grid too coarse to resolve the decay window for alpha={alpha:g}, d={d:g}")
         times = np.geomspace(t_lo, t_hi, samples)
-        report = smoothing_rate(saturating, sp, d, times, m, dec)
+        report = smoothing_rate(saturating, sp, d, times, m)
         tag = f"alpha{alpha:g}_d{d:g}"
         rec.add_check(f"slope_error_{tag}",
                       f"fitted log-log decay of the smoothness-gain norm against the "
@@ -102,7 +101,7 @@ def run_smoothing(cfg):
                        list(zip(report.times, report.norms, report.weighted_ratios)))
         pair_constant = 0.0
         for field in envelopes:
-            rep = smoothing_rate(field, sp, d, t_all, m, dec)
+            rep = smoothing_rate(field, sp, d, t_all, m)
             ratios = np.asarray(rep.weighted_ratios)
             fitted = float(np.max(ratios[::2]))
             worst_stability = max(worst_stability, float(np.max(ratios)) / fitted)
@@ -113,21 +112,20 @@ def run_smoothing(cfg):
                   "constant fitted on every second sample",
                   worst_stability, "<=", slack)
     m_flat = _model_with(pairs[0][0], cfg.model.r, cfg.model.n)
-    flat = smoothing_rate(saturating, sp, 0.0, np.geomspace(1e-6, 1e-4, samples),
-                          m_flat, dec)
+    flat = smoothing_rate(saturating, sp, 0.0, np.geomspace(1e-6, 1e-4, samples), m_flat)
     rec.add_check("d0_ratio_bound",
                   "largest norm ratio at zero smoothness gain (the multiplier never "
                   "exceeds one, so the norm cannot grow)",
                   max(flat.weighted_ratios), "<=", 1.0 + 1e-12)
     rec.add_metric("slope_d0", flat.slope)
-    if cfg.get_str("report_beyond_unit_time", "no") == "yes":
+    if cfg.get_str("report_beyond_unit_time") == "yes":
         alpha, d = pairs[0]
         m = _model_with(alpha, cfg.model.r, cfg.model.n)
         t = np.geomspace(1.0, 10.0, 25)
         C = real_spectra(saturating.samples, grid)
-        base_norm = a_norms_of_spectra(C[None], grid, sp, dec)[0]
+        base_norm = a_norms_of_spectra(C[None], grid, sp)[0]
         norms = a_norms_of_spectra(_orbit_multipliers(grid, m, t) * C, grid,
-                                   sp.with_smoothness(sp.s + d), dec)
+                                   sp.with_smoothness(sp.s + d))
         rec.add_series("beyond_unit_time", ("t", "norm", "weighted_ratio"),
                        zip(t, norms, t ** (d / (2.0 * m.alpha)) * norms / base_norm))
         rec.add_note("ratios beyond unit time are reported, not asserted; the decay "
@@ -256,7 +254,6 @@ def run_contraction(cfg):
     m = cfg.model
     sp = cfg.space
     grid = cfg.grid
-    dec = build_decomposition(grid)
     band = cfg.get_float("band_radius")
     t_top = cfg.get_float("t_top")
     halvings = cfg.get_int("halvings")
@@ -280,8 +277,7 @@ def run_contraction(cfg):
         orbit = _orbit_multipliers(grid, m, times)
 
         def weighted(spectra):
-            return time_weighted_norm(times, a_norms_of_spectra(spectra, grid, sp, dec),
-                                      b, vexp)
+            return time_weighted_norm(times, a_norms_of_spectra(spectra, grid, sp), b, vexp)
 
         orbits = []
         for i, g in enumerate(data):
@@ -331,7 +327,6 @@ def run_stability(cfg):
     sp = cfg.space
     sp0 = sp.initial_space()
     grid = cfg.grid
-    dec = build_decomposition(grid)
     band = cfg.get_float("band_radius")
     amplitude = cfg.get_float("amplitude")
     deltas = sorted(cfg.get_floats("delta_grid"))
@@ -342,7 +337,7 @@ def run_stability(cfg):
     w = cfg.time_weight()
     u0 = random_band_limited(grid, (cfg.seed, 40), band, amplitude)
     direction = random_band_limited(grid, (cfg.seed, 41), band, 1.0)
-    direction = direction * (1.0 / a_norm(direction, sp0, dec))
+    direction = direction * (1.0 / a_norm(direction, sp0))
     base = picard_solve(u0, cfg.solver, m, w, sp)
     sups = []
     terminals = []
@@ -350,7 +345,7 @@ def run_stability(cfg):
     for delta in deltas:
         pert = picard_solve(u0 + direction * delta, cfg.solver, m, w, sp)
         devs = a_norms_of_spectra(base.trajectory.spectra - pert.trajectory.spectra,
-                                  grid, sp0, dec)
+                                  grid, sp0)
         sups.append(max(devs))
         terminals.append(devs[-1])
         profile_rows = list(zip(base.trajectory.times, devs))
@@ -390,7 +385,6 @@ def run_solve(cfg):
     sp = cfg.space
     sp0 = sp.initial_space()
     grid = cfg.grid
-    dec = build_decomposition(grid)
     band = cfg.get_float("band_radius")
     amplitude = cfg.get_float("amplitude")
     oracle_tol = cfg.get_float("oracle_tol")
@@ -398,7 +392,7 @@ def run_solve(cfg):
     levels = cfg.get_int("strong_levels")
     if not 1 <= levels <= 40:
         raise ConfigError(f"strong_levels must be in 1..40, got {levels}")
-    ratio_raw = cfg.get_str("strong_final_ratio", "").strip()
+    ratio_raw = cfg.get_str("strong_final_ratio").strip()
     w = cfg.time_weight()
     vexp = cfg.integration_exponent()
     T = cfg.solver.horizon
@@ -429,15 +423,14 @@ def run_solve(cfg):
                   pde_residual(traj, m, cfg.solver.dealias_factor), "<=", residual_tol)
     reapplied = duhamel_apply(u0, traj, scfg, m)
     change = Trajectory.from_spectra(traj.times, reapplied.spectra - traj.spectra, grid)
-    defect = weighted_norm(change, w, sp, vexp, dec).value
-    scale = weighted_norm(traj, w, sp, vexp, dec).value
+    defect = weighted_norm(change, w, sp, vexp).value
+    scale = weighted_norm(traj, w, sp, vexp).value
     rec.add_check("fixed_point_defect",
                   "relative weighted-norm change after one more operator application",
                   defect / scale if scale > 0 else defect,
                   "<=", 2.0 * cfg.solver.picard_tol)
-    base_norm = a_norm(u0, sp0, dec)
-    at_dyadic = strong_convergence_check(traj, u0, sp0, at_times=sorted(dyadic),
-                                         decomposition=dec)
+    base_norm = a_norm(u0, sp0)
+    at_dyadic = strong_convergence_check(traj, u0, sp0, sorted(dyadic))
     rec.add_series("strong_convergence", ("t", "distance", "relative_distance"),
                    [(t, dist, dist / base_norm if base_norm > 0 else dist)
                     for t, dist in at_dyadic])
@@ -456,8 +449,8 @@ def run_solve(cfg):
     rec.add_series("trajectory_norms",
                    ("t", "l2_norm", "space_norm", "initial_space_norm"),
                    zip(traj.times, l2_norms_of_spectra(traj.spectra, grid),
-                       a_norms_of_spectra(traj.spectra, grid, sp, dec),
-                       a_norms_of_spectra(traj.spectra, grid, sp0, dec)))
+                       a_norms_of_spectra(traj.spectra, grid, sp),
+                       a_norms_of_spectra(traj.spectra, grid, sp0)))
     # Only odd integer r makes |u|^(r-1) u a polynomial that padding can
     # dealias exactly; r = 2 (|u| u) is not one.
     if not (float(m.r).is_integer() and int(m.r) % 2 == 1):

@@ -20,22 +20,27 @@ from functools import cached_property
 import numpy as np
 import scipy.fft
 
-from .errors import InconsistentGridError, ParameterError, SymmetryError
+from .errors import InconsistentGridError, ParameterError, SymmetryError, _reject_bools
 
 # Default cap on per-field storage; grids whose complex spectrum would not
 # fit are rejected at construction time.
 DEFAULT_MAX_FIELD_BYTES = 1 << 30
 
-# Work on a stack of many fields runs in batches whose working set stays
-# within this many bytes, so no temporary spans the whole stack: the power
-# kernel counts every buffer one slab touches (solver._slab_bytes), the
-# dyadic and time-norm layers their per-field arrays. It bounds memory, not
-# speed: batches save per-call overhead on small grids, but on large ones a
-# batch transforms about as fast per field as one field at a time (a 192^2
-# irfftn/rfftn pair took 0.71-0.75 ms per field in batches of 7 and
-# 0.63-0.74 ms alone, on a 2-vCPU x86-64 host with one FFT worker), and a
-# slab larger than the budget makes a batch of its own.
+# Work on a stack of many fields runs in batches (``_batches``) whose working
+# set stays within this many bytes, so no temporary spans the whole stack. It
+# bounds memory, not speed: batches save per-call overhead on small grids, but
+# on large ones a batch transforms about as fast per field as one field at a
+# time (a 192^2 irfftn/rfftn pair took 0.71-0.75 ms per field in batches of 7
+# and 0.63-0.74 ms alone, on a 2-vCPU x86-64 host with one FFT worker).
 _PAD_BATCH_BYTES = 1 << 21
+
+
+def _batches(count, item_bytes):
+    """Slices cutting ``count`` stacked items into consecutive batches whose
+    items, ``item_bytes`` of working set each, fit ``_PAD_BATCH_BYTES``
+    together; an item larger than the budget makes a batch of its own."""
+    length = max(1, _PAD_BATCH_BYTES // item_bytes)
+    return [slice(start, min(start + length, count)) for start in range(0, count, length)]
 
 
 def fft_workers():
@@ -68,12 +73,12 @@ class TorusGrid:
     max_field_bytes: int = field(default=DEFAULT_MAX_FIELD_BYTES, compare=False, repr=False)
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
+        _reject_bools(self, ("n", "points_per_dim", "length"))
+        if not isinstance(self.n, int) or self.n < 1:
             raise ParameterError(f"dimension n must be a positive integer, got {self.n}")
-        if isinstance(self.points_per_dim, bool) or not isinstance(self.points_per_dim, int) \
-                or not _is_power_of_two(self.points_per_dim) or self.points_per_dim < 8:
-            raise ParameterError(
-                f"points_per_dim must be a power of two >= 8, got {self.points_per_dim}")
+        N = self.points_per_dim
+        if not isinstance(N, int) or not _is_power_of_two(N) or N < 8:
+            raise ParameterError(f"points_per_dim must be a power of two >= 8, got {N}")
         if not (math.isfinite(self.length) and self.length > 0):
             raise ParameterError(f"length must be positive and finite, got {self.length}")
         # 16 bytes per complex128 sample.
@@ -287,14 +292,21 @@ def l2_norms_of_spectra(spectra, grid):
     return np.sqrt(grid.cell_volume * squared)
 
 
+def _lp_norms(samples, p, grid):
+    """Riemann-sum L_p norm over the trailing grid axes of a stack of samples;
+    p = inf gives the sample maximum."""
+    a = np.abs(samples)
+    axes = tuple(range(-grid.n, 0))
+    if math.isinf(p):
+        return np.max(a, axis=axes)
+    return (np.sum(a ** p, axis=axes) * grid.cell_volume) ** (1.0 / p)
+
+
 def lp_norm(f, p):
-    """Riemann-sum L_p norm on the torus; p = inf gives the sample maximum."""
+    """``_lp_norms`` of one field on the torus."""
     if not p >= 1:
         raise ParameterError(f"p must satisfy 1 <= p <= inf, got {p}")
-    a = np.abs(f.samples)
-    if math.isinf(p):
-        return float(np.max(a))
-    return float((np.sum(a ** p) * f.grid.cell_volume) ** (1.0 / p))
+    return float(_lp_norms(f.samples, p, f.grid))
 
 
 def nyquist_mask(grid):

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import a_norms_of_spectra, build_decomposition
-from .errors import ParameterError
+from .dyadic import _block_l2_norms, a_norms_of_spectra
+from .errors import ParameterError, _reject_bools
 from .grid import RealField, SpectralField, l2_norms_of_spectra, real_samples, real_spectra
 
 
@@ -32,10 +32,7 @@ class ModelParams:
     n: int
 
     def __post_init__(self):
-        for name in ("alpha", "r", "n"):
-            value = getattr(self, name)
-            if isinstance(value, bool):
-                raise ParameterError(f"{name} must be a number, got {value!r}")
+        _reject_bools(self, ("alpha", "r", "n"))
         if not (self.alpha > 0 and math.isfinite(self.alpha)):
             raise ParameterError(f"alpha must be positive, got {self.alpha}")
         if not (self.r >= 2 and math.isfinite(self.r)):
@@ -137,7 +134,7 @@ class SmoothingReport:
     note: str
 
 
-def smoothing_rate(omega, sp, d, times, m, decomposition=None):
+def smoothing_rate(omega, sp, d, times, m):
     """Measure the norm-inflation rate of W_t from A^s into A^{s+d}.
 
     Samples || W_t omega ||_{A^{s+d}} over the given times in (0, 1], fits
@@ -155,19 +152,18 @@ def smoothing_rate(omega, sp, d, times, m, decomposition=None):
     if np.any(np.diff(times) <= 0):
         raise ParameterError("sample times must be strictly increasing")
     grid = omega.grid
-    dec = decomposition or build_decomposition(grid)
-    C = real_spectra(omega.samples, grid)
-    base_norm = a_norms_of_spectra(C[None], grid, sp, dec)[0]
+    C = real_spectra(omega.samples, grid)[None]
+    base_norm = a_norms_of_spectra(C, grid, sp)[0]
     if base_norm == 0.0:
         raise ParameterError("smoothing probe needs a nonzero field")
     norms = a_norms_of_spectra(_orbit_multipliers(grid, m, times) * C, grid,
-                               sp.with_smoothness(sp.s + d), dec)
+                               sp.with_smoothness(sp.s + d))
     if np.any(norms <= 0):
         raise ParameterError("semigroup output norm vanished; field outside covered band?")
     slope, intercept = np.polyfit(np.log(times), np.log(norms), 1)
     ratios = times ** (d / (2.0 * m.alpha)) * norms / base_norm
     # Energy spread across blocks; one active block makes the rate trivial.
-    blocks = np.sqrt((C.real ** 2 + C.imag ** 2).ravel() @ dec.half_block_weights)
+    blocks = _block_l2_norms(C, grid)[0]
     degenerate = bool(np.count_nonzero(blocks > 1e-8 * np.linalg.norm(blocks)) <= 1)
     note = "bound saturated trivially: single active block" if degenerate else ""
     return SmoothingReport(d=float(d), slope=float(slope), intercept=float(intercept),

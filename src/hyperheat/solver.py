@@ -34,11 +34,11 @@ import numpy as np
 import scipy.fft
 from numpy.polynomial.legendre import leggauss
 
-from .dyadic import a_norms_of_spectra, build_decomposition
+from .dyadic import a_norms_of_spectra
 from .errors import (BlowupSuspectedError, InconsistentGridError, IntegrationError,
-                     ParameterError)
-from .grid import (_PAD_BATCH_BYTES, RealField, fft_workers, l2_norms_of_spectra,
-                   real_samples, real_spectra)
+                     ParameterError, _reject_bools)
+from .grid import (RealField, _batches, fft_workers, l2_norms_of_spectra, real_samples,
+                   real_spectra)
 from .semigroup import dissipation_symbol
 from .timenorms import Trajectory, admissibility, log_time_grid, time_weighted_norm
 
@@ -65,11 +65,13 @@ class SolverConfig:
     extra_times: tuple = ()
 
     def __post_init__(self):
+        _reject_bools(self, ("horizon", "slabs", "picard_tol", "picard_max_iter",
+                             "dealias_factor"))
         if not (math.isfinite(self.horizon) and self.horizon > 0):
             raise ParameterError(f"horizon must be positive, got {self.horizon}")
         for name in ("slabs", "picard_max_iter"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            if not isinstance(value, numbers.Integral):
                 raise ParameterError(f"{name} must be an integer, got {value!r}")
         if self.slabs < 4:
             raise ParameterError(f"need at least 4 slabs, got {self.slabs}")
@@ -157,12 +159,6 @@ def _slab_bytes(grid, dealias_factor):
     return 16 * 2 * padded + 8 * 2 * M ** grid.n + 16 * 3 * half + 8 * 3 * half
 
 
-def _batch_length(grid, dealias_factor):
-    """Slabs per batch: the whole working set of a batch fits
-    ``_PAD_BATCH_BYTES``, or one slab when a single slab does not."""
-    return max(1, _PAD_BATCH_BYTES // _slab_bytes(grid, dealias_factor))
-
-
 def _index_blocks(n, N, M):
     """Matching (coarse, padded) index blocks of the half-lattice modes with
     every |k_i| < N/2, between the N- and M-point lattices of a stack.
@@ -196,9 +192,9 @@ def _power_batches(spectra, grid, r, dealias_factor):
 
     Yields ``(start, stop, power)``, ``power`` being the result for
     ``spectra[start:stop]``. It is a view of the call's output buffer that the
-    next batch overwrites, and each batch, of ``_batch_length`` slabs, is read
-    from ``spectra`` only when it is reached, so the caller may overwrite the
-    slabs it has been given.
+    next batch overwrites, and each batch, cut by ``grid._batches`` at
+    ``_slab_bytes`` per slab, is read from ``spectra`` only when it is reached,
+    so the caller may overwrite the slabs it has been given.
 
     Each field is zero-padded to the lattice enlarged by ``dealias_factor``,
     evaluated pointwise there and truncated back. The unpaired Nyquist planes
@@ -217,28 +213,29 @@ def _power_batches(spectra, grid, r, dealias_factor):
     # map is homogeneous of degree r, so the factor is applied once, on the
     # way out.
     gain = ((M / N) ** (n / 2.0)) ** (r - 1.0)
-    batch = max(1, min(len(spectra), _batch_length(grid, dealias_factor)))
+    batches = _batches(len(spectra), _slab_bytes(grid, dealias_factor))
+    # The first batch is the longest.
+    batch = batches[0].stop if batches else 0
     workers = fft_workers()
     padded = np.zeros((batch,) + (M,) * (n - 1) + (M // 2 + 1,), dtype=np.complex128)
     out = np.zeros((batch,) + grid.half_shape, dtype=np.complex128)
     magnitudes = np.empty((batch,) + (M,) * n)
-    for start in range(0, len(spectra), batch):
-        stop = min(start + batch, len(spectra))
-        fill = padded[:stop - start]
+    for part in batches:
+        fill = padded[:part.stop - part.start]
         for src, dst in blocks:
-            fill[dst] = spectra[start:stop][src]
+            fill[dst] = spectra[part][src]
         fine = scipy.fft.irfftn(fill, s=(M,) * n, axes=axes, norm="ortho",
                                 workers=workers)
-        magnitude = np.abs(fine, out=magnitudes[:stop - start])
+        magnitude = np.abs(fine, out=magnitudes[:len(fill)])
         magnitude **= r - 1.0
         fine *= magnitude
         fine_hat = scipy.fft.rfftn(fine, axes=axes, norm="ortho", workers=workers)
         del fine
-        power = out[:stop - start]
+        power = out[:len(fill)]
         for src, dst in blocks:
             np.multiply(fine_hat[dst], gain, out=power[src])
         del fine_hat
-        yield start, stop, power
+        yield part.start, part.stop, power
 
 
 def _power_spectra(spectra, grid, r, dealias_factor):
@@ -441,7 +438,6 @@ def picard_solve(u0, cfg, m, w, sp):
     vexp = math.inf if math.isinf(w.v) else 2.0 * m.r * w.v
     times = slab_times(cfg)
     grid = u0.grid
-    dec = build_decomposition(grid)
     weights = _slab_weights(grid, m, tuple(times.tolist()))
     u0_hat = real_spectra(u0.samples, grid)
     u0_l2 = l2_norms_of_spectra(u0_hat[None], grid)[0]
@@ -476,8 +472,9 @@ def picard_solve(u0, cfg, m, w, sp):
     converged = False
     iterations = 0
     # A batch's new slabs and their change, normed in one call: the dyadic
-    # weights are read once per batch, however short the batches are.
-    batch = min(len(times), _batch_length(grid, cfg.dealias_factor))
+    # weights are read once per batch, however short the batches are. The
+    # first kernel batch is the longest.
+    batch = _batches(len(times), _slab_bytes(grid, cfg.dealias_factor))[0].stop
     pairs = np.empty((2 * batch,) + u0_hat.shape, dtype=np.complex128)
     for iterations in range(1, cfg.picard_max_iter + 1):
         peak = 0.0
@@ -491,7 +488,7 @@ def picard_solve(u0, cfg, m, w, sp):
             pair[:count] = new
             np.subtract(new, old, out=pair[count:])
             norms[start:stop], gaps[start:stop] = np.split(
-                a_norms_of_spectra(pair, grid, sp, dec), 2)
+                a_norms_of_spectra(pair, grid, sp), 2)
             peak = max(peak, float(np.max(l2_norms_of_spectra(new, grid))))
             old[...] = new
         frozen_used.append(frozen)
@@ -608,25 +605,17 @@ def pde_residual(traj, m, dealias_factor=1.5):
     return worst
 
 
-def strong_convergence_check(traj, u0, sp0, at_times=None, count=8,
-                             decomposition=None):
-    """Distances || u(., t) - u0 ||_{A^{s0}} at selected sample times.
-
-    With ``at_times`` given, the nearest sample to each requested time is
-    used (in the requested order); otherwise the ``count`` earliest samples.
-    Returns a list of (t, distance) pairs.
-    """
+def strong_convergence_check(traj, u0, sp0, at_times):
+    """Distances || u(., t) - u0 ||_{A^{s0}} at the samples nearest to each
+    of ``at_times``, in the requested order, as a list of (t, distance)
+    pairs."""
     grid = traj.grid
     if u0.grid != grid:
         raise InconsistentGridError("trajectory and initial data live on different grids")
-    dec = decomposition or build_decomposition(grid)
     times = np.asarray(traj.times)
-    if at_times is not None:
-        indices = [int(np.argmin(np.abs(times - target))) for target in at_times]
-    else:
-        indices = list(range(min(count, len(times))))
+    indices = [int(np.argmin(np.abs(times - target))) for target in at_times]
     gaps = traj.spectra[indices] - real_spectra(u0.samples, grid)
-    dists = a_norms_of_spectra(gaps, grid, sp0, dec)
+    dists = a_norms_of_spectra(gaps, grid, sp0)
     return [(float(times[i]), float(dist)) for i, dist in zip(indices, dists)]
 
 

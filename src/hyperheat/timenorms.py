@@ -31,9 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import a_norms_of_spectra, build_decomposition
-from .errors import InconsistentGridError, ParameterError
-from .grid import _PAD_BATCH_BYTES, RealField, TorusGrid, real_samples, real_spectra
+from .dyadic import a_norms_of_spectra
+from .errors import InconsistentGridError, ParameterError, _reject_bools
+from .grid import RealField, TorusGrid, _batches, real_samples, real_spectra
 
 
 @dataclass(frozen=True)
@@ -45,6 +45,7 @@ class TimeWeight:
     T: float
 
     def __post_init__(self):
+        _reject_bools(self, ("b", "v", "T"))
         if not math.isfinite(self.b):
             raise ParameterError(f"weight exponent b must be finite, got {self.b}")
         if not self.v >= 0.5:
@@ -92,13 +93,11 @@ class Trajectory:
         times = _sample_times(times, len(fields))
         grid = fields[0].grid
         spectra = np.empty((len(fields),) + grid.half_shape, dtype=np.complex128)
-        batch = max(1, _PAD_BATCH_BYTES // (16 * math.prod(grid.half_shape)))
-        for start in range(0, len(fields), batch):
-            chunk = fields[start:start + batch]
+        for part in _batches(len(fields), 16 * math.prod(grid.half_shape)):
+            chunk = fields[part]
             if any(f.grid != grid for f in chunk):
                 raise InconsistentGridError("all trajectory fields must share one grid")
-            samples = np.stack([f.samples for f in chunk])
-            spectra[start:start + batch] = real_spectra(samples, grid)
+            spectra[part] = real_spectra(np.stack([f.samples for f in chunk]), grid)
         self._adopt(times, spectra, grid)
 
     @classmethod
@@ -172,26 +171,22 @@ def weighted_norm(traj, w, sp, vexp, decomposition=None):
 
     Sample times must lie in (0, T]. Coverage is flagged when the earliest
     sample is above T/1000 or the last sits below 0.98 T, since then the
-    quadrature cannot see the full decade span of (0, T).
+    quadrature cannot see the full decade span of (0, T). A
+    ``decomposition`` passed in must belong to the trajectory's grid, as in
+    ``a_norms_of_spectra``.
     """
     if not vexp >= 1:
         raise ParameterError(f"integration exponent must satisfy 1 <= vexp <= inf, got {vexp}")
     times = np.asarray(traj.times)
     if times[-1] > w.T * (1 + 1e-12):
         raise ParameterError(f"trajectory reaches t = {times[-1]} beyond horizon T = {w.T}")
-    dec = decomposition or build_decomposition(traj.grid)
     coverage_ok = times[0] <= w.T * 1e-3 * (1 + 1e-12) and times[-1] >= 0.98 * w.T
     note = "" if coverage_ok else (
         f"samples cover [{times[0]:.3e}, {times[-1]:.3e}] of (0, {w.T:.3e}); "
         "weighted norm may miss mass near the endpoints")
     if not math.isinf(vexp) and times.size < 2:
         raise ParameterError("finite-exponent weighted norms need at least two samples")
-    # Norms batch by batch: no temporary spans the whole stack.
-    grid = traj.grid
-    batch = max(1, _PAD_BATCH_BYTES // (16 * math.prod(grid.half_shape)))
-    norms = np.concatenate([
-        a_norms_of_spectra(traj.spectra[start:start + batch], grid, sp, dec)
-        for start in range(0, len(traj), batch)])
+    norms = a_norms_of_spectra(traj.spectra, traj.grid, sp, decomposition)
     return WeightedNormResult(value=time_weighted_norm(times, norms, w.b, vexp),
                               coverage_ok=coverage_ok, note=note)
 

@@ -119,7 +119,7 @@ def test_criterion_04_dyadic_partition_blocks_scaling():
     f = random_band_limited(grid, 2026, max_radius=dec.covered_radius)
     total = np.zeros(grid.shape)
     for j in range(dec.block_count):
-        total = total + block(f, j, dec).samples
+        total = total + block(f, j).samples
     recon = float(np.max(np.abs(total - f.samples)) / np.max(np.abs(f.samples)))
     line = TorusGrid(1, 64)
     mode = cosine_mode(line, (8,))  # |xi| = 2^3 sits purely in block 3

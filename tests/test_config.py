@@ -53,6 +53,31 @@ class TestRoundTrip:
         with pytest.raises(ParameterError):
             dataclasses.replace(cfg.model, **{key: True})
 
+    @pytest.mark.parametrize("part, key", [
+        ("grid", "length"), ("space", "s"), ("space", "p"), ("space", "q"),
+        ("space", "s0"), ("solver", "horizon"), ("solver", "dealias_factor"),
+        ("time_weight", "b"), ("time_weight", "v"), ("time_weight", "T"),
+        ("experiment", "weight_a"), ("experiment", "weight_v")])
+    def test_bool_number_rejected_before_emit(self, part, key):
+        # bool passes every range check as 1; emitted, it reads "True", which
+        # parse_config cannot read back. The same 1.0 as a float round-trips.
+        cfg = default_config("solve")
+
+        def with_value(value):
+            if part == "experiment":
+                return dataclasses.replace(cfg, **{key: value})
+            if part == "time_weight":
+                return dataclasses.replace(cfg.time_weight(), **{key: value})
+            return dataclasses.replace(
+                cfg, **{part: dataclasses.replace(getattr(cfg, part), **{key: value})})
+
+        error = ConfigError if part == "experiment" else ParameterError
+        with pytest.raises(error, match=key):
+            with_value(True)
+        numeric = with_value(1.0)
+        if part != "time_weight":
+            assert parse_config(emit_config(numeric)) == numeric
+
     def test_digest_is_stable(self):
         cfg = default_config("sweep")
         d1 = config_digest(cfg)

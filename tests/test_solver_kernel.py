@@ -18,9 +18,15 @@ from hyperheat import (BlowupSuspectedError, ModelParams, RealField, SolverConfi
                        SpaceParams, TimeWeight, TorusGrid, build_decomposition,
                        etd_oracle, nonlinearity, phi1, phi2, picard_solve,
                        random_band_limited, slab_times)
+from hyperheat import grid as grid_module
 from hyperheat import solver
 from hyperheat.grid import real_spectra
 from reference_norms import a_norm_of_coefficients
+
+
+def kernel_batch(grid, count=1024):
+    """Slabs in the first, longest, power-kernel batch over ``count`` slabs."""
+    return grid_module._batches(count, solver._slab_bytes(grid, 1.5))[0].stop
 
 
 def reference_power_coefficients(c, grid, r, dealias_factor):
@@ -158,8 +164,8 @@ class TestPowerKernel:
         # One slab per batch, three per batch (a ragged last batch), all in one.
         for budget, lengths in ((1, [1] * 7), (3 * solver._slab_bytes(grid, 1.5), [3, 3, 1]),
                                 (1 << 40, [7])):
-            monkeypatch.setattr(solver, "_PAD_BATCH_BYTES", budget)
-            assert min(solver._batch_length(grid, 1.5), len(spectra)) == lengths[0]
+            monkeypatch.setattr(grid_module, "_PAD_BATCH_BYTES", budget)
+            assert kernel_batch(grid, len(spectra)) == lengths[0]
             results.append(solver._power_spectra(spectra, grid, 2.5, 1.5).tobytes())
             shapes = [power.shape for _, _, power in
                       solver._power_batches(spectra, grid, 2.5, 1.5)]
@@ -229,7 +235,7 @@ class TestPowerKernel:
                     row_bytes["padded"] = args[0].nbytes // len(args[0])
                 return result
             monkeypatch.setattr(scipy.fft, name, recording)
-        batch = solver._batch_length(grid, 1.5)
+        batch = kernel_batch(grid)
         spectra = real_spectra(kernel_inputs(grid, 2 * batch + 1, grid.n), grid)
         lengths = []
         for _, _, power in solver._power_batches(spectra, grid, 3.0, 1.5):
@@ -240,14 +246,14 @@ class TestPowerKernel:
                   + row_bytes["rfftn"])
         per_slab = solver._slab_bytes(grid, 1.5)
         assert kernel <= per_slab
-        assert batch * per_slab <= solver._PAD_BATCH_BYTES
+        assert batch * per_slab <= grid_module._PAD_BATCH_BYTES
 
     @pytest.mark.parametrize("points", [128, 256])
     def test_large_grids_take_one_slab_per_batch(self, points):
         # Two 128^2 slabs exceed the budget; one 256^2 slab alone does.
         grid = TorusGrid(2, points)
-        assert 2 * solver._slab_bytes(grid, 1.5) > solver._PAD_BATCH_BYTES
-        assert solver._batch_length(grid, 1.5) == 1
+        assert 2 * solver._slab_bytes(grid, 1.5) > grid_module._PAD_BATCH_BYTES
+        assert kernel_batch(grid) == 1
 
     def test_rejects_padding_below_one(self):
         grid = GRIDS[1]

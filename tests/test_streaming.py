@@ -23,17 +23,23 @@ from hyperheat import (BlowupSuspectedError, ModelParams, SolverConfig, SpacePar
                        TimeWeight, TorusGrid, build_decomposition, default_config,
                        duhamel_apply, etd_oracle, pde_residual, picard_solve,
                        random_band_limited, slab_times, weighted_norm)
-from hyperheat import dyadic, solver, timenorms
+from hyperheat import grid as grid_module
+from hyperheat import solver
+from hyperheat.dyadic import a_norms_of_spectra
 from hyperheat.grid import real_spectra
+from test_solver_kernel import kernel_batch
 
 MODEL = ModelParams(alpha=1, r=3.0, n=2)
 SPACE = SpaceParams("B", 1.5, 2.0, 2.0)
+# One space per path of the norm layer: the B, p = 2 matrix product and the
+# block fields of the F family and of p != 2.
+NORM_SPACES = {"B(1.5,2,2)": SPACE, "F(1.1,2,4)": SpaceParams("F", 1.1, 2.0, 4.0),
+               "B(0.5,3,2)": SpaceParams("B", 0.5, 3.0, 2.0)}
 
 
 def set_batch_bytes(monkeypatch, budget):
-    """Patch the one batch budget in every module that sizes batches by it."""
-    for module in (dyadic, timenorms, solver):
-        monkeypatch.setattr(module, "_PAD_BATCH_BYTES", budget)
+    """Patch the one batch budget, which ``grid._batches`` alone reads."""
+    monkeypatch.setattr(grid_module, "_PAD_BATCH_BYTES", budget)
 
 
 def traced(call):
@@ -100,6 +106,14 @@ class TestWorkingMemory:
         assert self.stacks_above_kept(
             lambda: weighted_norm(traj, self.WEIGHT, SPACE, 6.0)) <= 0.5
 
+    # The norm layer cuts its own batches, so neither path builds |c|^2 or the
+    # block fields of the whole stack.
+    @pytest.mark.parametrize("space", ["B(1.5,2,2)", "F(1.1,2,4)"])
+    def test_stack_norms_work_per_batch(self, solved, space):
+        _, traj = solved
+        assert self.stacks_above_kept(
+            lambda: a_norms_of_spectra(traj.spectra, self.GRID, NORM_SPACES[space])) <= 0.25
+
     # With the trajectory stored as one spectra stack, no call converts it to
     # or from fields: each keeps about one stack beyond its result.
     def test_picard_solve_keeps_only_its_iterate(self, solved):
@@ -161,7 +175,7 @@ class TestKernelWorkspace:
         # batch's temporaries.
         times = slab_times(self.CONFIG.solver)
         assert len(times) == 129
-        assert len(times) > 4 * solver._batch_length(self.GRID, 1.5)
+        assert len(times) > 4 * kernel_batch(self.GRID)
         u = random_band_limited(self.GRID, 3, 1.9, 1.0)
         scale = np.linspace(0.5, 1.0, len(times) + 1).reshape(-1, 1, 1)
         stack = real_spectra(scale * u.samples, self.GRID)
@@ -172,12 +186,12 @@ class TestKernelWorkspace:
 
         sweep(stack.copy())  # warm: slab weights and kernel plan
         spectra = stack.copy()
-        assert traced(lambda: sweep(spectra))[0] <= solver._PAD_BATCH_BYTES
+        assert traced(lambda: sweep(spectra))[0] <= grid_module._PAD_BATCH_BYTES
 
     def test_interleaved_iterators_keep_their_own_batches(self):
         # A second live iterator on one grid must not write the first one's
         # buffers: each yielded batch is read after the other advanced.
-        batch = solver._batch_length(self.GRID, 1.5)
+        batch = kernel_batch(self.GRID)
         x, y = self.stacks(2 * batch + 3, 1), self.stacks(2 * batch + 3, 2)
         want = [solver._power_spectra(s, self.GRID, 3.0, 1.5).tobytes() for s in (x, y)]
         got = [np.empty_like(x), np.empty_like(y)]
@@ -195,7 +209,7 @@ class TestKernelWorkspace:
     def test_threads_sharing_a_plan_keep_their_own_results(self):
         # More threads than cores on one grid, switching often: a thread that
         # wrote into another's live buffers would change its bytes.
-        batch = solver._batch_length(self.GRID, 1.5)
+        batch = kernel_batch(self.GRID)
         stacks = [self.stacks(2 * batch + 3, seed) for seed in range(4)]
         want = [solver._power_spectra(s, self.GRID, 3.0, 1.5).tobytes() for s in stacks]
         got = [[] for _ in stacks]
@@ -226,7 +240,7 @@ class TestKernelWorkspace:
         grid = TorusGrid(2, points)
         rng = np.random.default_rng(points)
         spectra = real_spectra(rng.standard_normal((count,) + grid.shape), grid)
-        assert count == 1 or count > 2 * solver._batch_length(grid, 1.5)
+        assert count == 1 or count > 2 * kernel_batch(grid)
         solver._kernel_plan.cache_clear()
         kept = traced(lambda: solver._power_spectra(spectra, grid, 3.0, 1.5))[1]
         assert kept < 16 * math.prod(grid.half_shape)
@@ -259,6 +273,8 @@ class TestBatchBoundaries:
             "residual": pde_residual(traj, MODEL, self.CFG.dealias_factor),
             "weighted": [weighted_norm(traj, self.WEIGHT, sp, 6.0).value
                          for sp in (SPACE, SpaceParams("F", 1.1, 2.0, 4.0))],
+            "norms": {name: a_norms_of_spectra(traj.spectra, self.GRID, sp)
+                      for name, sp in NORM_SPACES.items()},
         }
 
     @pytest.fixture(scope="class")
@@ -270,7 +286,7 @@ class TestBatchBoundaries:
     def test_results_do_not_depend_on_batching(self, budget, slabs, monkeypatch,
                                                reference):
         got = self.run(monkeypatch, self.BUDGETS[budget])
-        assert solver._batch_length(self.GRID, 1.5) == slabs
+        assert kernel_batch(self.GRID) == slabs
         assert len(slab_times(self.CFG)) > 10 * slabs
         assert len(reference["distances"]) >= 4
         for key in ("terminal", "duhamel", "oracle"):
@@ -281,6 +297,13 @@ class TestBatchBoundaries:
         assert relative(got["residual"], reference["residual"]) <= 1e-14
         np.testing.assert_allclose(got["weighted"], reference["weighted"], rtol=1e-14,
                                    atol=0)
+        # The block path transforms and sums each field on its own, whatever
+        # its batch; the matrix product of the B, p = 2 path may round
+        # differently over other batches.
+        for name in ("F(1.1,2,4)", "B(0.5,3,2)"):
+            assert got["norms"][name].tobytes() == reference["norms"][name].tobytes(), name
+        np.testing.assert_allclose(got["norms"]["B(1.5,2,2)"],
+                                   reference["norms"]["B(1.5,2,2)"], rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("budget", sorted(BUDGETS))
     def test_blowup_report_survives_the_overwrite(self, budget, monkeypatch):

@@ -74,7 +74,7 @@ class TestSmoothingRate:
              else power_spectrum_field(grid, 0.6, seed=(4, n)))
         times = np.geomspace(1e-5, 0.5, 9 if space.startswith("F") else 17)
         d = 2.0
-        rep = smoothing_rate(f, sp, d, times, m, dec)
+        rep = smoothing_rate(f, sp, d, times, m)
         base, norms = orbit_norms_reference(f, sp, d, times, m, dec)
         assert rep.base_norm == pytest.approx(base, rel=1e-12)
         assert_allclose(rep.norms, norms, rtol=1e-12, atol=0)
@@ -227,7 +227,7 @@ class TestProbeFields:
         dec = build_decomposition(grid)
         for j, phi in enumerate(full_lattice.cutoffs(dec)):
             want = full_lattice.inverse(F * phi, grid).samples
-            assert relative_sup(block(f, j, dec).samples, want) <= 1e-13
+            assert relative_sup(block(f, j).samples, want) <= 1e-13
 
 
 @pytest.fixture(scope="module")
@@ -246,24 +246,21 @@ class TestStackedDistances:
     def test_strong_convergence_matches_per_field_norms(self, small_solve, space):
         u0, traj, _, _ = small_solve
         sp0 = SPACES[space]
-        dec = build_decomposition(u0.grid)
-        for kwargs in ({"at_times": (0.05, 0.0125, 0.025)}, {"count": 5}):
-            got = strong_convergence_check(traj, u0, sp0, decomposition=dec, **kwargs)
-            times = np.asarray(traj.times)
-            if "at_times" in kwargs:
-                indices = [int(np.argmin(np.abs(times - t))) for t in kwargs["at_times"]]
-            else:
-                indices = range(kwargs["count"])
-            for (t, dist), i in zip(got, indices):
-                assert t == traj.times[i]
-                assert dist == pytest.approx(
-                    a_norm_of_field(traj.fields[i] - u0, sp0, dec), rel=1e-12)
+        at_times = (0.05, 0.0125, 0.025)
+        got = strong_convergence_check(traj, u0, sp0, at_times)
+        times = np.asarray(traj.times)
+        indices = [int(np.argmin(np.abs(times - t))) for t in at_times]
+        assert len(got) == len(indices)
+        for (t, dist), i in zip(got, indices):
+            assert t == traj.times[i]
+            assert dist == pytest.approx(a_norm_of_field(traj.fields[i] - u0, sp0),
+                                         rel=1e-12)
 
     def test_strong_convergence_rejects_data_on_another_grid(self, small_solve):
         _, traj, _, _ = small_solve
         other = random_band_limited(TorusGrid(2, 16, length=4.0 * math.pi), 7, 3.0)
         with pytest.raises(InconsistentGridError):
-            strong_convergence_check(traj, other, SPACES["B(1.5,2,2)"])
+            strong_convergence_check(traj, other, SPACES["B(1.5,2,2)"], (0.05,))
 
     def test_stability_deviations_match_per_field_norms(self):
         cfg = dataclasses.replace(default_config("stability"), grid=TorusGrid(2, 16),
@@ -275,7 +272,7 @@ class TestStackedDistances:
         band = cfg.get_float("band_radius")
         u0 = random_band_limited(cfg.grid, (cfg.seed, 40), band, cfg.get_float("amplitude"))
         direction = random_band_limited(cfg.grid, (cfg.seed, 41), band, 1.0)
-        direction = direction * (1.0 / a_norm(direction, sp0, dec))
+        direction = direction * (1.0 / a_norm(direction, sp0))
         w = cfg.time_weight()
         base = picard_solve(u0, cfg.solver, cfg.model, w, sp).trajectory
         pert = picard_solve(u0 + direction * 1e-2, cfg.solver, cfg.model, w, sp).trajectory

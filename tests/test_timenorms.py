@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from hyperheat import (InconsistentGridError, ModelParams, ParameterError, RealField,
                        SpaceParams, TimeWeight, TorusGrid, Trajectory, admissibility,
-                       a_norm, cosine_mode, equivalence_check, log_time_grid,
-                       weighted_norm)
-from hyperheat import timenorms
+                       a_norm, build_decomposition, cosine_mode, equivalence_check,
+                       log_time_grid, random_band_limited, weighted_norm)
+from hyperheat import grid as grid_module
+from hyperheat.dyadic import a_norms_of_spectra
 
 
 def power_trajectory(grid, beta, T, per_decade=128):
@@ -104,7 +105,7 @@ class TestSpectraLayout:
         stacks = []
         # One field per batch, four (a ragged last batch) and all at once.
         for budget in (1, 4 * 16 * math.prod(grid2d.half_shape), 1 << 40):
-            monkeypatch.setattr(timenorms, "_PAD_BATCH_BYTES", budget)
+            monkeypatch.setattr(grid_module, "_PAD_BATCH_BYTES", budget)
             stacks.append(Trajectory(times, fields).spectra.tobytes())
         assert stacks[0] == stacks[1] == stacks[2]
 
@@ -176,6 +177,23 @@ class TestWeightedNorm:
         with pytest.raises(ParameterError):
             weighted_norm(traj, TimeWeight(b=0.0, v=1.0, T=1.0),
                           SpaceParams("B", 1.0, 2.0, 2.0), 1.0)
+
+    @pytest.mark.parametrize("space", [SpaceParams("B", 1.5, 2.0, 2.0),
+                                       SpaceParams("F", 1.1, 2.0, 4.0)], ids=["B", "F"])
+    def test_rejects_the_decomposition_of_another_grid(self, grid2d, space):
+        # Same shape, half the length: its cutoffs mark other modes, so a norm
+        # taken with them would read another number, not fail.
+        other = build_decomposition(TorusGrid(2, 32, length=math.pi))
+        f = random_band_limited(grid2d, 5, 6.0)
+        traj = Trajectory((0.5, 1.0), (f, 0.5 * f))
+        w = TimeWeight(b=0.1, v=1.0, T=1.0)
+        with pytest.raises(InconsistentGridError):
+            a_norms_of_spectra(traj.spectra, grid2d, space, other)
+        with pytest.raises(InconsistentGridError):
+            weighted_norm(traj, w, space, 6.0, other)
+        own = build_decomposition(TorusGrid(2, 32))
+        assert (weighted_norm(traj, w, space, 6.0, own).value
+                == weighted_norm(traj, w, space, 6.0).value)
 
     def test_rejects_exponent_below_one(self, grid1d):
         f = cosine_mode(grid1d, (1,))
