@@ -15,7 +15,7 @@ slab end to slab end, U_i = e^z U_{i-1} + (slab integral), U_0 = u0. Fixed
 points are found by Picard iteration, with distances measured in the
 time-weighted norm, from a first iterate near the fixed point: one causal
 march of the same recursion, each slab's end forcing taken at an exponential
-Adams-Bashforth 2 prediction (Cox & Matthews 2002).
+Adams-Bashforth 3 prediction (Cox & Matthews 2002).
 Because (T u)(t) reads u only on [0, t], the iterate settles on a prefix of
 slabs before the horizon; once its predicted next change is below roundoff
 that prefix is frozen and later iterations sweep only the slabs after it
@@ -400,9 +400,10 @@ def picard_solve(u0, cfg, m, w, sp):
 
     The first iterate marches the slab recursion once, slab by slab. The
     forcing w_i at each slab end is evaluated once, at the exponential
-    Adams-Bashforth 2 prediction
-    e^z U_{i-1} + dt phi1 w_{i-1} + dt phi2 (w_{i-1} - w_{i-2}) dt_i/dt_{i-1}
-    (no phi2 term on the first slab), and the recursion integrates the line
+    Adams-Bashforth 3 prediction e^z U_{i-1} + dt phi1 w_{i-1} + dt phi2 q,
+    q the rise from w_{i-1} to t_i of the quadratic through the forcings at
+    the last three slab ends (the line through w_0 and w_1 on the second
+    slab, no phi2 term on the first), and the recursion integrates the line
     from w_{i-1} to w_i, so the start lies near the fixed point. From the
     first slab whose prediction is not finite or exceeds 1e3 times the
     data's L2 norm, the decay rows alone carry it, and the report's note
@@ -447,22 +448,25 @@ def picard_solve(u0, cfg, m, w, sp):
     # The one iterate stack, overwritten batch by batch as the sweep passes;
     # the march writes the first iterate straight into it.
     current = np.empty((len(times),) + u0_hat.shape, dtype=np.complex128)
-    dt = np.diff(times, prepend=0.0)
-    # Equal forcings on the first slab leave its prediction without phi2 term.
-    forcing = before = left
+    steps = np.diff(times, prepend=0.0).tolist()
+    # The forcing at the slab's left end and its rises over the last (up to
+    # two) slabs, oldest first.
+    forcing, rises = left, []
     escaped = ""
     for i, row in enumerate(weights.step):
         u = np.multiply(weights.decay[row], current[i - 1] if i else u0_hat, out=current[i])
         if escaped:
             continue
         base = u + weights.phi1[row] * forcing
-        guess = base + weights.phi2[row] * ((forcing - before) * (dt[i] / dt[i - 1]))
+        rise = _predicted_rise(rises, steps[max(i - 2, 0):i + 1])
+        guess = base + weights.phi2[row] * rise
         if not l2_norms_of_spectra(guess[None], grid)[0] <= 1e3 * u0_l2:
             escaped = f"; the starting march left 1e3 x data at t = {times[i]:.6g}"
             continue
-        before, forcing = forcing, _power_spectra(guess[None], grid, m.r,
-                                                  cfg.dealias_factor)[0]
-        np.add(base, weights.phi2[row] * (forcing - before), out=u)
+        end = _power_spectra(guess[None], grid, m.r, cfg.dealias_factor)[0]
+        rise = end - forcing
+        np.add(base, weights.phi2[row] * rise, out=u)
+        forcing, rises = end, rises[-1:] + [rise]
     norms = np.empty(len(times))
     gaps = np.zeros(len(times))
     previous = np.zeros(len(times))
@@ -518,6 +522,20 @@ def picard_solve(u0, cfg, m, w, sp):
     note = ("" if converged else "max iterations reached without convergence") + escaped
     return _build_report(converged, iterations, cfg, distances, frozen_used, scale, times,
                          grid, current, note.removeprefix("; "))
+
+
+def _predicted_rise(rises, steps):
+    """The forcing's rise over the next slab, of step ``steps[-1]``, from its
+    rises over the last (up to two) slabs, of steps ``steps[:-1]``, oldest
+    first: none, the line through two slab ends or the quadratic through
+    three, by divided differences on any spacing."""
+    if not rises:
+        return 0.0
+    h, h1 = steps[-1], steps[-2]
+    if len(rises) == 1:
+        return rises[-1] * (h / h1)
+    bend = h * (h + h1) / (h1 + steps[-3])
+    return rises[-1] * ((h + bend) / h1) - rises[-2] * (bend / steps[-3])
 
 
 def _settled_prefix(gaps, previous, bound):

@@ -4,7 +4,9 @@ Each test breaks one piece of the solver by monkeypatching and requires a
 named acceptance check to fail: criterion 12 (constant data against its
 closed form) for the nonlinearity and the slab quadrature, and criterion 7's
 PDE residual for the slab decay, which constant data, a single mode at
-frequency 0, never feels.
+frequency 0, never feels. The starting march's quadratic forcing prediction,
+swapped for the line through two slab ends, must fail the one-sweep start
+of ``test_solver.TestMarchedStart``.
 """
 
 import dataclasses
@@ -12,6 +14,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import test_solver
 from hyperheat import default_config, run_experiment, solver
 from test_acceptance import closed_form_error, get_check
 
@@ -57,3 +60,9 @@ def test_halved_decay_fails_criterion_07(monkeypatch):
     mutate_weights(monkeypatch, decay=np.sqrt)
     residual = get_check(run_experiment(default_config("solve")), "pde_residual")
     assert residual.bound == 1e-4 and not residual.passed
+
+
+def test_linear_forcing_prediction_fails_the_one_sweep_start(monkeypatch):
+    test_solver.linear_rise(monkeypatch)
+    with pytest.raises(AssertionError):
+        test_solver.TestMarchedStart().test_amplitude_one_converges_in_one_sweep()

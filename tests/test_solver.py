@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyval
 from numpy.testing import assert_allclose
 
 from hyperheat import (BlowupSuspectedError, IntegrationError, ModelParams,
@@ -220,7 +221,8 @@ class TestPicard:
 
     def test_contraction_factors_reported(self, grid1d):
         # The marched start lands within picard_tol of the fixed point for
-        # amplitude-0.01 data; at 0.3 Picard still takes three iterations.
+        # amplitude-0.01 data, so one iteration reports no factor; at 0.3 it
+        # lands 1.4e-7 away and Picard takes three iterations, two factors.
         cfg = SolverConfig(horizon=0.25, slabs=16)
         u0 = random_band_limited(grid1d, 89, max_radius=6.0, amplitude=0.3)
         report = picard_solve(u0, cfg, MODEL, small_weight(0.25), SPACE)
@@ -311,6 +313,72 @@ class TestConstantDataClosedForm:
         for text in (err.value.report.note, str(err.value)):
             found = re.search(r"starting march left 1e3 x data at t = (\S+)$", text)
             assert found and 0.4 <= float(found.group(1)) <= 0.6
+
+
+def linear_rise(monkeypatch):
+    """Predict the march's forcing with the line through the last two slab
+    ends, the rule the quadratic replaced."""
+    rise = solver._predicted_rise
+    monkeypatch.setattr(solver, "_predicted_rise",
+                        lambda rises, steps: rise(rises[-1:], steps[-2:]))
+
+
+class TestMarchedStart:
+    """The first iterate marches the recursion with each slab's end forcing
+    predicted by the quadratic through the last three slab ends."""
+
+    MODEL = ModelParams(alpha=1, r=3.0, n=2)
+    SPACE = SpaceParams("B", 1.5, 2.0, 2.0, s0=1.5)
+
+    def solve(self, amplitude, cfg=None):
+        """Amplitude data on the 64^2 grid, by default on the default slab grid."""
+        cfg = cfg or SolverConfig(horizon=0.25)
+        u0 = random_band_limited(TorusGrid(2, 64), (0, 50), 1.9, amplitude=amplitude)
+        w = TimeWeight(b=0.5 / (2 * self.MODEL.r), v=1.0, T=cfg.horizon)
+        return picard_solve(u0, cfg, self.MODEL, w, self.SPACE)
+
+    @pytest.mark.parametrize("known", [1, 2, 3])
+    def test_rise_is_exact_for_polynomials_through_the_known_forcings(self, known):
+        # Degree known - 1 through unevenly spaced slab ends: zero, line, quadratic.
+        coeffs = [1.0, -3.0, 40.0][:known]
+        nodes, t = [0.0, 1e-3, 0.0105][3 - known:], 0.02
+        values = [polyval(x, coeffs) * np.ones(3) for x in nodes]
+        rises = [b - a for a, b in zip(values, values[1:])]
+        steps = list(np.diff(nodes + [t]))
+        want = polyval(t, coeffs) - polyval(nodes[-1], coeffs)
+        assert_allclose(solver._predicted_rise(rises, steps), want, rtol=1e-12, atol=1e-15)
+
+    def test_amplitude_one_converges_in_one_sweep(self):
+        report = self.solve(1.0)
+        assert report.converged and report.iterations == 1
+        assert report.distances[0] <= 0.5 * report.tolerance
+
+    def test_amplitude_one_and_a_half_needs_at_most_two_sweeps(self):
+        report = self.solve(1.5)
+        assert report.converged and report.iterations <= 2
+
+    def test_blowup_names_the_march_escape_time(self):
+        with pytest.raises(BlowupSuspectedError,
+                           match=r"starting march left 1e3 x data at t = 0\.217188$"):
+            self.solve(2.0)
+
+    @pytest.mark.parametrize("times", ["step ratio 1e5", "geometric", "extra times"])
+    def test_irregular_grids_start_no_further_than_the_line(self, times, monkeypatch):
+        T = 0.25
+        cfg = {
+            "step ratio 1e5": SolverConfig(horizon=T, times=tuple(
+                [k * 2.5e-7 for k in range(1, 9)] + [2e-6 + k * 0.025 for k in range(1, 10)]
+                + [T])),
+            "geometric": SolverConfig(horizon=T, times=tuple(T * np.geomspace(1e-4, 1, 60))),
+            "extra times": SolverConfig(horizon=T, slabs=24,
+                                        extra_times=tuple(T / 2.0 ** k for k in range(1, 7))),
+        }[times]
+        quadratic = self.solve(1.0, cfg)
+        linear_rise(monkeypatch)
+        line = self.solve(1.0, cfg)
+        assert quadratic.converged and line.converged
+        assert quadratic.iterations <= line.iterations
+        assert quadratic.distances[0] <= line.distances[0]
 
 
 class TestEtdOracle:

@@ -76,23 +76,24 @@ class ReferenceLoop:
 
     def march(self):
         """The first iterate: each slab's end forcing is taken at the
-        exponential Adams-Bashforth 2 prediction, which continues the
-        forcing's line through the last two slab ends (only w0 on the first
-        slab); the slab integral then uses that forcing."""
+        exponential Adams-Bashforth 3 prediction, which continues the
+        quadratic through the forcing at the last three slab ends (the line
+        through w0 and w1 on the second slab, only w0 on the first), written
+        here with Lagrange weights on the slab-end times; the slab integral
+        then uses that forcing."""
         marched = []
-        u, forcing, before = self.u0_hat, self.power(self.u0_hat), None
-        prev_t = prev_dt = 0.0
+        u, forcings, nodes = self.u0_hat, [self.power(self.u0_hat)], [0.0]
         for t in self.times:
-            dt = t - prev_t
+            dt = t - nodes[-1]
             z = -dt * self.lam
-            base = np.exp(z) * u + dt * phi1(z) * forcing
-            guess = base
-            if before is not None:
-                guess = base + dt * phi2(z) * (forcing - before) * (dt / prev_dt)
-            before, forcing = forcing, self.power(guess)
-            u = base + dt * phi2(z) * (forcing - before)
+            base = np.exp(z) * u + dt * phi1(z) * forcings[-1]
+            extrapolated = sum(
+                math.prod((t - b) / (a - b) for b in nodes if b != a) * f
+                for a, f in zip(nodes, forcings))
+            forcing = self.power(base + dt * phi2(z) * (extrapolated - forcings[-1]))
+            u = base + dt * phi2(z) * (forcing - forcings[-1])
             marched.append(u)
-            prev_t, prev_dt = t, dt
+            forcings, nodes = forcings[-2:] + [forcing], nodes[-2:] + [t]
         return marched
 
     def apply(self, current):
@@ -284,8 +285,9 @@ class TestStackedPicard:
         distances, terminal = reference_picard_distances(*case)
         assert report.converged
         assert report.iterations == len(distances) >= 5
-        # Both start from the march; the cold start W_t u0 took 10 iterations.
-        assert report.iterations == 6
+        # Both start from the march; the cold start W_t u0 took 10 iterations,
+        # the march's linear forcing prediction 6.
+        assert report.iterations == 5
         # The reference loop never freezes; the solver's last iterations do.
         assert len(report.frozen) == report.iterations
         assert report.frozen[0] == 0 < report.frozen[-1]
