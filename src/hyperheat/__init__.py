@@ -9,8 +9,8 @@ verification experiments behind a CLI.
 
 from .config import (EXPERIMENTS, ExperimentConfig, config_digest, default_config,
                      emit_config, load_config, parse_config)
-from .dyadic import (DyadicDecomposition, PowerMapProbe, SpaceParams, a_norm, block,
-                     build_decomposition, power_map_probe, radial_profile, smooth_step)
+from .dyadic import (DyadicDecomposition, SpaceParams, a_norm, block, build_decomposition,
+                     radial_profile, smooth_step)
 from .errors import (BlowupSuspectedError, ConfigError, HyperheatError,
                      InconsistentGridError, IntegrationError, ParameterError,
                      SymmetryError)
@@ -30,17 +30,15 @@ from .solver import (PicardReport, SolverConfig, aliasing_probe,
 from .timenorms import (Admissibility, TimeWeight, Trajectory, WeightedNormResult,
                         admissibility, equivalence_check,
                         log_time_grid, weighted_norm)
-from .experiments import (run_contraction, run_criticality, run_experiment,
-                          run_scaling, run_smoothing, run_solve, run_stability,
-                          run_sweep)
+from .experiments import run_experiment
 
 __version__ = "0.1.0"
 
 __all__ = [
     "EXPERIMENTS", "ExperimentConfig", "config_digest", "default_config",
     "emit_config", "load_config", "parse_config",
-    "DyadicDecomposition", "PowerMapProbe", "SpaceParams", "a_norm", "block",
-    "build_decomposition", "power_map_probe", "radial_profile", "smooth_step",
+    "DyadicDecomposition", "SpaceParams", "a_norm", "block", "build_decomposition",
+    "radial_profile", "smooth_step",
     "BlowupSuspectedError", "ConfigError", "HyperheatError",
     "InconsistentGridError", "IntegrationError", "ParameterError", "SymmetryError",
     "band_limit", "cosine_mode", "power_spectrum_field", "radial_power_field",
@@ -56,7 +54,6 @@ __all__ = [
     "Admissibility", "TimeWeight", "Trajectory", "WeightedNormResult",
     "admissibility", "equivalence_check", "log_time_grid",
     "weighted_norm",
-    "run_contraction", "run_criticality", "run_experiment", "run_scaling",
-    "run_smoothing", "run_solve", "run_stability", "run_sweep",
+    "run_experiment",
     "__version__",
 ]

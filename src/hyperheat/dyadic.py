@@ -25,7 +25,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import InconsistentGridError, ParameterError, _reject_bools
+from .errors import ParameterError, _reject_bools
 from .grid import RealField, _batches, _lp_norms, real_samples, real_spectra
 
 
@@ -106,10 +106,7 @@ class DyadicDecomposition:
 
     def partition_sum(self):
         """sum_j phi_j on the half lattice (equals 1 on the covered ball)."""
-        total = np.zeros(self.grid.half_shape)
-        for phi in self.cutoffs:
-            total = total + phi
-        return total
+        return sum(self.cutoffs, np.zeros(self.grid.half_shape))
 
     @cached_property
     def half_block_weights(self):
@@ -163,11 +160,12 @@ def block(f, j):
 
 
 def _combine_scales(values, weights, q):
-    """(sum (w_j v_j)^q)^(1/q) along axis 0, with the sup convention at q=inf."""
-    weighted = weights * values
+    """(sum (w_j v_j)^q)^(1/q) along axis 0, with the sup convention at q=inf.
+    Works in ``values``, which callers pass as a temporary of their own."""
+    values *= weights
     if math.isinf(q):
-        return np.max(weighted, axis=0)
-    return np.sum(weighted ** q, axis=0) ** (1.0 / q)
+        return np.max(values, axis=0)
+    return np.sum(np.power(values, q, out=values), axis=0) ** (1.0 / q)
 
 
 def _block_l2_norms(spectra, grid):
@@ -177,17 +175,14 @@ def _block_l2_norms(spectra, grid):
     return np.sqrt(power @ build_decomposition(grid).half_block_weights)
 
 
-def a_norms_of_spectra(spectra, grid, sp, decomposition=None):
+def a_norms_of_spectra(spectra, grid, sp):
     """Norm in A^s_{p,q} of each real field in a stack of half-lattice spectra.
 
     The stack is normed in ``grid._batches``, so no temporary spans it: for B
     spaces with p = 2 by ``_block_l2_norms``, else by one inverse transform of
-    the cutoffs times a batch. The decomposition is the grid's own; one
-    passed in must belong to ``grid``.
+    the cutoffs times a batch. Its bytes per field are that product and the
+    block samples; the sums then work in place, beside at most |u_j|.
     """
-    if decomposition is not None and decomposition.grid != grid:
-        raise InconsistentGridError(
-            f"decomposition of {decomposition.grid} used on {grid}")
     dec = build_decomposition(grid)
     weights = np.array([2.0 ** (j * sp.s) for j in range(dec.block_count)])
     norms = np.empty(len(spectra))
@@ -197,17 +192,19 @@ def a_norms_of_spectra(spectra, grid, sp, decomposition=None):
                                           weights[:, None], sp.q)
         return norms
     cutoffs = np.stack(dec.cutoffs)[:, None]
-    for part in _batches(len(spectra), 8 * dec.block_count * grid.size):
-        # Block samples indexed (block, time, x).
+    field_bytes = dec.block_count * (16 * math.prod(grid.half_shape) + 8 * grid.size)
+    for part in _batches(len(spectra), field_bytes):
+        # Block samples indexed (block, time, x), freed before the next batch's.
         blocks = real_samples(cutoffs * spectra[None, part], grid)
         if sp.family == "B":
             norms[part] = _combine_scales(_lp_norms(blocks, sp.p, grid), weights[:, None],
                                           sp.q)
         else:
-            # |u_j| in place: one block-sized array fewer at the peak.
-            pointwise = _combine_scales(np.abs(blocks, out=blocks),
-                                        weights.reshape((-1,) + (1,) * (grid.n + 1)), sp.q)
-            norms[part] = _lp_norms(pointwise, sp.p, grid)
+            norms[part] = _lp_norms(
+                _combine_scales(np.abs(blocks, out=blocks),
+                                weights.reshape((-1,) + (1,) * (grid.n + 1)), sp.q),
+                sp.p, grid)
+        del blocks
     return norms
 
 

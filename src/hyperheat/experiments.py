@@ -287,13 +287,13 @@ def run_contraction(cfg):
             orbits.append(spectra)
         u0 = u0_raw * (0.5 / weighted(orbit * u0_raw))
 
-        def image(spectra):
-            return _duhamel_spectra(np.concatenate([u0[None], spectra]), times, scfg, m, grid)
-
         ratios = []
         for k in range(n_pairs):
             left, right = orbits[2 * k], orbits[2 * k + 1]
-            ratios.append(weighted(image(left) - image(right)) / weighted(left - right))
+            gap = weighted(left - right)
+            # Each orbit is read once more: the operator overwrites it with its image.
+            ratios.append(weighted(_duhamel_spectra(u0, left, times, scfg, m, grid)
+                                   - _duhamel_spectra(u0, right, times, scfg, m, grid)) / gap)
         max_ratios.append(max(ratios))
         mean_ratios.append(sum(ratios) / len(ratios))
     decrease = max(max_ratios[g + 1] / max_ratios[g] for g in range(halvings - 1))

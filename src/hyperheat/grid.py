@@ -14,7 +14,7 @@ to roundoff; physical L_p norms are Riemann sums with cell volume (L/N)^n.
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -22,9 +22,9 @@ import scipy.fft
 
 from .errors import InconsistentGridError, ParameterError, SymmetryError, _reject_bools
 
-# Default cap on per-field storage; grids whose complex spectrum would not
-# fit are rejected at construction time.
-DEFAULT_MAX_FIELD_BYTES = 1 << 30
+# Cap on per-field storage; grids whose complex spectrum would not fit are
+# rejected at construction time.
+MAX_FIELD_BYTES = 1 << 30
 
 # Work on a stack of many fields runs in batches (``_batches``) whose working
 # set stays within this many bytes, so no temporary spans the whole stack. It
@@ -64,13 +64,12 @@ class TorusGrid:
     """Uniform grid on [0, length)^n with points_per_dim samples per axis.
 
     points_per_dim must be a power of two and at least 8; the total size
-    must fit the storage budget. Grids compare equal on (n, N, L) only.
+    must fit the storage budget ``MAX_FIELD_BYTES``.
     """
 
     n: int
     points_per_dim: int
     length: float = 2.0 * math.pi
-    max_field_bytes: int = field(default=DEFAULT_MAX_FIELD_BYTES, compare=False, repr=False)
 
     def __post_init__(self):
         _reject_bools(self, ("n", "points_per_dim", "length"))
@@ -82,10 +81,10 @@ class TorusGrid:
         if not (math.isfinite(self.length) and self.length > 0):
             raise ParameterError(f"length must be positive and finite, got {self.length}")
         # 16 bytes per complex128 sample.
-        if 16 * self.points_per_dim ** self.n > self.max_field_bytes:
+        if 16 * self.points_per_dim ** self.n > MAX_FIELD_BYTES:
             raise ParameterError(
                 f"grid of {self.points_per_dim}^{self.n} points exceeds the "
-                f"storage budget of {self.max_field_bytes} bytes")
+                f"storage budget of {MAX_FIELD_BYTES} bytes")
 
     @property
     def shape(self):
@@ -299,7 +298,7 @@ def _lp_norms(samples, p, grid):
     axes = tuple(range(-grid.n, 0))
     if math.isinf(p):
         return np.max(a, axis=axes)
-    return (np.sum(a ** p, axis=axes) * grid.cell_volume) ** (1.0 / p)
+    return (np.sum(np.power(a, p, out=a), axis=axes) * grid.cell_volume) ** (1.0 / p)
 
 
 def lp_norm(f, p):

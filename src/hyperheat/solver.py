@@ -139,26 +139,6 @@ def phi2(z):
     return _phi(z, _PHI2_COEFFS, lambda zb: (np.expm1(zb) - zb) / (zb * zb))
 
 
-def _padded_points(N, dealias_factor):
-    """Points per axis of the (even) dealiasing lattice."""
-    if not dealias_factor >= 1:
-        raise ParameterError(f"dealias_factor must be >= 1, got {dealias_factor}")
-    M = int(math.ceil(N * dealias_factor))
-    return M + M % 2
-
-
-@lru_cache(maxsize=16)
-def _slab_bytes(grid, dealias_factor):
-    """Bytes one slab of a batch touches: its padded spectrum, real field,
-    magnitude and transformed spectrum on the dealiasing lattice, and its
-    half-lattice output and recursion rows (left forcing, image and three
-    weight rows)."""
-    M = _padded_points(grid.points_per_dim, dealias_factor)
-    padded = M ** (grid.n - 1) * (M // 2 + 1)
-    half = math.prod(grid.half_shape)
-    return 16 * 2 * padded + 8 * 2 * M ** grid.n + 16 * 3 * half + 8 * 3 * half
-
-
 def _index_blocks(n, N, M):
     """Matching (coarse, padded) index blocks of the half-lattice modes with
     every |k_i| < N/2, between the N- and M-point lattices of a stack.
@@ -180,10 +160,19 @@ def _index_blocks(n, N, M):
 
 @lru_cache(maxsize=16)
 def _kernel_plan(grid, dealias_factor):
-    """The power kernel's padded size M and its ``_index_blocks``: immutable,
-    so every call shares them."""
-    M = _padded_points(grid.points_per_dim, dealias_factor)
-    return M, _index_blocks(grid.n, grid.points_per_dim, M)
+    """The power kernel's plan on one grid, immutable and shared by every
+    call: the even points M per axis of the dealiasing lattice, the
+    ``_index_blocks``, and the bytes one slab of a batch touches (its padded
+    spectrum, real field, magnitude and transformed spectrum there, and its
+    half-lattice output and recursion rows)."""
+    if not dealias_factor >= 1:
+        raise ParameterError(f"dealias_factor must be >= 1, got {dealias_factor}")
+    n, N = grid.n, grid.points_per_dim
+    M = 2 * math.ceil(N * dealias_factor / 2)
+    padded = M ** (n - 1) * (M // 2 + 1)
+    half = math.prod(grid.half_shape)
+    slab_bytes = 16 * 2 * padded + 8 * 2 * M ** n + 16 * 3 * half + 8 * 3 * half
+    return M, _index_blocks(n, N, M), slab_bytes
 
 
 def _power_batches(spectra, grid, r, dealias_factor):
@@ -192,8 +181,8 @@ def _power_batches(spectra, grid, r, dealias_factor):
 
     Yields ``(start, stop, power)``, ``power`` being the result for
     ``spectra[start:stop]``. It is a view of the call's output buffer that the
-    next batch overwrites, and each batch, cut by ``grid._batches`` at
-    ``_slab_bytes`` per slab, is read from ``spectra`` only when it is reached,
+    next batch overwrites, and each batch, cut by ``grid._batches`` at the
+    plan's bytes per slab, is read from ``spectra`` only when it is reached,
     so the caller may overwrite the slabs it has been given.
 
     Each field is zero-padded to the lattice enlarged by ``dealias_factor``,
@@ -207,13 +196,13 @@ def _power_batches(spectra, grid, r, dealias_factor):
     """
     n = grid.n
     N = grid.points_per_dim
-    M, blocks = _kernel_plan(grid, dealias_factor)
+    M, blocks, slab_bytes = _kernel_plan(grid, dealias_factor)
     axes = tuple(range(1, n + 1))
     # Unitary transforms on the two lattices differ by (M/N)^(n/2); the power
     # map is homogeneous of degree r, so the factor is applied once, on the
     # way out.
     gain = ((M / N) ** (n / 2.0)) ** (r - 1.0)
-    batches = _batches(len(spectra), _slab_bytes(grid, dealias_factor))
+    batches = _batches(len(spectra), slab_bytes)
     # The first batch is the longest.
     batch = batches[0].stop if batches else 0
     workers = fft_workers()
@@ -297,58 +286,51 @@ def _slab_weights(grid, m, times):
     return _SlabWeights(*arrays)
 
 
-def _duhamel_terms(start, carry, forcing, weights, offset=0):
+def _duhamel_sweep(stack, carry, weights, grid, r, dealias_factor, offset=0):
     """The solution U_i = e^{-dt_i lam} U_{i-1} + (slab integral of w) at the
-    slab ends i = offset+1 .. offset+len(forcing).
+    slab ends i = offset+1 .. offset+len(stack), from ``carry``, the solution
+    at the left end of the first (u0 at tau = 0), which the sweep never writes.
 
-    ``forcing`` stacks w_i at those slab ends; ``start`` and ``carry`` are
-    the forcing and the solution at the left end of the first of them (w_0
-    and u0 at tau = 0). The forcing is piecewise linear in tau; each slab
-    integral is exact for that reconstruction via phi1/phi2.
+    The forcing w = |u|^{r-1} u, that of ``carry`` and of ``stack`` batch by
+    batch, is piecewise linear in tau; each slab integral is exact for that
+    reconstruction via phi1/phi2. Yields ``(start, stop, terms)``, the image
+    at slab ends start+1..stop (counted from tau = 0); the caller may then
+    overwrite those slabs of ``stack``, but not ``terms``, whose last slab
+    carries.
     """
-    rows = weights.step[offset:offset + len(forcing)]
-    previous = np.concatenate([start[None], forcing[:-1]])
-    terms = weights.phi1[rows] * previous
-    rise = np.subtract(forcing, previous, out=previous)
-    rise *= weights.phi2[rows]
-    terms += rise
-    decay = weights.decay[rows]
-    terms[0] += decay[0] * carry
-    for i in range(1, len(terms)):
-        terms[i] += decay[i] * terms[i - 1]
-    return terms
-
-
-def _duhamel_sweep(left, carry, weights, batches, offset=0):
-    """The slab recursion run over ``batches``, a ``_power_batches`` iterator
-    over the spectra of slabs offset+1.., with ``left`` the forcing and
-    ``carry`` the solution at their left end (w_0 and u0 at tau = 0).
-
-    Yields ``(start, stop, terms)`` per batch, ``terms`` holding the image
-    at the slab ends start+1..stop (counted from tau = 0); the caller may
-    then overwrite those slabs, but not ``terms``, whose last slab carries.
-    """
-    for start, stop, forcing in batches:
-        start, stop = start + offset, stop + offset
-        terms = _duhamel_terms(left, carry, forcing, weights, start)
+    left = _power_spectra(carry[None], grid, r, dealias_factor)[0]
+    for start, stop, forcing in _power_batches(stack, grid, r, dealias_factor):
+        rows = weights.step[offset + start:offset + stop]
+        previous = np.concatenate([left[None], forcing[:-1]])
+        terms = weights.phi1[rows] * previous
+        rise = np.subtract(forcing, previous, out=previous)
+        rise *= weights.phi2[rows]
+        terms += rise
+        decay = weights.decay[rows]
+        terms[0] += decay[0] * carry
+        for i in range(1, len(terms)):
+            terms[i] += decay[i] * terms[i - 1]
         left = forcing[-1].copy()
         carry = terms[-1]
-        yield start, stop, terms
+        yield offset + start, offset + stop, terms
 
 
-def _duhamel_spectra(spectra, times, cfg, m, grid):
-    """The operator applied to a trajectory given as half-lattice spectra:
-    ``spectra[0]`` is u0, ``spectra[1:]`` the trajectory at the slab-end
-    ``times``. The image is swept in batches over ``spectra[1:]``, which it
-    overwrites and which is returned.
-    """
+def _duhamel_spectra(u0_hat, stack, times, cfg, m, grid):
+    """The operator applied, from data of half spectrum ``u0_hat``, to a
+    trajectory given as the half-lattice spectra ``stack`` at the slab-end
+    ``times``; the image overwrites ``stack``, which is returned."""
     weights = _slab_weights(grid, m, tuple(float(t) for t in times))
-    u0_hat, trajectory = spectra[0], spectra[1:]
-    w0_hat = _power_spectra(u0_hat[None], grid, m.r, cfg.dealias_factor)[0]
-    batches = _power_batches(trajectory, grid, m.r, cfg.dealias_factor)
-    for start, stop, terms in _duhamel_sweep(w0_hat, u0_hat, weights, batches):
-        trajectory[start:stop] = terms
-    return trajectory
+    for start, stop, terms in _duhamel_sweep(stack, u0_hat, weights, grid, m.r,
+                                             cfg.dealias_factor):
+        stack[start:stop] = terms
+    return stack
+
+
+def _check_model_grid(m, grid):
+    """Refuse a model whose dimension is not the grid's."""
+    if m.n != grid.n:
+        raise InconsistentGridError(
+            f"model of dimension n = {m.n} used on a {grid.n}-D grid")
 
 
 def duhamel_apply(u0, traj, cfg, m):
@@ -359,16 +341,15 @@ def duhamel_apply(u0, traj, cfg, m):
     """
     if traj.grid != u0.grid:
         raise InconsistentGridError("trajectory and initial data live on different grids")
+    grid = u0.grid
+    _check_model_grid(m, grid)
     times = np.asarray(traj.times)
     if abs(times[-1] - cfg.horizon) > 1e-9 * cfg.horizon:
         raise ParameterError(
             f"trajectory must end at the horizon {cfg.horizon}, got {times[-1]}")
-    grid = u0.grid
-    spectra = np.empty((len(traj) + 1,) + grid.half_shape, dtype=np.complex128)
-    spectra[0] = real_spectra(u0.samples, grid)
-    spectra[1:] = traj.spectra
-    return Trajectory.from_spectra(times, _duhamel_spectra(spectra, times, cfg, m, grid),
-                                   grid)
+    image = _duhamel_spectra(real_spectra(u0.samples, grid), traj.spectra.copy(), times,
+                             cfg, m, grid)
+    return Trajectory.from_spectra(times, image, grid)
 
 
 @dataclass(frozen=True)
@@ -415,14 +396,14 @@ def picard_solve(u0, cfg, m, w, sp):
     predicted next change, gap * min(1, gap / previous gap) in the A-norm,
     is at most 1e-2 picard_tol times the slab's norm is frozen: later sweeps
     start at the first unfrozen slab, carrying the frozen iterate at the
-    edge and its forcing. The prefix never shrinks and never takes the
-    horizon slab.
+    edge. The prefix never shrinks and never takes the horizon slab.
 
     Preconditions: the exponent tuple implied by (w, sp) must be admissible
     and the space must sit in the multiplication regime s > n/p. Three
     consecutive growing distances, or amplitude growth past 1e3 times the
     data, abort with a blow-up-suspected error carrying the partial report.
     """
+    _check_model_grid(m, u0.grid)
     a = 2.0 * m.r * w.b
     adm = admissibility(a, w.v, sp.s, sp.s0, m, sp.p)
     if not adm.admissible:
@@ -442,16 +423,13 @@ def picard_solve(u0, cfg, m, w, sp):
     weights = _slab_weights(grid, m, tuple(times.tolist()))
     u0_hat = real_spectra(u0.samples, grid)
     u0_l2 = l2_norms_of_spectra(u0_hat[None], grid)[0]
-    # The forcing and the solution at the left end of the first unfrozen slab.
-    left = _power_spectra(u0_hat[None], grid, m.r, cfg.dealias_factor)[0]
-    carry = u0_hat
     # The one iterate stack, overwritten batch by batch as the sweep passes;
     # the march writes the first iterate straight into it.
     current = np.empty((len(times),) + u0_hat.shape, dtype=np.complex128)
     steps = np.diff(times, prepend=0.0).tolist()
     # The forcing at the slab's left end and its rises over the last (up to
     # two) slabs, oldest first.
-    forcing, rises = left, []
+    forcing, rises = _power_spectra(u0_hat[None], grid, m.r, cfg.dealias_factor)[0], []
     escaped = ""
     for i, row in enumerate(weights.step):
         u = np.multiply(weights.decay[row], current[i - 1] if i else u0_hat, out=current[i])
@@ -478,14 +456,16 @@ def picard_solve(u0, cfg, m, w, sp):
     # A batch's new slabs and their change, normed in one call: the dyadic
     # weights are read once per batch, however short the batches are. The
     # first kernel batch is the longest.
-    batch = _batches(len(times), _slab_bytes(grid, cfg.dealias_factor))[0].stop
+    batch = _batches(len(times), _kernel_plan(grid, cfg.dealias_factor)[2])[0].stop
     pairs = np.empty((2 * batch,) + u0_hat.shape, dtype=np.complex128)
     for iterations in range(1, cfg.picard_max_iter + 1):
         peak = 0.0
         previous, gaps = gaps, previous
         gaps[:frozen] = 0.0
-        batches = _power_batches(current[frozen:], grid, m.r, cfg.dealias_factor)
-        for start, stop, new in _duhamel_sweep(left, carry, weights, batches, frozen):
+        # The solution at the left end of the first unfrozen slab.
+        carry = current[frozen - 1] if frozen else u0_hat
+        for start, stop, new in _duhamel_sweep(current[frozen:], carry, weights, grid, m.r,
+                                               cfg.dealias_factor, frozen):
             count = stop - start
             old = current[start:stop]
             pair = pairs[:2 * count]
@@ -512,13 +492,8 @@ def picard_solve(u0, cfg, m, w, sp):
             report = _build_report(False, iterations, cfg, distances, frozen_used, scale,
                                    times, grid, current, note + escaped)
             raise BlowupSuspectedError(message + escaped, report=report)
-        edge = frozen + _settled_prefix(gaps[frozen:-1], previous[frozen:-1],
-                                        1e-2 * cfg.picard_tol * norms[frozen:-1])
-        if edge > frozen:
-            frozen = edge
-            carry = current[frozen - 1].copy()
-            left = _power_spectra(current[frozen - 1:frozen], grid, m.r,
-                                  cfg.dealias_factor)[0]
+        frozen += _settled_prefix(gaps[frozen:-1], previous[frozen:-1],
+                                  1e-2 * cfg.picard_tol * norms[frozen:-1])
     note = ("" if converged else "max iterations reached without convergence") + escaped
     return _build_report(converged, iterations, cfg, distances, frozen_used, scale, times,
                          grid, current, note.removeprefix("; "))
@@ -568,6 +543,7 @@ def etd_oracle(u0, cfg, m):
     """
     times = slab_times(cfg)
     grid = u0.grid
+    _check_model_grid(m, grid)
     weights = _slab_weights(grid, m, tuple(times.tolist()))
 
     def power(c):
@@ -598,6 +574,7 @@ def pde_residual(traj, m, dealias_factor=1.5):
     if len(traj) < 3:
         raise ParameterError("residual check needs at least three samples")
     grid = traj.grid
+    _check_model_grid(m, grid)
     lam = dissipation_symbol(grid, m)
     shape = (-1,) + (1,) * grid.n
     h = np.diff(np.asarray(traj.times))

@@ -171,10 +171,13 @@ def weighted_norm(traj, w, sp, vexp, decomposition=None):
 
     Sample times must lie in (0, T]. Coverage is flagged when the earliest
     sample is above T/1000 or the last sits below 0.98 T, since then the
-    quadrature cannot see the full decade span of (0, T). A
-    ``decomposition`` passed in must belong to the trajectory's grid, as in
-    ``a_norms_of_spectra``.
+    quadrature cannot see the full decade span of (0, T). The norms use the
+    grid's own dyadic decomposition; one passed in must belong to the
+    trajectory's grid.
     """
+    if decomposition is not None and decomposition.grid != traj.grid:
+        raise InconsistentGridError(
+            f"decomposition of {decomposition.grid} used on {traj.grid}")
     if not vexp >= 1:
         raise ParameterError(f"integration exponent must satisfy 1 <= vexp <= inf, got {vexp}")
     times = np.asarray(traj.times)
@@ -186,7 +189,7 @@ def weighted_norm(traj, w, sp, vexp, decomposition=None):
         "weighted norm may miss mass near the endpoints")
     if not math.isinf(vexp) and times.size < 2:
         raise ParameterError("finite-exponent weighted norms need at least two samples")
-    norms = a_norms_of_spectra(traj.spectra, traj.grid, sp, decomposition)
+    norms = a_norms_of_spectra(traj.spectra, traj.grid, sp)
     return WeightedNormResult(value=time_weighted_norm(times, norms, w.b, vexp),
                               coverage_ok=coverage_ok, note=note)
 

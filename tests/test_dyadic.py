@@ -11,8 +11,8 @@ from numpy.testing import assert_allclose
 import full_lattice
 from hyperheat import (ParameterError, RealField, SpaceParams, TorusGrid, a_norm, block,
                        build_decomposition, constant_field, cosine_mode, lp_norm,
-                       power_map_probe, radial_profile, random_band_limited, smooth_step)
-from hyperheat.dyadic import a_norms_of_spectra
+                       radial_profile, random_band_limited, smooth_step)
+from hyperheat.dyadic import a_norms_of_spectra, power_map_probe
 from hyperheat.grid import real_spectra
 from reference_norms import a_norm_of_coefficients, a_norm_of_field
 
@@ -177,7 +177,7 @@ class TestNorms:
             rng = np.random.default_rng(grid.n)
             samples = rng.standard_normal((4,) + grid.shape)
             dec = build_decomposition(grid)
-            got = a_norms_of_spectra(real_spectra(samples, grid), grid, sp, dec)
+            got = a_norms_of_spectra(real_spectra(samples, grid), grid, sp)
             want = [a_norm_of_field(RealField(grid, s), sp, dec) for s in samples]
             assert_allclose(got, want, rtol=1e-13)
 

@@ -40,18 +40,13 @@ class TestTorusGrid:
         g2 = TorusGrid(2, 16)
         assert g2.max_frequency == pytest.approx(8.0 * math.sqrt(2.0))
 
-    def test_equality_ignores_storage_budget(self):
-        a = TorusGrid(1, 16)
-        b = TorusGrid(1, 16, max_field_bytes=1 << 20)
-        assert a == b
-
     @pytest.mark.parametrize("kwargs", [
         dict(n=0, points_per_dim=16),
         dict(n=1, points_per_dim=12),   # not a power of two
         dict(n=1, points_per_dim=4),    # below the minimum
         dict(n=1, points_per_dim=16, length=-1.0),
         dict(n=1, points_per_dim=16, length=math.inf),
-        dict(n=3, points_per_dim=1024, max_field_bytes=1 << 20),
+        dict(n=3, points_per_dim=1024),  # 16 GiB of spectrum
         dict(n=True, points_per_dim=16),
         dict(n=1, points_per_dim=True),
     ])

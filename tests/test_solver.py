@@ -8,8 +8,8 @@ import pytest
 from numpy.polynomial.polynomial import polyval
 from numpy.testing import assert_allclose
 
-from hyperheat import (BlowupSuspectedError, IntegrationError, ModelParams,
-                       ParameterError, RealField, SolverConfig, SpaceParams,
+from hyperheat import (BlowupSuspectedError, InconsistentGridError, IntegrationError,
+                       ModelParams, ParameterError, RealField, SolverConfig, SpaceParams,
                        TimeWeight, TorusGrid, Trajectory, aliasing_probe,
                        apply_semigroup, constant_field,
                        contraction_identity_check, cosine_mode,
@@ -428,6 +428,29 @@ class TestResidualAndConvergence:
         out = strong_convergence_check(traj, u0, SPACE, at_times=(0.19, 0.31))
         assert [t for t, _ in out] == [0.2, 0.3]
         assert out[0][1] == pytest.approx(a_norm(f2, SPACE), rel=1e-12)
+
+
+class TestModelDimension:
+    """Every solver entry point refuses a model whose dimension is not its
+    grid's: a 1-D model on a 2-D grid would run on the wrong symbol."""
+
+    GRID = TorusGrid(2, 16)
+    CFG = SolverConfig(horizon=0.1, slabs=8)
+    ENTRY_POINTS = {
+        "picard_solve": lambda u0, traj, cfg, m: picard_solve(
+            u0, cfg, m, small_weight(cfg.horizon), SPACE),
+        "etd_oracle": lambda u0, traj, cfg, m: etd_oracle(u0, cfg, m),
+        "duhamel_apply": lambda u0, traj, cfg, m: duhamel_apply(u0, traj, cfg, m),
+        "pde_residual": lambda u0, traj, cfg, m: pde_residual(traj, m),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_rejects_model_of_another_dimension(self, entry):
+        u0 = random_band_limited(self.GRID, 3, 3.0, amplitude=0.1)
+        m = ModelParams(alpha=1, r=3.0, n=2)
+        traj = picard_solve(u0, self.CFG, m, small_weight(0.1), SPACE).trajectory
+        with pytest.raises(InconsistentGridError, match="dimension"):
+            self.ENTRY_POINTS[entry](u0, traj, self.CFG, MODEL)
 
 
 class TestContractionIdentity:

@@ -24,9 +24,14 @@ from hyperheat.grid import real_spectra
 from reference_norms import a_norm_of_coefficients
 
 
+def slab_bytes(grid, dealias_factor=1.5):
+    """The power kernel's bytes per slab, from its plan."""
+    return solver._kernel_plan(grid, dealias_factor)[2]
+
+
 def kernel_batch(grid, count=1024):
     """Slabs in the first, longest, power-kernel batch over ``count`` slabs."""
-    return grid_module._batches(count, solver._slab_bytes(grid, 1.5))[0].stop
+    return grid_module._batches(count, slab_bytes(grid))[0].stop
 
 
 def reference_power_coefficients(c, grid, r, dealias_factor):
@@ -163,7 +168,7 @@ class TestPowerKernel:
         spectra = real_spectra(kernel_inputs(grid, 7, n), grid)
         results = []
         # One slab per batch, three per batch (a ragged last batch), all in one.
-        for budget, lengths in ((1, [1] * 7), (3 * solver._slab_bytes(grid, 1.5), [3, 3, 1]),
+        for budget, lengths in ((1, [1] * 7), (3 * slab_bytes(grid), [3, 3, 1]),
                                 (1 << 40, [7])):
             monkeypatch.setattr(grid_module, "_PAD_BATCH_BYTES", budget)
             assert kernel_batch(grid, len(spectra)) == lengths[0]
@@ -204,7 +209,7 @@ class TestPowerKernel:
                 plan = solver._kernel_plan(grid, dealias_factor)
                 assert plans.setdefault(dealias_factor, plan) is plan
         assert built == [(2, 32, 48), (2, 32, 64)]
-        assert [M for M, _ in plans.values()] == [48, 64]
+        assert [M for M, _, _ in plans.values()] == [48, 64]
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_shared_buffers_keep_single_fields_bit_identical(self, n):
@@ -245,7 +250,7 @@ class TestPowerKernel:
         assert lengths == [batch, batch, 1] and batch > 1
         kernel = (row_bytes["padded"] + row_bytes["out"] + 2 * row_bytes["irfftn"]
                   + row_bytes["rfftn"])
-        per_slab = solver._slab_bytes(grid, 1.5)
+        per_slab = slab_bytes(grid)
         assert kernel <= per_slab
         assert batch * per_slab <= grid_module._PAD_BATCH_BYTES
 
@@ -253,7 +258,7 @@ class TestPowerKernel:
     def test_large_grids_take_one_slab_per_batch(self, points):
         # Two 128^2 slabs exceed the budget; one 256^2 slab alone does.
         grid = TorusGrid(2, points)
-        assert 2 * solver._slab_bytes(grid, 1.5) > grid_module._PAD_BATCH_BYTES
+        assert 2 * slab_bytes(grid) > grid_module._PAD_BATCH_BYTES
         assert kernel_batch(grid) == 1
 
     def test_rejects_padding_below_one(self):
@@ -301,10 +306,11 @@ class TestStackedPicard:
         sweep = solver._duhamel_sweep
 
         # Sweeps from the frozen edge restart from zero instead of the frozen
-        # iterate there; sweeps from tau = 0 keep their carry, u0.
-        def without_carry(left, carry, weights, batches, offset=0):
-            return sweep(left, np.zeros_like(carry) if offset else carry, weights,
-                         batches, offset)
+        # iterate there, and so from its zero forcing; sweeps from tau = 0
+        # keep their carry, u0.
+        def without_carry(stack, carry, weights, grid, r, dealias_factor, offset=0):
+            return sweep(stack, np.zeros_like(carry) if offset else carry, weights, grid, r,
+                         dealias_factor, offset)
 
         monkeypatch.setattr(solver, "_duhamel_sweep", without_carry)
         case = frozen_case()
@@ -325,19 +331,12 @@ class TestStackedPicard:
 
 def identity_operator(monkeypatch):
     """Make the solver's slab recursion return its input: T u = u."""
-    power_batches = solver._power_batches
-    swept = []
+    sweep = solver._duhamel_sweep
 
-    def recording(spectra, *args):
-        swept.append(spectra)
-        return power_batches(spectra, *args)
+    def identity(stack, carry, weights, grid, r, dealias_factor, offset=0):
+        for start, stop, _ in sweep(stack, carry, weights, grid, r, dealias_factor, offset):
+            yield start, stop, stack[start - offset:stop - offset].copy()
 
-    def identity(left, carry, weights, batches, offset=0):
-        spectra = swept[-1]
-        for start, stop, _ in batches:
-            yield start + offset, stop + offset, spectra[start:stop].copy()
-
-    monkeypatch.setattr(solver, "_power_batches", recording)
     monkeypatch.setattr(solver, "_duhamel_sweep", identity)
 
 

@@ -27,7 +27,7 @@ from hyperheat import grid as grid_module
 from hyperheat import solver
 from hyperheat.dyadic import a_norms_of_spectra
 from hyperheat.grid import real_spectra
-from test_solver_kernel import kernel_batch
+from test_solver_kernel import kernel_batch, slab_bytes
 
 MODEL = ModelParams(alpha=1, r=3.0, n=2)
 SPACE = SpaceParams("B", 1.5, 2.0, 2.0)
@@ -182,8 +182,8 @@ class TestKernelWorkspace:
         stack = real_spectra(scale * u.samples, self.GRID)
 
         def sweep(spectra):
-            solver._duhamel_spectra(spectra, times, self.CONFIG.solver, self.CONFIG.model,
-                                    self.GRID)
+            solver._duhamel_spectra(spectra[0], spectra[1:], times, self.CONFIG.solver,
+                                    self.CONFIG.model, self.GRID)
 
         sweep(stack.copy())  # warm: slab weights and kernel plan
         spectra = stack.copy()
@@ -247,6 +247,25 @@ class TestKernelWorkspace:
         assert kept < 16 * math.prod(grid.half_shape)
 
 
+class TestNormBatches:
+    # 32^2 with five dyadic blocks: a block-path batch holds the cutoffs times
+    # its spectra and its block samples, 84 kB a field, so the budget binds
+    # at 24 fields and 129 fields take six batches.
+    GRID = TorusGrid(2, 32)
+
+    @pytest.mark.parametrize("space", ["F(1.1,2,4)", "B(0.5,3,2)"])
+    def test_block_path_peaks_within_the_batch_budget(self, space):
+        dec = build_decomposition(self.GRID)
+        rng = np.random.default_rng(32)
+        spectra = real_spectra(rng.standard_normal((129,) + self.GRID.shape), self.GRID)
+        assert len(spectra) * 8 * dec.block_count * self.GRID.size > (
+            2 * grid_module._PAD_BATCH_BYTES)
+        sp = NORM_SPACES[space]
+        a_norms_of_spectra(spectra[:1], self.GRID, sp)
+        peak = traced(lambda: a_norms_of_spectra(spectra, self.GRID, sp))[0]
+        assert peak <= grid_module._PAD_BATCH_BYTES
+
+
 def relative(a, b):
     return abs(a - b) / abs(b)
 
@@ -257,7 +276,7 @@ class TestBatchBoundaries:
     CFG = SolverConfig(horizon=0.2, slabs=24, extra_times=(0.1, 0.05, 0.025))
     WEIGHT = TimeWeight(b=0.5 / 6.0, v=1.0, T=0.2)
     # One slab per batch, three (a ragged last batch) and every slab at once.
-    BUDGETS = {"1 slab": 1, "3 slabs": 3 * solver._slab_bytes(GRID, 1.5),
+    BUDGETS = {"1 slab": 1, "3 slabs": 3 * slab_bytes(GRID),
                "all slabs": 1 << 40}
 
     def run(self, monkeypatch, budget):

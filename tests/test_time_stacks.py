@@ -23,7 +23,7 @@ from hyperheat import (InconsistentGridError, ModelParams, RealField, SpaceParam
                        slab_times, spectrum_field, smoothing_rate,
                        strong_convergence_check, synthesize_kernel, weighted_norm)
 from hyperheat.grid import l2_norms_of_spectra, real_samples, real_spectra
-from hyperheat.solver import _duhamel_terms, _power_spectra, _slab_weights
+from hyperheat.solver import _power_spectra, _slab_weights
 from reference_norms import a_norm_of_coefficients, a_norm_of_field
 
 
@@ -332,7 +332,13 @@ class TestInPlaceAccumulation:
         weights = _slab_weights(grid, m, traj.times)
         spectra = np.concatenate([real_spectra(u0.samples, grid)[None], traj.spectra])
         forcing = _power_spectra(spectra, grid, m.r, cfg.dealias_factor)
-        terms = _duhamel_terms(forcing[0], spectra[0], forcing[1:], weights)
+        previous = forcing[:-1]
+        terms = weights.phi1[weights.step] * previous
+        terms += weights.phi2[weights.step] * (forcing[1:] - previous)
+        decay = weights.decay[weights.step]
+        terms[0] += decay[0] * spectra[0]
+        for i in range(1, len(terms)):
+            terms[i] += decay[i] * terms[i - 1]
         want = real_samples(terms, grid)
         got = np.stack([f.samples for f in duhamel_apply(u0, traj, cfg, m).fields])
         assert np.array_equal(got, want)

@@ -12,7 +12,6 @@ from hyperheat import (InconsistentGridError, ModelParams, ParameterError, RealF
                        a_norm, build_decomposition, cosine_mode, equivalence_check,
                        log_time_grid, random_band_limited, weighted_norm)
 from hyperheat import grid as grid_module
-from hyperheat.dyadic import a_norms_of_spectra
 
 
 def power_trajectory(grid, beta, T, per_decade=128):
@@ -187,8 +186,6 @@ class TestWeightedNorm:
         f = random_band_limited(grid2d, 5, 6.0)
         traj = Trajectory((0.5, 1.0), (f, 0.5 * f))
         w = TimeWeight(b=0.1, v=1.0, T=1.0)
-        with pytest.raises(InconsistentGridError):
-            a_norms_of_spectra(traj.spectra, grid2d, space, other)
         with pytest.raises(InconsistentGridError):
             weighted_norm(traj, w, space, 6.0, other)
         own = build_decomposition(TorusGrid(2, 32))
