@@ -28,10 +28,11 @@ MAX_FIELD_BYTES = 1 << 30
 
 # Work on a stack of many fields runs in batches (``_batches``) whose working
 # set stays within this many bytes, so no temporary spans the whole stack. It
-# bounds memory, not speed: batches save per-call overhead on small grids, but
-# on large ones a batch transforms about as fast per field as one field at a
-# time (a 192^2 irfftn/rfftn pair took 0.71-0.75 ms per field in batches of 7
-# and 0.63-0.74 ms alone, on a 2-vCPU x86-64 host with one FFT worker).
+# bounds memory first: batches save per-call overhead on small grids, but on
+# large ones a batch is no faster per field than one field at a time (the
+# 128^2 power map, on its 192^2 padded lattice, took 0.69-0.80 ms per field in
+# batches of 7 and 0.39-0.46 ms alone, on a 2-vCPU x86-64 host with one FFT
+# worker).
 _PAD_BATCH_BYTES = 1 << 21
 
 

@@ -28,7 +28,6 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 import scipy.fft
@@ -139,92 +138,130 @@ def phi2(z):
     return _phi(z, _PHI2_COEFFS, lambda zb: (np.expm1(zb) - zb) / (zb * zb))
 
 
-def _index_blocks(n, N, M):
-    """Matching (coarse, padded) index blocks of the half-lattice modes with
-    every |k_i| < N/2, between the N- and M-point lattices of a stack.
-
-    Along the full axes these are k = 0..N/2-1 and the negative modes
-    k = -N/2+1..-1 at the top of each lattice; along the halved last axis
-    only k = 0..N/2-1. The unpaired Nyquist planes fall in no block.
-    """
-    h = N // 2
-    full_axis = ((slice(0, h), slice(0, h)), (slice(h + 1, N), slice(M - h + 1, M)))
-    last_axis = ((slice(0, h), slice(0, h)),)
-    blocks = []
-    for combo in product(*([full_axis] * (n - 1) + [last_axis])):
-        coarse = (slice(None),) + tuple(c for c, _ in combo)
-        padded = (slice(None),) + tuple(p for _, p in combo)
-        blocks.append((coarse, padded))
-    return tuple(blocks)
+def _move_halves(src, dst, axis, h):
+    """Copy the low modes k = 0..h-1 and the high modes k = -h+1..-1 of
+    ``src`` along ``axis`` into the same modes of ``dst`` and zero the rows
+    between them in ``dst``. With the longer lattice in ``dst`` this embeds
+    the axis in padding, with the shorter one it truncates the axis; either
+    way the Nyquist row k = h is dropped."""
+    lead = (slice(None),) * axis
+    low, gap, high = (lead + (part,) for part in (slice(None, h), slice(h, 1 - h),
+                                                   slice(1 - h, None)))
+    dst[low] = src[low]
+    dst[gap] = 0.0
+    dst[high] = src[high]
 
 
 @lru_cache(maxsize=16)
 def _kernel_plan(grid, dealias_factor):
     """The power kernel's plan on one grid, immutable and shared by every
-    call: the even points M per axis of the dealiasing lattice, the
-    ``_index_blocks``, and the bytes one slab of a batch touches (its padded
-    spectrum, real field, magnitude and transformed spectrum there, and its
-    half-lattice output and recursion rows)."""
+    call: the even points M per axis of the dealiasing lattice and the bytes
+    one slab of a batch touches. Those are the kernel's buffers (the padded
+    spectrum, the intermediate lattices of the full axes, the magnitude and
+    the half-lattice output), the real field and the transformed spectrum
+    its transforms return, and the recursion rows of the slab."""
     if not dealias_factor >= 1:
         raise ParameterError(f"dealias_factor must be >= 1, got {dealias_factor}")
     n, N = grid.n, grid.points_per_dim
     M = 2 * math.ceil(N * dealias_factor / 2)
     padded = M ** (n - 1) * (M // 2 + 1)
+    # Full axis j < n - 1 has its own lattice: axes up to j at M points, the
+    # later full axes at N and the last axis at N/2.
+    stages = sum(M ** j * N ** (n - 1 - j) for j in range(1, n - 1)) * (N // 2)
     half = math.prod(grid.half_shape)
-    slab_bytes = 16 * 2 * padded + 8 * 2 * M ** n + 16 * 3 * half + 8 * 3 * half
-    return M, _index_blocks(n, N, M), slab_bytes
+    slab_bytes = 16 * (2 * padded + stages) + 8 * 2 * M ** n + 16 * 3 * half + 8 * 3 * half
+    return M, slab_bytes
 
 
-def _power_batches(spectra, grid, r, dealias_factor):
-    """Half-lattice spectra of |u|^{r-1} u for a stack of half-lattice spectra
-    of real fields u, dealiased, one batch of slabs at a time.
-
-    Yields ``(start, stop, power)``, ``power`` being the result for
-    ``spectra[start:stop]``. It is a view of the call's output buffer that the
-    next batch overwrites, and each batch, cut by ``grid._batches`` at the
-    plan's bytes per slab, is read from ``spectra`` only when it is reached,
-    so the caller may overwrite the slabs it has been given.
+def _power_map(grid, r, dealias_factor, batch):
+    """The power kernel for stacks of at most ``batch`` fields: a function
+    from the half-lattice spectra of real fields u to those of |u|^{r-1} u,
+    dealiased, returned as a view of the map's output buffer that its next
+    call overwrites.
 
     Each field is zero-padded to the lattice enlarged by ``dealias_factor``,
-    evaluated pointwise there and truncated back. The unpaired Nyquist planes
-    are zero on the way in and out (they cannot be embedded symmetrically);
-    band-limited workflows never populate them. Each call allocates its own
-    zeroed padded and output buffers and a magnitude buffer, one batch long,
-    and every batch writes the same block entries of them, so the rest stays
-    zero. Nothing outlives the call, so nested and concurrent calls share no
-    buffer.
+    evaluated pointwise there and truncated back, one axis at a time, so no
+    transform runs over a pencil that holds only padding (FFT pruning). On
+    the way in each full axis is embedded into M points (``_move_halves``)
+    and transformed while later axes stay at N points; the last axis, in
+    M/2 + 1 columns, takes an irfft. On the way out an rfft keeps N/2
+    columns and each full axis, last first, is transformed and truncated
+    before the next. The unpaired Nyquist planes are zero on the way in and
+    out (they cannot be embedded symmetrically); band-limited workflows
+    never populate them.
+
+    The map owns its buffers, one batch long: the zeroed padded spectrum and
+    output, a lattice per full axis but the last (reused on the way out),
+    and the magnitude. The full axes transform in place, so each call zeroes
+    their padding rows again. Callers build a map per call and drop it on
+    return, so nested and concurrent calls share no buffer.
     """
-    n = grid.n
-    N = grid.points_per_dim
-    M, blocks, slab_bytes = _kernel_plan(grid, dealias_factor)
-    axes = tuple(range(1, n + 1))
+    n, N = grid.n, grid.points_per_dim
+    M = _kernel_plan(grid, dealias_factor)[0]
+    h = N // 2
     # Unitary transforms on the two lattices differ by (M/N)^(n/2); the power
     # map is homogeneous of degree r, so the factor is applied once, on the
     # way out.
     gain = ((M / N) ** (n / 2.0)) ** (r - 1.0)
-    batches = _batches(len(spectra), slab_bytes)
-    # The first batch is the longest.
-    batch = batches[0].stop if batches else 0
     workers = fft_workers()
+    stages = [np.zeros((batch,) + (M,) * j + (N,) * (n - 1 - j) + (h,), dtype=np.complex128)
+              for j in range(1, n - 1)]
     padded = np.zeros((batch,) + (M,) * (n - 1) + (M // 2 + 1,), dtype=np.complex128)
-    out = np.zeros((batch,) + grid.half_shape, dtype=np.complex128)
     magnitudes = np.empty((batch,) + (M,) * n)
-    for part in batches:
-        fill = padded[:part.stop - part.start]
-        for src, dst in blocks:
-            fill[dst] = spectra[part][src]
-        fine = scipy.fft.irfftn(fill, s=(M,) * n, axes=axes, norm="ortho",
-                                workers=workers)
-        magnitude = np.abs(fine, out=magnitudes[:len(fill)])
+    out = np.zeros((batch,) + grid.half_shape, dtype=np.complex128)
+    # Full axis j is embedded into stages[j - 1], the last into the padded
+    # spectrum's first N/2 columns.
+    lattices = stages + [padded[..., :h]]
+
+    def power(spectra):
+        count = len(spectra)
+        field = spectra[..., :h]
+        if n == 1:
+            padded[:count, :h] = field
+        # scipy's default backend transforms complex input in place under
+        # overwrite_x, so the last full axis lands in ``padded`` for the irfft.
+        for axis, lattice in zip(range(1, n), lattices):
+            _move_halves(field, lattice[:count], axis, h)
+            field = scipy.fft.ifft(lattice[:count], axis=axis, norm="ortho", overwrite_x=True,
+                                   workers=workers)
+        fine = scipy.fft.irfft(padded[:count], n=M, axis=-1, norm="ortho", workers=workers)
+        magnitude = np.abs(fine, out=magnitudes[:count])
         magnitude **= r - 1.0
         fine *= magnitude
-        fine_hat = scipy.fft.rfftn(fine, axes=axes, norm="ortho", workers=workers)
+        field = scipy.fft.rfft(fine, axis=-1, norm="ortho", workers=workers)[..., :h]
         del fine
-        power = out[:len(fill)]
-        for src, dst in blocks:
-            np.multiply(fine_hat[dst], gain, out=power[src])
-        del fine_hat
-        yield part.start, part.stop, power
+        for axis in range(n - 1, 0, -1):
+            field = scipy.fft.fft(field, axis=axis, norm="ortho", overwrite_x=True,
+                                  workers=workers)
+            if axis > 1:
+                _move_halves(field, stages[axis - 2][:count], axis, h)
+                field = stages[axis - 2][:count]
+        if n == 1:
+            np.multiply(field, gain, out=out[:count, :h])
+        else:
+            field *= gain
+            _move_halves(field, out[:count][..., :h], 1, h)
+        return out[:count]
+
+    return power
+
+
+def _power_batches(spectra, grid, r, dealias_factor):
+    """Half-lattice spectra of |u|^{r-1} u for a stack of half-lattice spectra
+    of real fields u, one batch of slabs at a time, through one
+    ``_power_map``.
+
+    Yields ``(start, stop, power)``, ``power`` being the result for
+    ``spectra[start:stop]``. It is a view of the map's output buffer that the
+    next batch overwrites, and each batch, cut by ``grid._batches`` at the
+    plan's bytes per slab, is read from ``spectra`` only when it is reached,
+    so the caller may overwrite the slabs it has been given.
+    """
+    batches = _batches(len(spectra), _kernel_plan(grid, dealias_factor)[1])
+    # The first batch is the longest.
+    power = _power_map(grid, r, dealias_factor, batches[0].stop if batches else 0)
+    for part in batches:
+        yield part.start, part.stop, power(spectra[part])
 
 
 def _power_spectra(spectra, grid, r, dealias_factor):
@@ -298,7 +335,7 @@ def _duhamel_sweep(stack, carry, weights, grid, r, dealias_factor, offset=0):
     overwrite those slabs of ``stack``, but not ``terms``, whose last slab
     carries.
     """
-    left = _power_spectra(carry[None], grid, r, dealias_factor)[0]
+    left = _power_map(grid, r, dealias_factor, 1)(carry[None])[0]
     for start, stop, forcing in _power_batches(stack, grid, r, dealias_factor):
         rows = weights.step[offset + start:offset + stop]
         previous = np.concatenate([left[None], forcing[:-1]])
@@ -427,9 +464,10 @@ def picard_solve(u0, cfg, m, w, sp):
     # the march writes the first iterate straight into it.
     current = np.empty((len(times),) + u0_hat.shape, dtype=np.complex128)
     steps = np.diff(times, prepend=0.0).tolist()
+    power = _power_map(grid, m.r, cfg.dealias_factor, 1)
     # The forcing at the slab's left end and its rises over the last (up to
     # two) slabs, oldest first.
-    forcing, rises = _power_spectra(u0_hat[None], grid, m.r, cfg.dealias_factor)[0], []
+    forcing, rises = power(u0_hat[None])[0].copy(), []
     escaped = ""
     for i, row in enumerate(weights.step):
         u = np.multiply(weights.decay[row], current[i - 1] if i else u0_hat, out=current[i])
@@ -441,10 +479,11 @@ def picard_solve(u0, cfg, m, w, sp):
         if not l2_norms_of_spectra(guess[None], grid)[0] <= 1e3 * u0_l2:
             escaped = f"; the starting march left 1e3 x data at t = {times[i]:.6g}"
             continue
-        end = _power_spectra(guess[None], grid, m.r, cfg.dealias_factor)[0]
+        end = power(guess[None])[0]
         rise = end - forcing
         np.add(base, weights.phi2[row] * rise, out=u)
-        forcing, rises = end, rises[-1:] + [rise]
+        forcing[...] = end
+        rises = rises[-1:] + [rise]
     norms = np.empty(len(times))
     gaps = np.zeros(len(times))
     previous = np.zeros(len(times))
@@ -456,7 +495,7 @@ def picard_solve(u0, cfg, m, w, sp):
     # A batch's new slabs and their change, normed in one call: the dyadic
     # weights are read once per batch, however short the batches are. The
     # first kernel batch is the longest.
-    batch = _batches(len(times), _kernel_plan(grid, cfg.dealias_factor)[2])[0].stop
+    batch = _batches(len(times), _kernel_plan(grid, cfg.dealias_factor)[1])[0].stop
     pairs = np.empty((2 * batch,) + u0_hat.shape, dtype=np.complex128)
     for iterations in range(1, cfg.picard_max_iter + 1):
         peak = 0.0
@@ -537,31 +576,33 @@ def _build_report(converged, iterations, cfg, distances, frozen, weighted, times
 def etd_oracle(u0, cfg, m):
     """Independent exponential predictor-corrector march over the same slabs.
 
-    Order 2 (predictor with phi1, corrector with phi2). The marched spectra
-    fill one stack, which becomes the returned trajectory. Non-finite or
+    Order 2 (predictor with phi1, corrector with phi2). Each step writes its
+    spectrum into one stack, which becomes the returned trajectory, through
+    rows allocated once per call and one ``_power_map``. Non-finite or
     violently growing steps raise IntegrationError.
     """
     times = slab_times(cfg)
     grid = u0.grid
     _check_model_grid(m, grid)
     weights = _slab_weights(grid, m, tuple(times.tolist()))
-
-    def power(c):
-        return _power_spectra(c[None], grid, m.r, cfg.dealias_factor)[0]
-
+    power = _power_map(grid, m.r, cfg.dealias_factor, 1)
     u = real_spectra(u0.samples, grid)
     bound = 1e6 * max(l2_norms_of_spectra(u[None], grid)[0], 1.0)
     marched = np.empty((len(times),) + u.shape, dtype=np.complex128)
+    nu, predictor, term = np.empty((3,) + u.shape, dtype=np.complex128)
     for i, t in enumerate(times):
         row = weights.step[i]
-        decay = weights.decay[row]
-        nu = power(u)
-        predictor = decay * u + weights.phi1[row] * nu
-        u = predictor + weights.phi2[row] * (power(predictor) - nu)
-        if not np.all(np.isfinite(u)) or l2_norms_of_spectra(u[None], grid)[0] > bound:
+        # predictor = decay u + phi1 nu, then u = predictor + phi2 (w(predictor) - nu).
+        nu[...] = power(u[None])[0]
+        np.multiply(weights.decay[row], u, out=predictor)
+        predictor += np.multiply(weights.phi1[row], nu, out=term)
+        np.subtract(power(predictor[None])[0], nu, out=term)
+        term *= weights.phi2[row]
+        u = np.add(predictor, term, out=marched[i])
+        # NaN and inf both fail the comparison.
+        if not l2_norms_of_spectra(u[None], grid)[0] <= bound:
             raise IntegrationError(
                 f"unstable step {i + 1} at t = {t:.6g}", step=i + 1, time=float(t))
-        marched[i] = u
     return Trajectory.from_spectra(times, marched, grid)
 
 

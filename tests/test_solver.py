@@ -330,10 +330,15 @@ class TestMarchedStart:
     MODEL = ModelParams(alpha=1, r=3.0, n=2)
     SPACE = SpaceParams("B", 1.5, 2.0, 2.0, s0=1.5)
 
+    @staticmethod
+    def solve_data(amplitude):
+        """The initial data of ``solve``."""
+        return random_band_limited(TorusGrid(2, 64), (0, 50), 1.9, amplitude=amplitude)
+
     def solve(self, amplitude, cfg=None):
         """Amplitude data on the 64^2 grid, by default on the default slab grid."""
         cfg = cfg or SolverConfig(horizon=0.25)
-        u0 = random_band_limited(TorusGrid(2, 64), (0, 50), 1.9, amplitude=amplitude)
+        u0 = self.solve_data(amplitude)
         w = TimeWeight(b=0.5 / (2 * self.MODEL.r), v=1.0, T=cfg.horizon)
         return picard_solve(u0, cfg, self.MODEL, w, self.SPACE)
 
@@ -384,8 +389,8 @@ class TestMarchedStart:
 class TestEtdOracle:
     def test_linear_flow_is_exact(self, grid1d, monkeypatch):
         # With the forcing zeroed the integrator is the semigroup alone.
-        monkeypatch.setattr(solver, "_power_spectra",
-                            lambda spectra, *args: np.zeros_like(spectra))
+        monkeypatch.setattr(solver, "_power_map",
+                            lambda *args: lambda spectra: np.zeros_like(spectra))
         cfg = SolverConfig(horizon=0.3, slabs=16)
         u0 = random_band_limited(grid1d, 101, max_radius=8.0)
         traj = etd_oracle(u0, cfg, MODEL)

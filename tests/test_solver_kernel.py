@@ -26,7 +26,7 @@ from reference_norms import a_norm_of_coefficients
 
 def slab_bytes(grid, dealias_factor=1.5):
     """The power kernel's bytes per slab, from its plan."""
-    return solver._kernel_plan(grid, dealias_factor)[2]
+    return solver._kernel_plan(grid, dealias_factor)[1]
 
 
 def kernel_batch(grid, count=1024):
@@ -139,6 +139,13 @@ def reference_picard_distances(u0, cfg, m, w, sp):
     return distances, scipy.fft.ifftn(current[-1], norm="ortho").real
 
 
+def memory_owner(array):
+    """The array that owns the memory ``array`` views."""
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array
+
+
 def kernel_inputs(grid, count, seed):
     """White-noise real fields: every mode, Nyquist planes included, is live."""
     rng = np.random.default_rng(seed)
@@ -151,7 +158,8 @@ GRIDS = {1: TorusGrid(1, 64), 2: TorusGrid(2, 32), 3: TorusGrid(3, 16)}
 class TestPowerKernel:
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("r", [2.0, 2.5, 3.0])
-    @pytest.mark.parametrize("dealias_factor", [1.0, 1.5, 2.0])
+    # 1.25 gives M = 80, 40 and 20 points, not multiples of N.
+    @pytest.mark.parametrize("dealias_factor", [1.0, 1.25, 1.5, 2.0])
     def test_matches_per_field_c2c_reference(self, n, r, dealias_factor):
         grid = GRIDS[n]
         samples = kernel_inputs(grid, 5, (n, int(10 * r)))
@@ -186,15 +194,7 @@ class TestPowerKernel:
         got = nonlinearity(u, 3.0).samples
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
-    def test_single_field_calls_reuse_one_plan(self, monkeypatch):
-        index_blocks = solver._index_blocks
-        built = []
-
-        def counting(*args):
-            built.append(args)
-            return index_blocks(*args)
-
-        monkeypatch.setattr(solver, "_index_blocks", counting)
+    def test_single_field_calls_reuse_one_plan(self):
         solver._kernel_plan.cache_clear()
         grid = GRIDS[2]
         m = ModelParams(alpha=1, r=3.0, n=2)
@@ -208,8 +208,9 @@ class TestPowerKernel:
                 etd_oracle(u0, cfg, m)
                 plan = solver._kernel_plan(grid, dealias_factor)
                 assert plans.setdefault(dealias_factor, plan) is plan
-        assert built == [(2, 32, 48), (2, 32, 64)]
-        assert [M for M, _, _ in plans.values()] == [48, 64]
+        # One plan built per dealias factor, over 800 one-field evaluations.
+        assert solver._kernel_plan.cache_info().misses == 2
+        assert [M for M, _ in plans.values()] == [48, 64]
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_shared_buffers_keep_single_fields_bit_identical(self, n):
@@ -225,31 +226,58 @@ class TestPowerKernel:
         assert first.tobytes() == single[0].tobytes()
         assert np.concatenate(single).tobytes() == whole.tobytes()
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_one_field_map_matches_a_sweep_batch(self, n):
+        # The march and the oracle evaluate one field at a time through a
+        # one-field map; a sweep evaluates the same field inside a batch.
+        grid = GRIDS[n]
+        spectra = real_spectra(kernel_inputs(grid, 2 * kernel_batch(grid), n), grid)
+        _, _, batch = next(solver._power_batches(spectra, grid, 3.0, 1.5))
+        assert len(batch) > 1
+        power = solver._power_map(grid, 3.0, 1.5, 1)
+        for i in (0, len(batch) - 1):
+            assert power(spectra[i:i + 1]).tobytes() == batch[i:i + 1].tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_bytes_do_not_depend_on_fft_workers(self, n, monkeypatch):
+        # Every transform of the map, the pruned full axes' included, takes
+        # the worker count.
+        grid = GRIDS[n]
+        spectra = real_spectra(kernel_inputs(grid, 7, n), grid)
+        results = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("HYPERHEAT_THREADS", threads)
+            results.append(solver._power_spectra(spectra, grid, 2.5, 1.5).tobytes())
+        assert results[0] == results[1]
+
     @pytest.mark.parametrize("grid", [TorusGrid(1, 512), TorusGrid(1, 64), TorusGrid(2, 32),
                                       TorusGrid(2, 64), TorusGrid(3, 16)],
                              ids=["1d512", "1d64", "2d32", "2d64", "3d16"])
     def test_batch_working_set_fits_the_budget(self, grid, monkeypatch):
         # The per-slab count covers at least the kernel's own arrays, read
-        # off a sweep: its padded input and output rows, its two transforms'
-        # outputs and a magnitude row as large as the real field.
-        row_bytes = {}
-        for name in ("irfftn", "rfftn"):
-            def recording(*args, _name=name, _transform=getattr(scipy.fft, name), **kwargs):
-                result = _transform(*args, **kwargs)
-                row_bytes[_name] = result.nbytes // len(result)
-                if _name == "irfftn":
-                    row_bytes["padded"] = args[0].nbytes // len(args[0])
+        # off a sweep: every array its per-axis transforms read or return
+        # (the embedding lattices and the transforms' outputs), each counted
+        # once however many views of it the transforms saw, a magnitude row
+        # as large as the real field, and its output rows.
+        seen = []
+        for name in ("ifft", "irfft", "rfft", "fft"):
+            def recording(x, *args, _name=name, _transform=getattr(scipy.fft, name), **kwargs):
+                result = _transform(x, *args, **kwargs)
+                seen.extend([(_name, "reads", memory_owner(x)),
+                             (_name, "returns", memory_owner(result))])
                 return result
             monkeypatch.setattr(scipy.fft, name, recording)
         batch = kernel_batch(grid)
         spectra = real_spectra(kernel_inputs(grid, 2 * batch + 1, grid.n), grid)
         lengths = []
         for _, _, power in solver._power_batches(spectra, grid, 3.0, 1.5):
+            if not lengths:
+                rows = {id(array): array.nbytes // len(array) for _, _, array in seen}
+                (field,) = [array for name, role, array in seen
+                            if (name, role) == ("irfft", "returns")]
+                kernel = sum(rows.values()) + field[0].nbytes + power[0].nbytes
             lengths.append(len(power))
-            row_bytes["out"] = power[0].nbytes
         assert lengths == [batch, batch, 1] and batch > 1
-        kernel = (row_bytes["padded"] + row_bytes["out"] + 2 * row_bytes["irfftn"]
-                  + row_bytes["rfftn"])
         per_slab = slab_bytes(grid)
         assert kernel <= per_slab
         assert batch * per_slab <= grid_module._PAD_BATCH_BYTES
@@ -367,16 +395,19 @@ class TestFoldedLinearFlow:
     alone: U_i = exp(-t_i |xi|^2) u0 at every slab end."""
 
     def test_zero_forcing_reproduces_the_semigroup(self, monkeypatch):
-        power_batches = solver._power_batches
-
+        power_map = solver._power_map
         single = []
 
         def zero_forcing(*args):
-            single.append(len(args[0]) == 1)
-            for start, stop, power in power_batches(*args):
-                yield start, stop, np.zeros_like(power)
+            power = power_map(*args)
 
-        monkeypatch.setattr(solver, "_power_batches", zero_forcing)
+            def zeroed(spectra):
+                single.append(len(spectra) == 1)
+                return np.zeros_like(power(spectra))
+
+            return zeroed
+
+        monkeypatch.setattr(solver, "_power_map", zero_forcing)
         grid = TorusGrid(2, 32)
         m = ModelParams(alpha=1, r=3.0, n=2)
         cfg = SolverConfig(horizon=0.25)
