@@ -14,8 +14,11 @@ with z = -dt |xi|^(2 alpha); the recursion carries the solution itself from
 slab end to slab end, U_i = e^z U_{i-1} + (slab integral), U_0 = u0. Fixed
 points are found by Picard iteration, with distances measured in the
 time-weighted norm, from a first iterate near the fixed point: one causal
-march of the same recursion, each slab's end forcing taken at an exponential
-Adams-Bashforth 3 prediction (Cox & Matthews 2002).
+march of the same recursion, each slab's end forcing first taken at an
+exponential Adams-Bashforth 3 prediction (Cox & Matthews 2002) and then
+re-evaluated at the corrected slab end until the defect left for the sweep
+fits a share of the tolerance, an exponential predictor-corrector
+(Hochbruck & Ostermann 2010).
 Because (T u)(t) reads u only on [0, t], the iterate settles on a prefix of
 slabs before the horizon; once its predicted next change is below roundoff
 that prefix is frozen and later iterations sweep only the slabs after it
@@ -412,20 +415,32 @@ class PicardReport:
     note: str = ""
 
 
+# Kernel evaluations the starting march spends on one slab at most.
+_MARCH_PASSES = 4
+
+
 def picard_solve(u0, cfg, m, w, sp):
     """Iterate the operator until the weighted distance between consecutive
     iterates drops below picard_tol (relative).
 
     The first iterate marches the slab recursion once, slab by slab. The
-    forcing w_i at each slab end is evaluated once, at the exponential
+    forcing w_i at each slab end is first evaluated at the exponential
     Adams-Bashforth 3 prediction e^z U_{i-1} + dt phi1 w_{i-1} + dt phi2 q,
     q the rise from w_{i-1} to t_i of the quadratic through the forcings at
     the last three slab ends (the line through w_0 and w_1 on the second
     slab, no phi2 term on the first), and the recursion integrates the line
-    from w_{i-1} to w_i, so the start lies near the fixed point. From the
-    first slab whose prediction is not finite or exceeds 1e3 times the
-    data's L2 norm, the decay rows alone carry it, and the report's note
-    and any blow-up message name that slab's time.
+    from w_{i-1} to w_i. Then w_i is evaluated again at the slab end U_i so
+    found and the line integrated again, until the defect left for the
+    sweep, the slab's contraction times the last correction ||U_i - g||
+    (g the point last evaluated at), fits the slab's share of a quarter of
+    picard_tol; the contraction is the ratio of consecutive corrections,
+    carried to later slabs per unit step and per ||U_i||^(r-1). A slab
+    takes at most four evaluations, and one that fails to halve the
+    correction leaves the slab to the sweeps. So one sweep usually
+    certifies the start. From the first slab where a point to evaluate is
+    not finite or exceeds 1e3 times the data's L2 norm, the decay rows
+    alone carry the march, and the report's note and any blow-up message
+    name that slab's time.
 
     Each iterate is one stack of half-lattice spectra over all slab times.
     The operator is causal, so the iterate on a slab prefix settles before
@@ -465,25 +480,67 @@ def picard_solve(u0, cfg, m, w, sp):
     current = np.empty((len(times),) + u0_hat.shape, dtype=np.complex128)
     steps = np.diff(times, prepend=0.0).tolist()
     power = _power_map(grid, m.r, cfg.dealias_factor, 1)
-    # The forcing at the slab's left end and its rises over the last (up to
-    # two) slabs, oldest first.
-    forcing, rises = power(u0_hat[None])[0].copy(), []
+    # The march's rows, allocated once: the forcing at the slab's left end,
+    # the slab end short of its phi2 term, the point the forcing is
+    # evaluated at (then the correction), and three rise rows that rotate:
+    # the forcing's rises over the last two slabs and this slab's.
+    forcing = power(u0_hat[None])[0].copy()
+    base, point, rise, last, older = np.empty((5,) + u0_hat.shape, dtype=np.complex128)
+    known = 0
     escaped = ""
+    # The sweep after the march moves slab end i by the decayed sum of the
+    # defects the march leaves on slabs 1..i, each the correction a further
+    # pass would make. A defect enters the sweep twice, at its slab's end and
+    # in the next slab's left-end forcing, and the space's norm can weigh it
+    # about twice as much as L2 does; so slabs 1..i may leave, relative to
+    # their L2 norms, i / (slab count) of a quarter of picard_tol, and one
+    # sweep certifies.
+    budget, spent, rate = 0.25 * cfg.picard_tol / len(times), 0.0, math.inf
     for i, row in enumerate(weights.step):
-        u = np.multiply(weights.decay[row], current[i - 1] if i else u0_hat, out=current[i])
+        left = current[i - 1] if i else u0_hat
+        u = np.multiply(weights.decay[row], left, out=current[i])
         if escaped:
             continue
-        base = u + weights.phi1[row] * forcing
-        rise = _predicted_rise(rises, steps[max(i - 2, 0):i + 1])
-        guess = base + weights.phi2[row] * rise
-        if not l2_norms_of_spectra(guess[None], grid)[0] <= 1e3 * u0_l2:
-            escaped = f"; the starting march left 1e3 x data at t = {times[i]:.6g}"
+        np.multiply(weights.phi1[row], forcing, out=base)
+        base += u
+        _predicted_rise([older, last][2 - known:], steps[max(i - 2, 0):i + 1], rise)
+        np.multiply(weights.phi2[row], rise, out=point)
+        point += base
+        prior = math.inf
+        for _ in range(_MARCH_PASSES):
+            size = float(l2_norms_of_spectra(point[None], grid)[0])
+            # NaN and inf both fail the comparison.
+            if not size <= 1e3 * u0_l2:
+                escaped = f"; the starting march left 1e3 x data at t = {times[i]:.6g}"
+                np.multiply(weights.decay[row], left, out=u)
+                break
+            value = power(point[None])[0]
+            np.subtract(value, forcing, out=rise)
+            np.multiply(weights.phi2[row], rise, out=u)
+            u += base
+            np.subtract(u, point, out=point)
+            correction = float(l2_norms_of_spectra(point[None], grid)[0])
+            # The defect is the slab's contraction, about dt phi2 r |u|^(r-1),
+            # times this correction. The last contraction observed, per unit
+            # step and per size^(r-1), carries to later slabs; before any, 1
+            # is assumed (inf * 0 is NaN, which min skips).
+            reach = steps[i] * size ** (m.r - 1.0)
+            if prior < math.inf and reach > 0:
+                rate = correction / prior / reach
+            defect = min(1.0, rate * reach) * correction
+            # The slab is left to the sweeps once its defect fits the budget,
+            # or when a pass fails to halve the correction.
+            if defect <= ((i + 1) * budget - spent) * size or correction > 0.5 * prior:
+                break
+            prior = correction
+            point[...] = u
+        if escaped:
             continue
-        end = power(guess[None])[0]
-        rise = end - forcing
-        np.add(base, weights.phi2[row] * rise, out=u)
-        forcing[...] = end
-        rises = rises[-1:] + [rise]
+        spent += defect / size if size > 0 else 0.0
+        forcing[...] = value
+        older, last, rise = last, rise, older
+        known = min(known + 1, 2)
+    del forcing, base, point, rise, last, older
     norms = np.empty(len(times))
     gaps = np.zeros(len(times))
     previous = np.zeros(len(times))
@@ -538,18 +595,22 @@ def picard_solve(u0, cfg, m, w, sp):
                          grid, current, note.removeprefix("; "))
 
 
-def _predicted_rise(rises, steps):
+def _predicted_rise(rises, steps, out):
     """The forcing's rise over the next slab, of step ``steps[-1]``, from its
     rises over the last (up to two) slabs, of steps ``steps[:-1]``, oldest
     first: none, the line through two slab ends or the quadratic through
-    three, by divided differences on any spacing."""
+    three, by divided differences on any spacing. Written into ``out``; the
+    quadratic scales the older rise in place."""
     if not rises:
-        return 0.0
+        out[...] = 0.0
+        return out
     h, h1 = steps[-1], steps[-2]
     if len(rises) == 1:
-        return rises[-1] * (h / h1)
+        return np.multiply(rises[-1], h / h1, out=out)
     bend = h * (h + h1) / (h1 + steps[-3])
-    return rises[-1] * ((h + bend) / h1) - rises[-2] * (bend / steps[-3])
+    np.multiply(rises[-1], (h + bend) / h1, out=out)
+    out -= np.multiply(rises[-2], bend / steps[-3], out=rises[-2])
+    return out
 
 
 def _settled_prefix(gaps, previous, bound):

@@ -4,11 +4,13 @@ Each test breaks one piece of the solver by monkeypatching and requires a
 named acceptance check to fail: criterion 12 (constant data against its
 closed form) for the nonlinearity and the slab quadrature, and criterion 7's
 PDE residual for the slab decay, which constant data, a single mode at
-frequency 0, never feels. The starting march's quadratic forcing prediction,
-swapped for the line through two slab ends, must fail the one-sweep start
-of ``test_solver.TestMarchedStart``. The power kernel's pruned embedding and
-truncation, broken on one full axis, must fail its per-field c2c reference
-in ``test_solver_kernel``.
+frequency 0, never feels. The starting march capped at one kernel
+evaluation per slab must fail the one-sweep order study of
+``test_solver.TestConstantDataClosedForm``; so capped, its quadratic forcing
+prediction, swapped for the line through two slab ends, must fail the
+one-sweep start of ``test_solver.TestMarchedStart``. The power kernel's
+pruned embedding and truncation, broken on one full axis, must fail its
+per-field c2c reference in ``test_solver_kernel``.
 """
 
 import dataclasses
@@ -80,7 +82,16 @@ def test_halved_decay_fails_criterion_07(monkeypatch):
     assert residual.bound == 1e-4 and not residual.passed
 
 
+def test_one_pass_march_fails_the_one_sweep_order_study(monkeypatch):
+    test_solver.one_pass_march(monkeypatch)
+    with pytest.raises(AssertionError):
+        test_solver.TestConstantDataClosedForm().test_converged_march_certifies_in_one_sweep()
+
+
 def test_linear_forcing_prediction_fails_the_one_sweep_start(monkeypatch):
+    # The march's corrector settles the line's start too; one evaluation per
+    # slab leaves the prediction's order visible.
+    test_solver.one_pass_march(monkeypatch)
     test_solver.linear_rise(monkeypatch)
     with pytest.raises(AssertionError):
         test_solver.TestMarchedStart().test_amplitude_one_converges_in_one_sweep()

@@ -220,11 +220,12 @@ class TestPicard:
         assert worst < 10.0 * cfg.picard_tol * amp
 
     def test_contraction_factors_reported(self, grid1d):
-        # The marched start lands within picard_tol of the fixed point for
-        # amplitude-0.01 data, so one iteration reports no factor; at 0.3 it
-        # lands 1.4e-7 away and Picard takes three iterations, two factors.
+        # The marched start certifies in one sweep for data up to amplitude
+        # 1, so one iteration reports no factor; at 2 its corrector leaves
+        # the 16 long slabs over their budget, the start lands 3e-9 away and
+        # Picard takes three iterations, two factors.
         cfg = SolverConfig(horizon=0.25, slabs=16)
-        u0 = random_band_limited(grid1d, 89, max_radius=6.0, amplitude=0.3)
+        u0 = random_band_limited(grid1d, 89, max_radius=6.0, amplitude=2.0)
         report = picard_solve(u0, cfg, MODEL, small_weight(0.25), SPACE)
         assert report.contraction_factors
         assert all(f < 1.0 for f in report.contraction_factors)
@@ -277,7 +278,16 @@ class TestConstantDataClosedForm:
                             self.uniform(horizon, slabs), self.MODEL, w,
                             SpaceParams("B", 1.5, 2.0, 2.0, s0=1.5))
 
-    def test_picard_is_second_order_on_the_frozen_path(self):
+    def test_converged_march_certifies_in_one_sweep(self):
+        for slabs in (80, 160, 320):
+            report = self.solve(0.25, slabs)
+            assert report.converged and report.iterations == 1
+            assert report.distances[0] <= 0.5 * report.tolerance
+
+    def test_picard_is_second_order_on_the_frozen_path(self, monkeypatch):
+        # Capped at one evaluation per slab, the march lands 1.2e-7 to
+        # 1.8e-9 from the fixed point, and Picard sweeps from frozen edges.
+        one_pass_march(monkeypatch)
         exact = 1.0 / math.sqrt(1.0 - 2.0 * 0.25)
         errors = {}
         for slabs in (80, 160, 320):
@@ -300,7 +310,9 @@ class TestConstantDataClosedForm:
             assert math.log2(errors[coarse] / errors[2 * coarse]) == pytest.approx(2.0, abs=0.2)
 
     def test_blowup_detector_fires_past_the_blowup_time(self):
-        report = self.solve(0.4, 160)
+        # At 0.45 the march's corrector stops early near T*, so Picard takes
+        # a second sweep, from a frozen edge.
+        report = self.solve(0.45, 160)
         assert report.converged and report.frozen[-1] > 0
         with pytest.raises(BlowupSuspectedError):
             self.solve(0.6, 160)
@@ -320,7 +332,14 @@ def linear_rise(monkeypatch):
     ends, the rule the quadratic replaced."""
     rise = solver._predicted_rise
     monkeypatch.setattr(solver, "_predicted_rise",
-                        lambda rises, steps: rise(rises[-1:], steps[-2:]))
+                        lambda rises, steps, out: rise(rises[-1:], steps[-2:], out))
+
+
+def one_pass_march(monkeypatch):
+    """Cap the starting march at one kernel evaluation per slab, at the
+    predicted end: the march then lands further from the fixed point and
+    Picard sweeps more than once."""
+    monkeypatch.setattr(solver, "_MARCH_PASSES", 1)
 
 
 class TestMarchedStart:
@@ -351,7 +370,8 @@ class TestMarchedStart:
         rises = [b - a for a, b in zip(values, values[1:])]
         steps = list(np.diff(nodes + [t]))
         want = polyval(t, coeffs) - polyval(nodes[-1], coeffs)
-        assert_allclose(solver._predicted_rise(rises, steps), want, rtol=1e-12, atol=1e-15)
+        got = solver._predicted_rise(rises, steps, np.empty(3))
+        assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
     def test_amplitude_one_converges_in_one_sweep(self):
         report = self.solve(1.0)
@@ -363,12 +383,47 @@ class TestMarchedStart:
         assert report.converged and report.iterations <= 2
 
     def test_blowup_names_the_march_escape_time(self):
-        with pytest.raises(BlowupSuspectedError,
-                           match=r"starting march left 1e3 x data at t = 0\.217188$"):
-            self.solve(2.0)
+        cfg = SolverConfig(horizon=0.25)
+        with pytest.raises(IntegrationError) as unstable:
+            etd_oracle(self.solve_data(2.0), cfg, self.MODEL)
+        with pytest.raises(BlowupSuspectedError) as err:
+            self.solve(2.0, cfg)
+        found = re.search(r"starting march left 1e3 x data at t = (\S+)$", str(err.value))
+        assert found
+        # The uniform slab width, plus the rounding of the message's 6 digits.
+        assert abs(float(found.group(1)) - unstable.value.time) <= 0.25 / 160 + 1e-6
+
+    def test_quadratic_prediction_saves_march_evaluations(self, monkeypatch):
+        fields = []
+        power_map = solver._power_map
+
+        def counted(*args):
+            power = power_map(*args)
+            count = len(fields)
+            fields.append(0)
+
+            def evaluate(spectra):
+                fields[count] += len(spectra)
+                return power(spectra)
+
+            return evaluate
+
+        monkeypatch.setattr(solver, "_power_map", counted)
+        march = {}
+        for prediction in ("quadratic", "line"):
+            if prediction == "line":
+                linear_rise(monkeypatch)
+            fields.clear()
+            assert self.solve(1.0).converged
+            # The march's map is the first the solve builds.
+            march[prediction] = fields[0]
+        assert march["quadratic"] < march["line"]
 
     @pytest.mark.parametrize("times", ["step ratio 1e5", "geometric", "extra times"])
     def test_irregular_grids_start_no_further_than_the_line(self, times, monkeypatch):
+        # One evaluation per slab, so the start is the prediction's; the
+        # march's corrector brings either start within its budget.
+        one_pass_march(monkeypatch)
         T = 0.25
         cfg = {
             "step ratio 1e5": SolverConfig(horizon=T, times=tuple(

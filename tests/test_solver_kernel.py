@@ -22,6 +22,7 @@ from hyperheat import grid as grid_module
 from hyperheat import solver
 from hyperheat.grid import real_spectra
 from reference_norms import a_norm_of_coefficients
+from test_solver import one_pass_march
 
 
 def slab_bytes(grid, dealias_factor=1.5):
@@ -312,14 +313,19 @@ def terminal_gap(report, terminal):
 
 
 class TestStackedPicard:
-    def test_distances_match_reference_loop(self):
+    """The solver's sweeps, carry and frozen prefix against the reference
+    loop. Both start from the march capped at one kernel evaluation per
+    slab; uncapped, the march settles this case and Picard sweeps once."""
+
+    def test_distances_match_reference_loop(self, monkeypatch):
+        one_pass_march(monkeypatch)
         case = frozen_case()
         report = picard_solve(*case)
         distances, terminal = reference_picard_distances(*case)
         assert report.converged
         assert report.iterations == len(distances) >= 5
-        # Both start from the march; the cold start W_t u0 took 10 iterations,
-        # the march's linear forcing prediction 6.
+        # The cold start W_t u0 took 10 iterations, the march's linear
+        # forcing prediction 6.
         assert report.iterations == 5
         # The reference loop never freezes; the solver's last iterations do.
         assert len(report.frozen) == report.iterations
@@ -341,6 +347,7 @@ class TestStackedPicard:
                          dealias_factor, offset)
 
         monkeypatch.setattr(solver, "_duhamel_sweep", without_carry)
+        one_pass_march(monkeypatch)
         case = frozen_case()
         report = picard_solve(*case)
         _, terminal = reference_picard_distances(*case)
@@ -348,6 +355,7 @@ class TestStackedPicard:
         assert terminal_gap(report, terminal) > 1e-12
 
     def test_bytes_do_not_depend_on_fft_workers(self, monkeypatch):
+        one_pass_march(monkeypatch)
         results = []
         for threads in ("1", "2"):
             monkeypatch.setenv("HYPERHEAT_THREADS", threads)
@@ -372,7 +380,9 @@ class TestReferenceFixedPointDefect:
     """The marched start is itself a second-order integrator, so an operator
     that returns its input "converges" on it at once, and every check that
     reuses the solver's own recursion passes. One application of the
-    reference operator to the solver's fixed point does not."""
+    reference operator to the solver's fixed point does not, as long as the
+    march alone is not that fixed point: the identity is caught on the march
+    capped at one kernel evaluation per slab, whose start lies 3.6e-7 away."""
 
     def test_solution_is_a_fixed_point_of_the_reference_operator(self):
         case = frozen_case()
@@ -381,6 +391,7 @@ class TestReferenceFixedPointDefect:
 
     def test_identity_operator_is_caught(self, monkeypatch):
         identity_operator(monkeypatch)
+        one_pass_march(monkeypatch)
         case = frozen_case()
         u0, cfg, m = case[:3]
         report = picard_solve(*case)

@@ -27,6 +27,7 @@ from hyperheat import grid as grid_module
 from hyperheat import solver
 from hyperheat.dyadic import a_norms_of_spectra
 from hyperheat.grid import real_spectra
+from test_solver import one_pass_march
 from test_solver_kernel import kernel_batch, slab_bytes
 
 MODEL = ModelParams(alpha=1, r=3.0, n=2)
@@ -272,7 +273,8 @@ def relative(a, b):
 
 class TestBatchBoundaries:
     GRID = TorusGrid(2, 16)
-    # Picard takes 4 iterations here, the last three from frozen edges.
+    # From the march capped at one kernel evaluation per slab, Picard takes
+    # 4 iterations here, the last three from frozen edges; uncapped, 1.
     CFG = SolverConfig(horizon=0.2, slabs=24, extra_times=(0.1, 0.05, 0.025))
     WEIGHT = TimeWeight(b=0.5 / 6.0, v=1.0, T=0.2)
     # One slab per batch, three (a ragged last batch) and every slab at once.
@@ -281,6 +283,7 @@ class TestBatchBoundaries:
 
     def run(self, monkeypatch, budget):
         set_batch_bytes(monkeypatch, budget)
+        one_pass_march(monkeypatch)
         u0 = random_band_limited(self.GRID, 7, 3.0, amplitude=0.8)
         report = picard_solve(u0, self.CFG, MODEL, self.WEIGHT, SPACE)
         traj = report.trajectory
