@@ -17,12 +17,10 @@ time-weighted norm, from a first iterate near the fixed point: one causal
 march of the same recursion, each slab's end forcing first taken at an
 exponential Adams-Bashforth 3 prediction (Cox & Matthews 2002) and then
 re-evaluated at the corrected slab end until the defect left for the sweep
-fits a share of the tolerance, an exponential predictor-corrector
-(Hochbruck & Ostermann 2010).
-Because (T u)(t) reads u only on [0, t], the iterate settles on a prefix of
-slabs before the horizon; once its predicted next change is below roundoff
-that prefix is frozen and later iterations sweep only the slabs after it
-(waveform relaxation with adaptive windows).
+fits a share of the tolerance or stops shrinking, an exponential
+predictor-corrector (Hochbruck & Ostermann 2010). The march is the only
+per-slab convergence control: every sweep then runs over all slabs from u0,
+and one sweep usually certifies the start.
 An exponential predictor-corrector integrator marching the same slabs
 provides an independent trajectory for cross-validation.
 """
@@ -83,9 +81,12 @@ class SolverConfig:
             raise ParameterError("picard_max_iter must be >= 1")
         if not self.dealias_factor >= 1:
             raise ParameterError(f"dealias_factor must be >= 1, got {self.dealias_factor}")
-        times = () if self.times is None else self.times
-        object.__setattr__(self, "times", tuple(float(t) for t in times))
-        object.__setattr__(self, "extra_times", tuple(float(t) for t in self.extra_times))
+        for name in ("times", "extra_times"):
+            value = getattr(self, name)
+            value = () if value is None else tuple(float(t) for t in value)
+            if not all(map(math.isfinite, value)):
+                raise ParameterError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
 
 
 def slab_times(cfg):
@@ -326,21 +327,20 @@ def _slab_weights(grid, m, times):
     return _SlabWeights(*arrays)
 
 
-def _duhamel_sweep(stack, carry, weights, grid, r, dealias_factor, offset=0):
+def _duhamel_sweep(stack, carry, weights, grid, r, dealias_factor):
     """The solution U_i = e^{-dt_i lam} U_{i-1} + (slab integral of w) at the
-    slab ends i = offset+1 .. offset+len(stack), from ``carry``, the solution
-    at the left end of the first (u0 at tau = 0), which the sweep never writes.
+    slab ends i = 1 .. len(stack), from ``carry``, the solution u0 at tau = 0,
+    which the sweep never writes.
 
     The forcing w = |u|^{r-1} u, that of ``carry`` and of ``stack`` batch by
     batch, is piecewise linear in tau; each slab integral is exact for that
     reconstruction via phi1/phi2. Yields ``(start, stop, terms)``, the image
-    at slab ends start+1..stop (counted from tau = 0); the caller may then
-    overwrite those slabs of ``stack``, but not ``terms``, whose last slab
-    carries.
+    at slab ends start+1..stop; the caller may then overwrite those slabs of
+    ``stack``, but not ``terms``, whose last slab carries.
     """
     left = _power_map(grid, r, dealias_factor, 1)(carry[None])[0]
     for start, stop, forcing in _power_batches(stack, grid, r, dealias_factor):
-        rows = weights.step[offset + start:offset + stop]
+        rows = weights.step[start:stop]
         previous = np.concatenate([left[None], forcing[:-1]])
         terms = weights.phi1[rows] * previous
         rise = np.subtract(forcing, previous, out=previous)
@@ -352,7 +352,7 @@ def _duhamel_sweep(stack, carry, weights, grid, r, dealias_factor, offset=0):
             terms[i] += decay[i] * terms[i - 1]
         left = forcing[-1].copy()
         carry = terms[-1]
-        yield offset + start, offset + stop, terms
+        yield start, stop, terms
 
 
 def _duhamel_spectra(u0_hat, stack, times, cfg, m, grid):
@@ -397,9 +397,8 @@ class PicardReport:
     """Outcome of a Picard solve.
 
     ``distances`` are the weighted norms of consecutive-iterate differences,
-    relative to the weighted norm of the current iterate; frozen slabs count
-    0 in them. ``frozen`` holds the frozen prefix length, in slabs, that each
-    iteration used. ``weighted_norm`` is that of the final trajectory.
+    relative to the weighted norm of the current iterate, one per sweep over
+    all slabs. ``weighted_norm`` is that of the final trajectory.
     ``note`` says why the iteration stopped short, and where the starting
     march left the amplitude bound, if it did.
     """
@@ -409,14 +408,14 @@ class PicardReport:
     tolerance: float
     distances: tuple
     contraction_factors: tuple
-    frozen: tuple
     weighted_norm: float
     trajectory: Trajectory
     note: str = ""
 
 
-# Kernel evaluations the starting march spends on one slab at most.
-_MARCH_PASSES = 4
+# Kernel evaluations the starting march spends on one slab at most. On every
+# converging solve measured the march stopped on its own first (39 at most).
+_MARCH_PASSES = 64
 
 
 def picard_solve(u0, cfg, m, w, sp):
@@ -434,21 +433,15 @@ def picard_solve(u0, cfg, m, w, sp):
     sweep, the slab's contraction times the last correction ||U_i - g||
     (g the point last evaluated at), fits the slab's share of a quarter of
     picard_tol; the contraction is the ratio of consecutive corrections,
-    carried to later slabs per unit step and per ||U_i||^(r-1). A slab
-    takes at most four evaluations, and one that fails to halve the
-    correction leaves the slab to the sweeps. So one sweep usually
-    certifies the start. From the first slab where a point to evaluate is
-    not finite or exceeds 1e3 times the data's L2 norm, the decay rows
-    alone carry the march, and the report's note and any blow-up message
-    name that slab's time.
+    carried to later slabs per unit step and per ||U_i||^(r-1). A pass
+    that fails to shrink the correction leaves the slab to the sweeps. So
+    one sweep usually certifies the start. From the first slab where a
+    point to evaluate is not finite or exceeds 1e3 times the data's L2
+    norm, the decay rows alone carry the march, and the report's note and
+    any blow-up message name that slab's time.
 
-    Each iterate is one stack of half-lattice spectra over all slab times.
-    The operator is causal, so the iterate on a slab prefix settles before
-    the horizon does. After each iteration the longest prefix of slabs whose
-    predicted next change, gap * min(1, gap / previous gap) in the A-norm,
-    is at most 1e-2 picard_tol times the slab's norm is frozen: later sweeps
-    start at the first unfrozen slab, carrying the frozen iterate at the
-    edge. The prefix never shrinks and never takes the horizon slab.
+    Each iterate is one stack of half-lattice spectra over all slab times,
+    and each sweep runs the recursion over all of them from u0.
 
     Preconditions: the exponent tuple implied by (w, sp) must be admissible
     and the space must sit in the multiplication regime s > n/p. Three
@@ -525,12 +518,13 @@ def picard_solve(u0, cfg, m, w, sp):
             # step and per size^(r-1), carries to later slabs; before any, 1
             # is assumed (inf * 0 is NaN, which min skips).
             reach = steps[i] * size ** (m.r - 1.0)
-            if prior < math.inf and reach > 0:
+            # An overspent budget can drive the corrections to exactly 0.
+            if 0 < prior < math.inf and reach > 0:
                 rate = correction / prior / reach
             defect = min(1.0, rate * reach) * correction
             # The slab is left to the sweeps once its defect fits the budget,
-            # or when a pass fails to halve the correction.
-            if defect <= ((i + 1) * budget - spent) * size or correction > 0.5 * prior:
+            # or when a pass fails to shrink the correction.
+            if defect <= ((i + 1) * budget - spent) * size or correction >= prior:
                 break
             prior = correction
             point[...] = u
@@ -542,11 +536,8 @@ def picard_solve(u0, cfg, m, w, sp):
         known = min(known + 1, 2)
     del forcing, base, point, rise, last, older
     norms = np.empty(len(times))
-    gaps = np.zeros(len(times))
-    previous = np.zeros(len(times))
+    gaps = np.empty(len(times))
     distances = []
-    frozen_used = []
-    frozen = 0
     converged = False
     iterations = 0
     # A batch's new slabs and their change, normed in one call: the dyadic
@@ -556,12 +547,8 @@ def picard_solve(u0, cfg, m, w, sp):
     pairs = np.empty((2 * batch,) + u0_hat.shape, dtype=np.complex128)
     for iterations in range(1, cfg.picard_max_iter + 1):
         peak = 0.0
-        previous, gaps = gaps, previous
-        gaps[:frozen] = 0.0
-        # The solution at the left end of the first unfrozen slab.
-        carry = current[frozen - 1] if frozen else u0_hat
-        for start, stop, new in _duhamel_sweep(current[frozen:], carry, weights, grid, m.r,
-                                               cfg.dealias_factor, frozen):
+        for start, stop, new in _duhamel_sweep(current, u0_hat, weights, grid, m.r,
+                                               cfg.dealias_factor):
             count = stop - start
             old = current[start:stop]
             pair = pairs[:2 * count]
@@ -571,7 +558,6 @@ def picard_solve(u0, cfg, m, w, sp):
                 a_norms_of_spectra(pair, grid, sp), 2)
             peak = max(peak, float(np.max(l2_norms_of_spectra(new, grid))))
             old[...] = new
-        frozen_used.append(frozen)
         scale = time_weighted_norm(times, norms, w.b, vexp)
         rel = time_weighted_norm(times, gaps, w.b, vexp) / scale if scale > 0 else 0.0
         distances.append(rel)
@@ -585,14 +571,12 @@ def picard_solve(u0, cfg, m, w, sp):
                  f"iterate amplitude {peak:.3e} exceeds 1e3 x data norm {u0_l2:.3e}") if grew
                 else ("three consecutive growing distances",
                       "Picard distances grew three times in a row"))
-            report = _build_report(False, iterations, cfg, distances, frozen_used, scale,
-                                   times, grid, current, note + escaped)
+            report = _build_report(False, iterations, cfg, distances, scale, times, grid,
+                                   current, note + escaped)
             raise BlowupSuspectedError(message + escaped, report=report)
-        frozen += _settled_prefix(gaps[frozen:-1], previous[frozen:-1],
-                                  1e-2 * cfg.picard_tol * norms[frozen:-1])
     note = ("" if converged else "max iterations reached without convergence") + escaped
-    return _build_report(converged, iterations, cfg, distances, frozen_used, scale, times,
-                         grid, current, note.removeprefix("; "))
+    return _build_report(converged, iterations, cfg, distances, scale, times, grid, current,
+                         note.removeprefix("; "))
 
 
 def _predicted_rise(rises, steps, out):
@@ -613,23 +597,13 @@ def _predicted_rise(rises, steps, out):
     return out
 
 
-def _settled_prefix(gaps, previous, bound):
-    """Length of the leading run of slabs whose predicted next change,
-    gap * min(1, gap / previous), is at most ``bound`` (ratio 1 where no
-    previous gap is known)."""
-    ratio = np.divide(gaps, previous, out=np.ones_like(gaps), where=previous > 0)
-    settled = gaps * np.minimum(ratio, 1.0) <= bound
-    return len(settled) if settled.all() else int(np.argmin(settled))
-
-
-def _build_report(converged, iterations, cfg, distances, frozen, weighted, times, grid,
-                  spectra, note):
+def _build_report(converged, iterations, cfg, distances, weighted, times, grid, spectra,
+                  note):
     factors = tuple(distances[i] / distances[i - 1] for i in range(1, len(distances))
                     if distances[i - 1] > 0)
     return PicardReport(converged=converged, iterations=iterations,
                         tolerance=cfg.picard_tol, distances=tuple(distances),
-                        contraction_factors=factors, frozen=tuple(frozen),
-                        weighted_norm=float(weighted),
+                        contraction_factors=factors, weighted_norm=float(weighted),
                         trajectory=Trajectory.from_spectra(times, spectra, grid),
                         note=note)
 

@@ -167,6 +167,11 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_config("[experiment]\nid = solve\n\n[model]\nalpha = -1\n")
 
+    def test_non_finite_slab_time_rejected(self):
+        with pytest.raises(ConfigError, match="finite"):
+            parse_config("[experiment]\nid = solve\n\n[solver]\nhorizon = 0.25\n"
+                         "times = 0.1,nan,0.25\n")
+
     @pytest.mark.parametrize("experiment, key", [("solve", "oracle_tl"),
                                                  ("contraction", "oracle_tol"),
                                                  ("sweep", "seeds")])

@@ -73,6 +73,23 @@ class TestSolverConfig:
         with pytest.raises(ParameterError, match=key):
             SolverConfig(horizon=1.0, **{key: value})
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(times=(0.1, math.nan, 0.25)),
+        dict(times=(math.nan, 0.25)),
+        dict(times=(0.1, math.inf)),
+        dict(extra_times=(math.nan,)),
+        dict(extra_times=(0.1, -math.inf)),
+    ], ids=["nan inside times", "nan first in times", "inf times", "nan extra time",
+            "-inf extra time"])
+    def test_non_finite_times_rejected(self, kwargs):
+        # np.unique sorts NaN last, where the slab grid would drop it.
+        with pytest.raises(ParameterError, match="finite"):
+            SolverConfig(horizon=0.25, **kwargs)
+
+    @pytest.mark.parametrize("key", ["times", "extra_times"])
+    def test_none_times_mean_empty(self, key):
+        assert SolverConfig(horizon=0.25, **{key: None}) == SolverConfig(horizon=0.25)
+
     def test_integer_fields_take_numpy_integers(self):
         cfg = SolverConfig(horizon=1.0, slabs=np.int64(16), picard_max_iter=np.int32(5))
         assert cfg == SolverConfig(horizon=1.0, slabs=16, picard_max_iter=5)
@@ -219,14 +236,15 @@ class TestPicard:
         amp = max(np.max(np.abs(f.samples)) for f in report.trajectory.fields)
         assert worst < 10.0 * cfg.picard_tol * amp
 
-    def test_contraction_factors_reported(self, grid1d):
-        # The marched start certifies in one sweep for data up to amplitude
-        # 1, so one iteration reports no factor; at 2 its corrector leaves
-        # the 16 long slabs over their budget, the start lands 3e-9 away and
-        # Picard takes three iterations, two factors.
+    def test_contraction_factors_reported(self, grid1d, monkeypatch):
+        # The marched start certifies this solve in one sweep, which reports
+        # no factor; capped at one kernel evaluation per slab it starts
+        # further away and Picard sweeps more than once.
+        one_pass_march(monkeypatch)
         cfg = SolverConfig(horizon=0.25, slabs=16)
         u0 = random_band_limited(grid1d, 89, max_radius=6.0, amplitude=2.0)
         report = picard_solve(u0, cfg, MODEL, small_weight(0.25), SPACE)
+        assert report.converged and report.iterations > 1
         assert report.contraction_factors
         assert all(f < 1.0 for f in report.contraction_factors)
 
@@ -252,7 +270,9 @@ class TestPicard:
 
     def test_large_data_flags_blowup(self, grid1d):
         # Focusing cubic nonlinearity with O(50) data on a unit horizon:
-        # the iterates must run away and the solver must say so.
+        # the iterates must run away and the solver must say so. On the way
+        # the march overspends its budget and drives a slab's corrections to
+        # exactly 0, which the contraction estimate must not divide by.
         cfg = SolverConfig(horizon=1.0, slabs=16)
         u0 = random_band_limited(grid1d, 97, max_radius=4.0, amplitude=50.0)
         with pytest.raises(BlowupSuspectedError) as err:
@@ -284,16 +304,15 @@ class TestConstantDataClosedForm:
             assert report.converged and report.iterations == 1
             assert report.distances[0] <= 0.5 * report.tolerance
 
-    def test_picard_is_second_order_on_the_frozen_path(self, monkeypatch):
+    def test_picard_is_second_order_on_the_multi_sweep_path(self, monkeypatch):
         # Capped at one evaluation per slab, the march lands 1.2e-7 to
-        # 1.8e-9 from the fixed point, and Picard sweeps from frozen edges.
+        # 1.8e-9 from the fixed point, and Picard sweeps more than once.
         one_pass_march(monkeypatch)
         exact = 1.0 / math.sqrt(1.0 - 2.0 * 0.25)
         errors = {}
         for slabs in (80, 160, 320):
             report = self.solve(0.25, slabs)
-            assert report.converged
-            assert report.frozen[-1] > 0
+            assert report.converged and report.iterations > 1
             errors[slabs] = np.max(np.abs(report.trajectory.terminal.samples - exact))
         for coarse in (80, 160):
             assert math.log2(errors[coarse] / errors[2 * coarse]) == pytest.approx(2.0, abs=0.2)
@@ -310,10 +329,10 @@ class TestConstantDataClosedForm:
             assert math.log2(errors[coarse] / errors[2 * coarse]) == pytest.approx(2.0, abs=0.2)
 
     def test_blowup_detector_fires_past_the_blowup_time(self):
-        # At 0.45 the march's corrector stops early near T*, so Picard takes
-        # a second sweep, from a frozen edge.
+        # At 0.45, near T* = 0.5, the march's corrector still settles every
+        # slab, and one sweep certifies the start.
         report = self.solve(0.45, 160)
-        assert report.converged and report.frozen[-1] > 0
+        assert report.converged and report.iterations == 1
         with pytest.raises(BlowupSuspectedError):
             self.solve(0.6, 160)
 
@@ -340,6 +359,27 @@ def one_pass_march(monkeypatch):
     predicted end: the march then lands further from the fixed point and
     Picard sweeps more than once."""
     monkeypatch.setattr(solver, "_MARCH_PASSES", 1)
+
+
+def count_kernel_fields(monkeypatch):
+    """Count the fields each power map the solver builds evaluates: the
+    returned list gains one entry per map, in the order they are built."""
+    fields = []
+    power_map = solver._power_map
+
+    def counted(*args):
+        power = power_map(*args)
+        count = len(fields)
+        fields.append(0)
+
+        def evaluate(spectra):
+            fields[count] += len(spectra)
+            return power(spectra)
+
+        return evaluate
+
+    monkeypatch.setattr(solver, "_power_map", counted)
+    return fields
 
 
 class TestMarchedStart:
@@ -394,21 +434,7 @@ class TestMarchedStart:
         assert abs(float(found.group(1)) - unstable.value.time) <= 0.25 / 160 + 1e-6
 
     def test_quadratic_prediction_saves_march_evaluations(self, monkeypatch):
-        fields = []
-        power_map = solver._power_map
-
-        def counted(*args):
-            power = power_map(*args)
-            count = len(fields)
-            fields.append(0)
-
-            def evaluate(spectra):
-                fields[count] += len(spectra)
-                return power(spectra)
-
-            return evaluate
-
-        monkeypatch.setattr(solver, "_power_map", counted)
+        fields = count_kernel_fields(monkeypatch)
         march = {}
         for prediction in ("quadratic", "line"):
             if prediction == "line":
@@ -418,6 +444,24 @@ class TestMarchedStart:
             # The march's map is the first the solve builds.
             march[prediction] = fields[0]
         assert march["quadratic"] < march["line"]
+
+    @pytest.mark.parametrize("case, most", [("1-D amplitude 3", 238),
+                                            ("64^2 amplitude 2, T = 0.21", 924)])
+    def test_march_settles_contracting_solves_for_one_sweep(self, case, most, monkeypatch):
+        # The march keeps correcting slabs whose passes shrink the correction
+        # slowly (by 0.535 per pass at the last slab of the 64^2 solve), so
+        # one sweep certifies the start. A march that gave up after four
+        # passes, or on a pass failing to halve the correction, left 6 and 30
+        # sweeps here (306 and 1653 kernel fields).
+        fields = count_kernel_fields(monkeypatch)
+        if case == "1-D amplitude 3":
+            cfg = SolverConfig(horizon=0.25, slabs=16)
+            u0 = random_band_limited(TorusGrid(1, 64), 89, max_radius=6.0, amplitude=3.0)
+            report = picard_solve(u0, cfg, MODEL, small_weight(0.25), SPACE)
+        else:
+            report = self.solve(2.0, SolverConfig(horizon=0.21))
+        assert report.converged and report.iterations == 1
+        assert sum(fields) <= most
 
     @pytest.mark.parametrize("times", ["step ratio 1e5", "geometric", "extra times"])
     def test_irregular_grids_start_no_further_than_the_line(self, times, monkeypatch):

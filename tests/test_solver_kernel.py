@@ -296,8 +296,9 @@ class TestPowerKernel:
             nonlinearity(RealField(grid, kernel_inputs(grid, 1, 0)[0]), 3.0, 0.5)
 
 
-def frozen_case():
-    """A 16^2 amplitude-1 solve whose later iterations skip a frozen prefix."""
+def sixteen_case():
+    """A 16^2 amplitude-1 solve that Picard sweeps several times from the
+    march capped at one kernel evaluation per slab."""
     grid = TorusGrid(2, 16)
     m = ModelParams(alpha=1, r=3.0, n=2)
     cfg = SolverConfig(horizon=0.25, slabs=16)
@@ -313,13 +314,13 @@ def terminal_gap(report, terminal):
 
 
 class TestStackedPicard:
-    """The solver's sweeps, carry and frozen prefix against the reference
-    loop. Both start from the march capped at one kernel evaluation per
-    slab; uncapped, the march settles this case and Picard sweeps once."""
+    """The solver's sweeps and carry against the reference loop. Both start
+    from the march capped at one kernel evaluation per slab; uncapped, the
+    march settles this case and Picard sweeps once."""
 
     def test_distances_match_reference_loop(self, monkeypatch):
         one_pass_march(monkeypatch)
-        case = frozen_case()
+        case = sixteen_case()
         report = picard_solve(*case)
         distances, terminal = reference_picard_distances(*case)
         assert report.converged
@@ -327,10 +328,6 @@ class TestStackedPicard:
         # The cold start W_t u0 took 10 iterations, the march's linear
         # forcing prediction 6.
         assert report.iterations == 5
-        # The reference loop never freezes; the solver's last iterations do.
-        assert len(report.frozen) == report.iterations
-        assert report.frozen[0] == 0 < report.frozen[-1]
-        assert list(report.frozen) == sorted(report.frozen)
         # Distances are relative quantities; near convergence both sides sit
         # at roundoff of the iterates, so agreement is judged absolutely.
         assert_allclose(report.distances, distances, rtol=0, atol=1e-12)
@@ -339,19 +336,21 @@ class TestStackedPicard:
     def test_dropping_the_carried_integral_is_caught(self, monkeypatch):
         sweep = solver._duhamel_sweep
 
-        # Sweeps from the frozen edge restart from zero instead of the frozen
-        # iterate there, and so from its zero forcing; sweeps from tau = 0
-        # keep their carry, u0.
-        def without_carry(stack, carry, weights, grid, r, dealias_factor, offset=0):
-            return sweep(stack, np.zeros_like(carry) if offset else carry, weights, grid, r,
-                         dealias_factor, offset)
+        # Each batch after the first starts from zero instead of the solution
+        # at the last slab end of the batch before; the first keeps its
+        # carry, u0.
+        def without_carry(*args):
+            for start, stop, terms in sweep(*args):
+                yield start, stop, terms.copy()
+                terms[-1] = 0.0
 
         monkeypatch.setattr(solver, "_duhamel_sweep", without_carry)
+        # Three slabs per batch.
+        monkeypatch.setattr(grid_module, "_PAD_BATCH_BYTES", 3 * slab_bytes(TorusGrid(2, 16)))
         one_pass_march(monkeypatch)
-        case = frozen_case()
+        case = sixteen_case()
         report = picard_solve(*case)
         _, terminal = reference_picard_distances(*case)
-        assert report.frozen[-1] > 0
         assert terminal_gap(report, terminal) > 1e-12
 
     def test_bytes_do_not_depend_on_fft_workers(self, monkeypatch):
@@ -359,9 +358,9 @@ class TestStackedPicard:
         results = []
         for threads in ("1", "2"):
             monkeypatch.setenv("HYPERHEAT_THREADS", threads)
-            report = picard_solve(*frozen_case())
-            results.append((report.frozen, report.trajectory.spectra.tobytes()))
-        assert results[0][0][-1] > 0
+            report = picard_solve(*sixteen_case())
+            results.append((report.distances, report.trajectory.spectra.tobytes()))
+        assert len(results[0][0]) > 1
         assert results[0] == results[1]
 
 
@@ -369,9 +368,9 @@ def identity_operator(monkeypatch):
     """Make the solver's slab recursion return its input: T u = u."""
     sweep = solver._duhamel_sweep
 
-    def identity(stack, carry, weights, grid, r, dealias_factor, offset=0):
-        for start, stop, _ in sweep(stack, carry, weights, grid, r, dealias_factor, offset):
-            yield start, stop, stack[start - offset:stop - offset].copy()
+    def identity(stack, carry, weights, grid, r, dealias_factor):
+        for start, stop, _ in sweep(stack, carry, weights, grid, r, dealias_factor):
+            yield start, stop, stack[start:stop].copy()
 
     monkeypatch.setattr(solver, "_duhamel_sweep", identity)
 
@@ -385,14 +384,14 @@ class TestReferenceFixedPointDefect:
     capped at one kernel evaluation per slab, whose start lies 3.6e-7 away."""
 
     def test_solution_is_a_fixed_point_of_the_reference_operator(self):
-        case = frozen_case()
+        case = sixteen_case()
         report = picard_solve(*case)
         assert ReferenceLoop(*case).defect(report.trajectory) <= 2.0 * case[1].picard_tol
 
     def test_identity_operator_is_caught(self, monkeypatch):
         identity_operator(monkeypatch)
         one_pass_march(monkeypatch)
-        case = frozen_case()
+        case = sixteen_case()
         u0, cfg, m = case[:3]
         report = picard_solve(*case)
         assert report.converged and report.iterations == 1
