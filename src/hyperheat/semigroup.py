@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import _block_l2_norms, a_norms_of_spectra
-from .errors import ParameterError, _reject_bools
+from .errors import InconsistentGridError, ParameterError, _reject_bools
 from .grid import RealField, SpectralField, l2_norms_of_spectra, real_samples, real_spectra
 
 
@@ -54,7 +54,10 @@ class ModelParams:
 
 def dissipation_symbol(grid, m):
     """|xi|^(2 alpha) on the rfftn half lattice, shape ``grid.half_shape``;
-    (|xi|^2)^alpha, exact for integer alpha."""
+    (|xi|^2)^alpha, exact for integer alpha. Every operator built from it
+    refuses, through it, a model whose dimension is not the grid's."""
+    if m.n != grid.n:
+        raise InconsistentGridError(f"model of dimension n = {m.n} used on a {grid.n}-D grid")
     base = grid.xi_squared
     if m.integer_order:
         # Exponentiation by squaring on the |xi|^2 array.
@@ -82,6 +85,8 @@ def apply_semigroup(F, t, m):
 
     The multiplier is real and even in k, so a Hermitian input stays Hermitian.
     """
+    if not isinstance(F, SpectralField):
+        raise ParameterError(f"the semigroup acts on a SpectralField, got {type(F).__name__}")
     if not t >= 0:
         raise ParameterError(f"semigroup time must satisfy t >= 0, got {t}")
     if t == 0:

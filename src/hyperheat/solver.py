@@ -20,7 +20,8 @@ re-evaluated at the corrected slab end until the defect left for the sweep
 fits a share of the tolerance or stops shrinking, an exponential
 predictor-corrector (Hochbruck & Ostermann 2010). The march is the only
 per-slab convergence control: every sweep then runs over all slabs from u0,
-and one sweep usually certifies the start.
+and one sweep usually certifies the start. A march that runs away ends the
+solve with a blow-up error dated at the slab where it left the data's scale.
 An exponential predictor-corrector integrator marching the same slabs
 provides an independent trajectory for cross-validation.
 """
@@ -342,10 +343,7 @@ def _duhamel_sweep(stack, carry, weights, grid, r, dealias_factor):
     for start, stop, forcing in _power_batches(stack, grid, r, dealias_factor):
         rows = weights.step[start:stop]
         previous = np.concatenate([left[None], forcing[:-1]])
-        terms = weights.phi1[rows] * previous
-        rise = np.subtract(forcing, previous, out=previous)
-        rise *= weights.phi2[rows]
-        terms += rise
+        terms = weights.phi1[rows] * previous + weights.phi2[rows] * (forcing - previous)
         decay = weights.decay[rows]
         terms[0] += decay[0] * carry
         for i in range(1, len(terms)):
@@ -366,13 +364,6 @@ def _duhamel_spectra(u0_hat, stack, times, cfg, m, grid):
     return stack
 
 
-def _check_model_grid(m, grid):
-    """Refuse a model whose dimension is not the grid's."""
-    if m.n != grid.n:
-        raise InconsistentGridError(
-            f"model of dimension n = {m.n} used on a {grid.n}-D grid")
-
-
 def duhamel_apply(u0, traj, cfg, m):
     """One application of the variation-of-constants operator to a trajectory.
 
@@ -382,7 +373,6 @@ def duhamel_apply(u0, traj, cfg, m):
     if traj.grid != u0.grid:
         raise InconsistentGridError("trajectory and initial data live on different grids")
     grid = u0.grid
-    _check_model_grid(m, grid)
     times = np.asarray(traj.times)
     if abs(times[-1] - cfg.horizon) > 1e-9 * cfg.horizon:
         raise ParameterError(
@@ -399,8 +389,9 @@ class PicardReport:
     ``distances`` are the weighted norms of consecutive-iterate differences,
     relative to the weighted norm of the current iterate, one per sweep over
     all slabs. ``weighted_norm`` is that of the final trajectory.
-    ``note`` says why the iteration stopped short, and where the starting
-    march left the amplitude bound, if it did.
+    ``note`` says why the iteration stopped short; on a blow-up report whose
+    starting march ran away, it names the slab time where the march left
+    the amplitude bound, and the trajectory holds the slabs marched before.
     """
 
     converged: bool
@@ -435,20 +426,21 @@ def picard_solve(u0, cfg, m, w, sp):
     picard_tol; the contraction is the ratio of consecutive corrections,
     carried to later slabs per unit step and per ||U_i||^(r-1). A pass
     that fails to shrink the correction leaves the slab to the sweeps. So
-    one sweep usually certifies the start. From the first slab where a
-    point to evaluate is not finite or exceeds 1e3 times the data's L2
-    norm, the decay rows alone carry the march, and the report's note and
-    any blow-up message name that slab's time.
+    one sweep usually certifies the start. At the first slab where a point
+    to evaluate is not finite or exceeds 1e3 times the data's L2 norm, the
+    solve ends with a blow-up error naming that slab's time; its report has
+    no sweep, and its trajectory holds the slabs marched before (no report
+    when the first slab runs away).
 
     Each iterate is one stack of half-lattice spectra over all slab times,
     and each sweep runs the recursion over all of them from u0.
 
     Preconditions: the exponent tuple implied by (w, sp) must be admissible
     and the space must sit in the multiplication regime s > n/p. Three
-    consecutive growing distances, or amplitude growth past 1e3 times the
-    data, abort with a blow-up-suspected error carrying the partial report.
+    consecutive growing distances, amplitude growth past 1e3 times the
+    data, or a weighted norm or distance that is not finite abort with a
+    blow-up-suspected error carrying the partial report.
     """
-    _check_model_grid(m, u0.grid)
     a = 2.0 * m.r * w.b
     adm = admissibility(a, w.v, sp.s, sp.s0, m, sp.p)
     if not adm.admissible:
@@ -473,14 +465,10 @@ def picard_solve(u0, cfg, m, w, sp):
     current = np.empty((len(times),) + u0_hat.shape, dtype=np.complex128)
     steps = np.diff(times, prepend=0.0).tolist()
     power = _power_map(grid, m.r, cfg.dealias_factor, 1)
-    # The march's rows, allocated once: the forcing at the slab's left end,
-    # the slab end short of its phi2 term, the point the forcing is
-    # evaluated at (then the correction), and three rise rows that rotate:
-    # the forcing's rises over the last two slabs and this slab's.
+    # The forcing at the slab's left end, and its rises over the last two
+    # slabs, oldest first.
     forcing = power(u0_hat[None])[0].copy()
-    base, point, rise, last, older = np.empty((5,) + u0_hat.shape, dtype=np.complex128)
-    known = 0
-    escaped = ""
+    rises = []
     # The sweep after the march moves slab end i by the decayed sum of the
     # defects the march leaves on slabs 1..i, each the correction a further
     # pass would make. A defect enters the sweep twice, at its slab's end and
@@ -491,28 +479,26 @@ def picard_solve(u0, cfg, m, w, sp):
     budget, spent, rate = 0.25 * cfg.picard_tol / len(times), 0.0, math.inf
     for i, row in enumerate(weights.step):
         left = current[i - 1] if i else u0_hat
-        u = np.multiply(weights.decay[row], left, out=current[i])
-        if escaped:
-            continue
-        np.multiply(weights.phi1[row], forcing, out=base)
-        base += u
-        _predicted_rise([older, last][2 - known:], steps[max(i - 2, 0):i + 1], rise)
-        np.multiply(weights.phi2[row], rise, out=point)
-        point += base
+        base = weights.phi1[row] * forcing + weights.decay[row] * left
+        point = base + weights.phi2[row] * _predicted_rise(rises, steps[max(i - 2, 0):i + 1])
         prior = math.inf
         for _ in range(_MARCH_PASSES):
             size = float(l2_norms_of_spectra(point[None], grid)[0])
             # NaN and inf both fail the comparison.
             if not size <= 1e3 * u0_l2:
-                escaped = f"; the starting march left 1e3 x data at t = {times[i]:.6g}"
-                np.multiply(weights.decay[row], left, out=u)
-                break
+                message = f"the starting march left 1e3 x data at t = {times[i]:.6g}"
+                report = None
+                if i:
+                    marched = current[:i]
+                    weighted = time_weighted_norm(
+                        times[:i], a_norms_of_spectra(marched, grid, sp), w.b, vexp)
+                    report = _build_report(False, 0, cfg, [], weighted, times[:i], grid,
+                                           marched, message)
+                raise BlowupSuspectedError(message, report=report)
             value = power(point[None])[0]
-            np.subtract(value, forcing, out=rise)
-            np.multiply(weights.phi2[row], rise, out=u)
-            u += base
-            np.subtract(u, point, out=point)
-            correction = float(l2_norms_of_spectra(point[None], grid)[0])
+            rise = value - forcing
+            u = base + weights.phi2[row] * rise
+            correction = float(l2_norms_of_spectra((u - point)[None], grid)[0])
             # The defect is the slab's contraction, about dt phi2 r |u|^(r-1),
             # times this correction. The last contraction observed, per unit
             # step and per size^(r-1), carries to later slabs; before any, 1
@@ -527,40 +513,37 @@ def picard_solve(u0, cfg, m, w, sp):
             if defect <= ((i + 1) * budget - spent) * size or correction >= prior:
                 break
             prior = correction
-            point[...] = u
-        if escaped:
-            continue
+            point = u
+        current[i] = u
         spent += defect / size if size > 0 else 0.0
-        forcing[...] = value
-        older, last, rise = last, rise, older
-        known = min(known + 1, 2)
-    del forcing, base, point, rise, last, older
+        forcing = value.copy()
+        rises = rises[-1:] + [rise]
     norms = np.empty(len(times))
     gaps = np.empty(len(times))
     distances = []
     converged = False
     iterations = 0
-    # A batch's new slabs and their change, normed in one call: the dyadic
-    # weights are read once per batch, however short the batches are. The
-    # first kernel batch is the longest.
-    batch = _batches(len(times), _kernel_plan(grid, cfg.dealias_factor)[1])[0].stop
-    pairs = np.empty((2 * batch,) + u0_hat.shape, dtype=np.complex128)
     for iterations in range(1, cfg.picard_max_iter + 1):
         peak = 0.0
         for start, stop, new in _duhamel_sweep(current, u0_hat, weights, grid, m.r,
                                                cfg.dealias_factor):
-            count = stop - start
             old = current[start:stop]
-            pair = pairs[:2 * count]
-            pair[:count] = new
-            np.subtract(new, old, out=pair[count:])
+            # A batch's new slabs and their change, normed in one call.
             norms[start:stop], gaps[start:stop] = np.split(
-                a_norms_of_spectra(pair, grid, sp), 2)
+                a_norms_of_spectra(np.concatenate([new, new - old]), grid, sp), 2)
             peak = max(peak, float(np.max(l2_norms_of_spectra(new, grid))))
             old[...] = new
         scale = time_weighted_norm(times, norms, w.b, vexp)
-        rel = time_weighted_norm(times, gaps, w.b, vexp) / scale if scale > 0 else 0.0
+        # Only a zero trajectory has distance 0; a norm or distance that is
+        # not finite ends the solve.
+        rel = time_weighted_norm(times, gaps, w.b, vexp) / scale if scale != 0 else 0.0
         distances.append(rel)
+        if not (math.isfinite(scale) and math.isfinite(rel)):
+            report = _build_report(False, iterations, cfg, distances, scale, times, grid,
+                                   current, "weighted norm or distance not finite")
+            raise BlowupSuspectedError(
+                f"sweep {iterations}: weighted norm {scale:.3e} or distance {rel:.3e} "
+                "not finite", report=report)
         if rel <= cfg.picard_tol:
             converged = True
             break
@@ -572,29 +555,25 @@ def picard_solve(u0, cfg, m, w, sp):
                 else ("three consecutive growing distances",
                       "Picard distances grew three times in a row"))
             report = _build_report(False, iterations, cfg, distances, scale, times, grid,
-                                   current, note + escaped)
-            raise BlowupSuspectedError(message + escaped, report=report)
-    note = ("" if converged else "max iterations reached without convergence") + escaped
+                                   current, note)
+            raise BlowupSuspectedError(message, report=report)
+    note = "" if converged else "max iterations reached without convergence"
     return _build_report(converged, iterations, cfg, distances, scale, times, grid, current,
-                         note.removeprefix("; "))
+                         note)
 
 
-def _predicted_rise(rises, steps, out):
+def _predicted_rise(rises, steps):
     """The forcing's rise over the next slab, of step ``steps[-1]``, from its
     rises over the last (up to two) slabs, of steps ``steps[:-1]``, oldest
-    first: none, the line through two slab ends or the quadratic through
-    three, by divided differences on any spacing. Written into ``out``; the
-    quadratic scales the older rise in place."""
+    first: none (0), the line through two slab ends or the quadratic through
+    three, by divided differences on any spacing."""
     if not rises:
-        out[...] = 0.0
-        return out
+        return 0.0
     h, h1 = steps[-1], steps[-2]
     if len(rises) == 1:
-        return np.multiply(rises[-1], h / h1, out=out)
+        return rises[-1] * (h / h1)
     bend = h * (h + h1) / (h1 + steps[-3])
-    np.multiply(rises[-1], (h + bend) / h1, out=out)
-    out -= np.multiply(rises[-2], bend / steps[-3], out=rises[-2])
-    return out
+    return rises[-1] * ((h + bend) / h1) - rises[-2] * (bend / steps[-3])
 
 
 def _build_report(converged, iterations, cfg, distances, weighted, times, grid, spectra,
@@ -612,28 +591,24 @@ def etd_oracle(u0, cfg, m):
     """Independent exponential predictor-corrector march over the same slabs.
 
     Order 2 (predictor with phi1, corrector with phi2). Each step writes its
-    spectrum into one stack, which becomes the returned trajectory, through
-    rows allocated once per call and one ``_power_map``. Non-finite or
+    spectrum into one stack, which becomes the returned trajectory, and
+    evaluates the forcing through one ``_power_map`` per call. Non-finite or
     violently growing steps raise IntegrationError.
     """
     times = slab_times(cfg)
     grid = u0.grid
-    _check_model_grid(m, grid)
     weights = _slab_weights(grid, m, tuple(times.tolist()))
     power = _power_map(grid, m.r, cfg.dealias_factor, 1)
     u = real_spectra(u0.samples, grid)
     bound = 1e6 * max(l2_norms_of_spectra(u[None], grid)[0], 1.0)
     marched = np.empty((len(times),) + u.shape, dtype=np.complex128)
-    nu, predictor, term = np.empty((3,) + u.shape, dtype=np.complex128)
     for i, t in enumerate(times):
         row = weights.step[i]
-        # predictor = decay u + phi1 nu, then u = predictor + phi2 (w(predictor) - nu).
-        nu[...] = power(u[None])[0]
-        np.multiply(weights.decay[row], u, out=predictor)
-        predictor += np.multiply(weights.phi1[row], nu, out=term)
-        np.subtract(power(predictor[None])[0], nu, out=term)
-        term *= weights.phi2[row]
-        u = np.add(predictor, term, out=marched[i])
+        # The map's next call overwrites the forcing it returns.
+        nu = power(u[None])[0].copy()
+        predictor = weights.decay[row] * u + weights.phi1[row] * nu
+        marched[i] = predictor + weights.phi2[row] * (power(predictor[None])[0] - nu)
+        u = marched[i]
         # NaN and inf both fail the comparison.
         if not l2_norms_of_spectra(u[None], grid)[0] <= bound:
             raise IntegrationError(
@@ -650,7 +625,6 @@ def pde_residual(traj, m, dealias_factor=1.5):
     if len(traj) < 3:
         raise ParameterError("residual check needs at least three samples")
     grid = traj.grid
-    _check_model_grid(m, grid)
     lam = dissipation_symbol(grid, m)
     shape = (-1,) + (1,) * grid.n
     h = np.diff(np.asarray(traj.times))
@@ -661,14 +635,9 @@ def pde_residual(traj, m, dealias_factor=1.5):
         before, middle, after = (spectra[start + k:stop + k] for k in range(3))
         h0 = h[start:stop].reshape(shape)
         h1 = h[start + 1:stop + 1].reshape(shape)
-        # The centered difference plus the dissipation, accumulated in place.
-        resid = -h1 / (h0 * (h0 + h1)) * before
-        term = np.multiply((h1 - h0) / (h0 * h1), middle)
-        resid += term
-        resid += np.multiply(h0 / (h1 * (h0 + h1)), after, out=term)
-        resid += np.multiply(lam, middle, out=term)
-        del term
-        resid -= power
+        # The centered difference plus the dissipation, less the forcing.
+        resid = (-h1 / (h0 * (h0 + h1)) * before + (h1 - h0) / (h0 * h1) * middle
+                 + h0 / (h1 * (h0 + h1)) * after + lam * middle - power)
         scale = l2_norms_of_spectra(middle, grid)
         live = scale > 0.0
         ratios = l2_norms_of_spectra(resid, grid)[live] / scale[live]
@@ -679,7 +648,7 @@ def pde_residual(traj, m, dealias_factor=1.5):
 def strong_convergence_check(traj, u0, sp0, at_times):
     """Distances || u(., t) - u0 ||_{A^{s0}} at the samples nearest to each
     of ``at_times``, in the requested order, as a list of (t, distance)
-    pairs."""
+    tuples."""
     grid = traj.grid
     if u0.grid != grid:
         raise InconsistentGridError("trajectory and initial data live on different grids")

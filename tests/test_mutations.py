@@ -10,7 +10,8 @@ evaluation per slab must fail the one-sweep order study of
 prediction, swapped for the line through two slab ends, must fail the
 one-sweep start of ``test_solver.TestMarchedStart``. The power kernel's
 pruned embedding and truncation, broken on one full axis, must fail its
-per-field c2c reference in ``test_solver_kernel``.
+per-field c2c reference in ``test_solver_kernel``. A weighted norm that
+comes out NaN must end a solve with a blow-up error, not pass as distance 0.
 """
 
 import dataclasses
@@ -20,7 +21,8 @@ import pytest
 
 import test_solver
 import test_solver_kernel
-from hyperheat import SolverConfig, default_config, etd_oracle, run_experiment, solver
+from hyperheat import (BlowupSuspectedError, SolverConfig, default_config, etd_oracle,
+                       run_experiment, solver)
 from test_acceptance import closed_form_error, get_check
 
 
@@ -95,6 +97,16 @@ def test_linear_forcing_prediction_fails_the_one_sweep_start(monkeypatch):
     test_solver.linear_rise(monkeypatch)
     with pytest.raises(AssertionError):
         test_solver.TestMarchedStart().test_amplitude_one_converges_in_one_sweep()
+
+
+def test_nan_weighted_norm_ends_the_solve(monkeypatch):
+    norms = solver.a_norms_of_spectra
+    monkeypatch.setattr(solver, "a_norms_of_spectra",
+                        lambda *args: np.full_like(norms(*args), np.nan))
+    with pytest.raises(BlowupSuspectedError, match="not finite") as err:
+        test_solver.TestMarchedStart().solve(1.0)
+    report = err.value.report
+    assert not report.converged and report.iterations == 1
 
 
 def mutate_first_axis(monkeypatch, change):

@@ -100,6 +100,17 @@ class TestSemigroup:
         with pytest.raises(ParameterError):
             apply_semigroup(F, -0.1, ModelParams(alpha=1, r=3.0, n=1))
 
+    @pytest.mark.parametrize("t", [0.0, 0.1])
+    def test_real_field_rejected_at_every_time(self, grid1d, t):
+        # A RealField has samples, not coefficients: refused at the boundary,
+        # also at t = 0, where the identity would hand it back unchanged.
+        u = cosine_mode(grid1d, (1,))
+        m = ModelParams(alpha=1, r=3.0, n=1)
+        with pytest.raises(ParameterError, match="SpectralField"):
+            apply_semigroup(u, t, m)
+        with pytest.raises(ParameterError, match="SpectralField"):
+            semigroup_property_check(u, t, t, m)
+
 
 class TestKernel:
     def test_heat_kernel_matches_periodized_gaussian(self):

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from numpy.testing import assert_allclose
 from hyperheat import (BlowupSuspectedError, InconsistentGridError, IntegrationError,
                        ModelParams, ParameterError, RealField, SolverConfig, SpaceParams,
                        TimeWeight, TorusGrid, Trajectory, aliasing_probe,
-                       apply_semigroup, constant_field,
+                       apply_semigroup, constant_field, semigroup_property_check,
+                       smoothing_rate, synthesize_kernel,
                        contraction_identity_check, cosine_mode,
                        dissipation_symbol, duhamel_apply, etd_oracle,
                        forward_transform, inverse_transform, nonlinearity,
@@ -280,6 +282,20 @@ class TestPicard:
         assert err.value.report is not None
         assert not err.value.report.converged
 
+    def test_overflowing_data_raises_at_the_first_slab(self, grid1d):
+        # With overflow warnings not errors, as under the CLI, sweeps of such
+        # data used to overflow into a NaN weighted norm read as distance 0.
+        cfg = SolverConfig(horizon=0.25, slabs=16)
+        u0 = random_band_limited(grid1d, 0, max_radius=6.0, amplitude=1e100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(BlowupSuspectedError) as err:
+                picard_solve(u0, cfg, MODEL, small_weight(0.25), SPACE)
+        # Nothing was marched before the escape, so there is no report.
+        assert err.value.report is None
+        assert float(march_escape(str(err.value))) == pytest.approx(slab_times(cfg)[0],
+                                                                     rel=1e-5)
+
 
 class TestConstantDataClosedForm:
     """Constant data c solve u' = u^3, so u(t) = c (1 - 2 c^2 t)^(-1/2), which
@@ -342,8 +358,14 @@ class TestConstantDataClosedForm:
         with pytest.raises(BlowupSuspectedError) as err:
             self.solve(0.6, 160)
         for text in (err.value.report.note, str(err.value)):
-            found = re.search(r"starting march left 1e3 x data at t = (\S+)$", text)
-            assert found and 0.4 <= float(found.group(1)) <= 0.6
+            assert 0.4 <= float(march_escape(text)) <= 0.6
+
+
+def march_escape(text):
+    """The slab time a blow-up message names for the starting march."""
+    found = re.search(r"starting march left 1e3 x data at t = (\S+)$", text)
+    assert found, text
+    return found.group(1)
 
 
 def linear_rise(monkeypatch):
@@ -351,7 +373,7 @@ def linear_rise(monkeypatch):
     ends, the rule the quadratic replaced."""
     rise = solver._predicted_rise
     monkeypatch.setattr(solver, "_predicted_rise",
-                        lambda rises, steps, out: rise(rises[-1:], steps[-2:], out))
+                        lambda rises, steps: rise(rises[-1:], steps[-2:]))
 
 
 def one_pass_march(monkeypatch):
@@ -410,8 +432,12 @@ class TestMarchedStart:
         rises = [b - a for a, b in zip(values, values[1:])]
         steps = list(np.diff(nodes + [t]))
         want = polyval(t, coeffs) - polyval(nodes[-1], coeffs)
-        got = solver._predicted_rise(rises, steps, np.empty(3))
+        kept = [rise.copy() for rise in rises]
+        got = solver._predicted_rise(rises, steps)
         assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+        # The march keeps its rises for the next slab's prediction.
+        for rise, copy in zip(rises, kept, strict=True):
+            assert rise.tobytes() == copy.tobytes()
 
     def test_amplitude_one_converges_in_one_sweep(self):
         report = self.solve(1.0)
@@ -428,10 +454,28 @@ class TestMarchedStart:
             etd_oracle(self.solve_data(2.0), cfg, self.MODEL)
         with pytest.raises(BlowupSuspectedError) as err:
             self.solve(2.0, cfg)
-        found = re.search(r"starting march left 1e3 x data at t = (\S+)$", str(err.value))
-        assert found
         # The uniform slab width, plus the rounding of the message's 6 digits.
-        assert abs(float(found.group(1)) - unstable.value.time) <= 0.25 / 160 + 1e-6
+        escape = float(march_escape(str(err.value)))
+        assert abs(escape - unstable.value.time) <= 0.25 / 160 + 1e-6
+
+    @pytest.mark.parametrize("case, most", [("1-D amplitude 3", 298),
+                                            ("64^2 amplitude 2, T = 0.25", 635)])
+    def test_runaway_march_ends_the_solve(self, case, most, monkeypatch):
+        # The march that leaves 1e3 x data raises at once, before any sweep;
+        # carried on by the decay alone to the horizon and swept from there,
+        # these solves spent 462 and 861 kernel fields.
+        fields = count_kernel_fields(monkeypatch)
+        with pytest.raises(BlowupSuspectedError) as err:
+            if case == "1-D amplitude 3":
+                cfg = SolverConfig(horizon=0.25, slabs=16)
+                u0 = random_band_limited(TorusGrid(1, 64), 0, max_radius=6.0, amplitude=3.0)
+                picard_solve(u0, cfg, MODEL, small_weight(0.25), SPACE)
+            else:
+                self.solve(2.0)
+        report = err.value.report
+        assert report.iterations == 0 and report.distances == ()
+        assert report.note == str(err.value)
+        assert sum(fields) <= most
 
     def test_quadratic_prediction_saves_march_evaluations(self, monkeypatch):
         fields = count_kernel_fields(monkeypatch)
@@ -535,8 +579,9 @@ class TestResidualAndConvergence:
 
 
 class TestModelDimension:
-    """Every solver entry point refuses a model whose dimension is not its
-    grid's: a 1-D model on a 2-D grid would run on the wrong symbol."""
+    """Every solver and semigroup entry point refuses a model whose dimension
+    is not its grid's: a 1-D model on a 2-D grid would run on the wrong
+    symbol."""
 
     GRID = TorusGrid(2, 16)
     CFG = SolverConfig(horizon=0.1, slabs=8)
@@ -546,6 +591,13 @@ class TestModelDimension:
         "etd_oracle": lambda u0, traj, cfg, m: etd_oracle(u0, cfg, m),
         "duhamel_apply": lambda u0, traj, cfg, m: duhamel_apply(u0, traj, cfg, m),
         "pde_residual": lambda u0, traj, cfg, m: pde_residual(traj, m),
+        "apply_semigroup": lambda u0, traj, cfg, m: apply_semigroup(
+            forward_transform(u0), 0.1, m),
+        "semigroup_property_check": lambda u0, traj, cfg, m: semigroup_property_check(
+            forward_transform(u0), 0.1, 0.1, m),
+        "synthesize_kernel": lambda u0, traj, cfg, m: synthesize_kernel(0.1, u0.grid, m),
+        "smoothing_rate": lambda u0, traj, cfg, m: smoothing_rate(
+            u0, SPACE, 1.0, (0.1, 0.2), m),
     }
 
     @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))

@@ -6,7 +6,6 @@ fftshift round trip, per-slab phi weights, and per-time, per-block norms.
 """
 
 import math
-import re
 
 import numpy as np
 import pytest
@@ -17,12 +16,12 @@ import full_lattice
 from hyperheat import (BlowupSuspectedError, ModelParams, RealField, SolverConfig,
                        SpaceParams, TimeWeight, TorusGrid, build_decomposition,
                        etd_oracle, nonlinearity, phi1, phi2, picard_solve,
-                       random_band_limited, slab_times)
+                       random_band_limited, slab_times, weighted_norm)
 from hyperheat import grid as grid_module
 from hyperheat import solver
 from hyperheat.grid import real_spectra
 from reference_norms import a_norm_of_coefficients
-from test_solver import one_pass_march
+from test_solver import march_escape, one_pass_march
 
 
 def slab_bytes(grid, dealias_factor=1.5):
@@ -442,13 +441,6 @@ class TestFoldedLinearFlow:
         assert report.distances[0] <= 1e-14
 
 
-def march_escape(text):
-    """The slab time a blow-up message names for the starting march."""
-    found = re.search(r"starting march left 1e3 x data at t = (\S+)$", text)
-    assert found, text
-    return found.group(1)
-
-
 class TestBlowupReport:
     def test_partial_trajectory_travels_with_the_error(self):
         grid = TorusGrid(2, 16)
@@ -456,22 +448,28 @@ class TestBlowupReport:
         cfg = SolverConfig(horizon=1.0, slabs=16)
         w = TimeWeight(b=0.25 / m.r, v=1.0, T=1.0)
         u0 = random_band_limited(grid, 97, max_radius=4.0, amplitude=50.0)
+        sp = SpaceParams("B", 1.5, 2.0, 2.0)
         with pytest.raises(BlowupSuspectedError) as err:
-            picard_solve(u0, cfg, m, w, SpaceParams("B", 1.5, 2.0, 2.0))
+            picard_solve(u0, cfg, m, w, sp)
         report = err.value.report
+        # The march that starts Picard grew past 1e3 x data at a slab end, and
+        # no sweep ran.
         assert not report.converged
-        assert report.note
-        assert len(report.distances) == report.iterations >= 1
+        assert report.iterations == 0 and report.distances == ()
+        # The report holds the slabs marched before the escape, which the
+        # error dates at the next slab time.
         traj = report.trajectory
-        assert traj.times == tuple(slab_times(cfg))
+        times = tuple(slab_times(cfg))
+        assert 0 < len(traj) < len(times) and traj.times == times[:len(traj)]
+        for text in (report.note, str(err.value)):
+            assert march_escape(text) == f"{times[len(traj)]:.6g}"
         assert all(f.grid == grid for f in traj.fields)
-        # The partial iterate has run away from the data it started from.
+        assert np.all(np.isfinite(traj.spectra))
+        # The marched slabs have run away from the data they started from.
         peak = max(np.max(np.abs(f.samples)) for f in traj.fields)
         assert peak > np.max(np.abs(u0.samples))
-        # The march that starts Picard grew past 1e3 x data at a slab end.
-        for text in (report.note, str(err.value)):
-            t = float(march_escape(text))
-            assert min(abs(s - t) for s in traj.times) <= 1e-5 * t
+        assert report.weighted_norm == pytest.approx(
+            weighted_norm(traj, w, sp, 2.0 * m.r * w.v).value, rel=1e-14)
 
 
 class TestSlabWeights:

@@ -27,7 +27,7 @@ from hyperheat import grid as grid_module
 from hyperheat import solver
 from hyperheat.dyadic import a_norms_of_spectra
 from hyperheat.grid import real_spectra
-from test_solver import one_pass_march
+from test_solver import march_escape, one_pass_march
 from test_solver_kernel import kernel_batch, slab_bytes
 
 MODEL = ModelParams(alpha=1, r=3.0, n=2)
@@ -329,20 +329,41 @@ class TestBatchBoundaries:
         np.testing.assert_allclose(got["norms"]["B(1.5,2,2)"],
                                    reference["norms"]["B(1.5,2,2)"], rtol=1e-14, atol=0)
 
-    @pytest.mark.parametrize("budget", sorted(BUDGETS))
-    def test_blowup_report_survives_the_overwrite(self, budget, monkeypatch):
-        set_batch_bytes(monkeypatch, self.BUDGETS[budget])
-        cfg = SolverConfig(horizon=1.0, slabs=16)
+    BLOWUP_CFG = SolverConfig(horizon=1.0, slabs=16)
+
+    def blowup(self, monkeypatch, budget):
+        """Amplitude-50 data and its blow-up error under one batch budget."""
+        set_batch_bytes(monkeypatch, budget)
         u0 = random_band_limited(self.GRID, 97, max_radius=4.0, amplitude=50.0)
         with pytest.raises(BlowupSuspectedError) as err:
-            picard_solve(u0, cfg, MODEL, TimeWeight(b=0.25 / MODEL.r, v=1.0, T=1.0), SPACE)
-        traj = err.value.report.trajectory
-        assert traj.times == tuple(slab_times(cfg))
+            picard_solve(u0, self.BLOWUP_CFG, MODEL,
+                         TimeWeight(b=0.25 / MODEL.r, v=1.0, T=1.0), SPACE)
+        return u0, err.value
+
+    @pytest.fixture(scope="class")
+    def blowup_reference(self):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            return self.blowup(monkeypatch, self.BUDGETS["all slabs"])
+
+    @pytest.mark.parametrize("budget", sorted(BUDGETS))
+    def test_blowup_report_survives_the_overwrite(self, budget, monkeypatch,
+                                                  blowup_reference):
+        u0, err = self.blowup(monkeypatch, self.BUDGETS[budget])
+        traj = err.report.trajectory
+        # The slabs the march reached before the escape, the next slab time.
+        times = tuple(slab_times(self.BLOWUP_CFG))
+        assert 0 < len(traj) < len(times) and traj.times == times[:len(traj)]
+        assert march_escape(str(err)) == f"{times[len(traj)]:.6g}"
         samples = np.stack([f.samples for f in traj.fields])
         assert np.all(np.isfinite(samples))
         assert np.max(np.abs(samples)) > np.max(np.abs(u0.samples))
-        # Every slab holds its own time, not a batch buffer written over later.
+        # Every slab holds its own time, not a buffer written over later.
         assert len({f.samples.tobytes() for f in traj.fields}) == len(traj)
+        # The march runs slab by slab whatever the batch budget.
+        reference = blowup_reference[1].report
+        assert traj.spectra.tobytes() == reference.trajectory.spectra.tobytes()
+        # The norm products of smaller batches may round differently.
+        assert relative(err.report.weighted_norm, reference.weighted_norm) <= 1e-14
 
     @pytest.mark.parametrize("budget", sorted(BUDGETS))
     def test_contraction_ratios_match_field_route(self, budget, monkeypatch):
