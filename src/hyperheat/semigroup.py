@@ -81,7 +81,7 @@ def _orbit_multipliers(grid, m, times):
 
 
 def apply_semigroup(F, t, m):
-    """W_t applied to a spectral field; t = 0 returns the input unchanged.
+    """W_t applied to a spectral field; W_0 multiplies by exactly 1.
 
     The multiplier is real and even in k, so a Hermitian input stays Hermitian.
     """
@@ -89,8 +89,6 @@ def apply_semigroup(F, t, m):
         raise ParameterError(f"the semigroup acts on a SpectralField, got {type(F).__name__}")
     if not t >= 0:
         raise ParameterError(f"semigroup time must satisfy t >= 0, got {t}")
-    if t == 0:
-        return F
     return SpectralField(F.grid, F.coefficients * _orbit_multipliers(F.grid, m, [t])[0])
 
 

@@ -20,8 +20,11 @@ re-evaluated at the corrected slab end until the defect left for the sweep
 fits a share of the tolerance or stops shrinking, an exponential
 predictor-corrector (Hochbruck & Ostermann 2010). The march is the only
 per-slab convergence control: every sweep then runs over all slabs from u0,
-and one sweep usually certifies the start. A march that runs away ends the
-solve with a blow-up error dated at the slab where it left the data's scale.
+and one sweep usually certifies the start. A sweep only reads its iterate,
+so its distance is that iterate's measured fixed-point defect, and the
+solve returns the iterate its last sweep read. A march that runs away ends
+the solve with a blow-up error dated at the slab where it left the data's
+scale.
 An exponential predictor-corrector integrator marching the same slabs
 provides an independent trajectory for cross-validation.
 """
@@ -386,9 +389,11 @@ def duhamel_apply(u0, traj, cfg, m):
 class PicardReport:
     """Outcome of a Picard solve.
 
-    ``distances`` are the weighted norms of consecutive-iterate differences,
-    relative to the weighted norm of the current iterate, one per sweep over
-    all slabs. ``weighted_norm`` is that of the final trajectory.
+    ``distances`` holds one entry per sweep over all slabs: the weighted norm
+    of the change one application of the operator makes to the iterate the
+    sweep read, relative to that iterate's weighted norm. ``trajectory`` is
+    the iterate the last sweep read, so ``distances[-1]`` is its measured
+    fixed-point defect and ``weighted_norm`` its weighted norm.
     ``note`` says why the iteration stopped short; on a blow-up report whose
     starting march ran away, it names the slab time where the march left
     the amplitude bound, and the trajectory holds the slabs marched before.
@@ -410,8 +415,8 @@ _MARCH_PASSES = 64
 
 
 def picard_solve(u0, cfg, m, w, sp):
-    """Iterate the operator until the weighted distance between consecutive
-    iterates drops below picard_tol (relative).
+    """Iterate the operator until the weighted change it makes to the
+    iterate drops below picard_tol (relative to the iterate).
 
     The first iterate marches the slab recursion once, slab by slab. The
     forcing w_i at each slab end is first evaluated at the exponential
@@ -425,21 +430,28 @@ def picard_solve(u0, cfg, m, w, sp):
     (g the point last evaluated at), fits the slab's share of a quarter of
     picard_tol; the contraction is the ratio of consecutive corrections,
     carried to later slabs per unit step and per ||U_i||^(r-1). A pass
-    that fails to shrink the correction leaves the slab to the sweeps. So
-    one sweep usually certifies the start. At the first slab where a point
-    to evaluate is not finite or exceeds 1e3 times the data's L2 norm, the
-    solve ends with a blow-up error naming that slab's time; its report has
-    no sweep, and its trajectory holds the slabs marched before (no report
-    when the first slab runs away).
+    that fails to shrink the correction leaves the slab to the sweeps, and
+    so does one after which the passes left under ``_MARCH_PASSES``, each
+    shrinking the correction by the ratio this pass did, cannot make the
+    defect fit. So one sweep usually certifies the start. At the first slab
+    where a point to evaluate or the end kept is not finite or exceeds 1e3
+    times the data's L2 norm, the solve ends with a blow-up error naming
+    that slab's time; its report has no sweep, and its trajectory holds the
+    slabs marched before (no report when the first slab runs away).
 
-    Each iterate is one stack of half-lattice spectra over all slab times,
-    and each sweep runs the recursion over all of them from u0.
+    Each iterate is one stack of half-lattice spectra over all slab times.
+    Each sweep runs the recursion over all of them from u0 and only reads
+    the iterate: it norms the iterate and the change to its image. On a
+    miss the recursion runs again and its image overwrites the iterate, so
+    the trajectory returned, on convergence, at picard_max_iter or with an
+    abort, is the iterate the last sweep read, and ``distances[-1]`` is its
+    measured defect.
 
     Preconditions: the exponent tuple implied by (w, sp) must be admissible
     and the space must sit in the multiplication regime s > n/p. Three
-    consecutive growing distances, amplitude growth past 1e3 times the
-    data, or a weighted norm or distance that is not finite abort with a
-    blow-up-suspected error carrying the partial report.
+    consecutive growing distances, an image whose amplitude exceeds 1e3
+    times the data's, or a weighted norm or distance that is not finite
+    abort with a blow-up-suspected error carrying the partial report.
     """
     a = 2.0 * m.r * w.b
     adm = admissibility(a, w.v, sp.s, sp.s0, m, sp.p)
@@ -477,24 +489,30 @@ def picard_solve(u0, cfg, m, w, sp):
     # their L2 norms, i / (slab count) of a quarter of picard_tol, and one
     # sweep certifies.
     budget, spent, rate = 0.25 * cfg.picard_tol / len(times), 0.0, math.inf
+    bound = 1e3 * u0_l2
+
+    def escape(i):
+        """The blow-up error of a march that left ``bound`` on slab i."""
+        message = f"the starting march left 1e3 x data at t = {times[i]:.6g}"
+        report = None
+        if i:
+            marched = current[:i]
+            weighted = time_weighted_norm(
+                times[:i], a_norms_of_spectra(marched, grid, sp), w.b, vexp)
+            report = _build_report(False, 0, cfg, [], weighted, times[:i], grid, marched,
+                                   message)
+        return BlowupSuspectedError(message, report=report)
+
     for i, row in enumerate(weights.step):
         left = current[i - 1] if i else u0_hat
         base = weights.phi1[row] * forcing + weights.decay[row] * left
         point = base + weights.phi2[row] * _predicted_rise(rises, steps[max(i - 2, 0):i + 1])
         prior = math.inf
-        for _ in range(_MARCH_PASSES):
+        for passes_left in range(_MARCH_PASSES - 1, -1, -1):
             size = float(l2_norms_of_spectra(point[None], grid)[0])
             # NaN and inf both fail the comparison.
-            if not size <= 1e3 * u0_l2:
-                message = f"the starting march left 1e3 x data at t = {times[i]:.6g}"
-                report = None
-                if i:
-                    marched = current[:i]
-                    weighted = time_weighted_norm(
-                        times[:i], a_norms_of_spectra(marched, grid, sp), w.b, vexp)
-                    report = _build_report(False, 0, cfg, [], weighted, times[:i], grid,
-                                           marched, message)
-                raise BlowupSuspectedError(message, report=report)
+            if not size <= bound:
+                raise escape(i)
             value = power(point[None])[0]
             rise = value - forcing
             u = base + weights.phi2[row] * rise
@@ -508,12 +526,19 @@ def picard_solve(u0, cfg, m, w, sp):
             if 0 < prior < math.inf and reach > 0:
                 rate = correction / prior / reach
             defect = min(1.0, rate * reach) * correction
+            allowance = ((i + 1) * budget - spent) * size
             # The slab is left to the sweeps once its defect fits the budget,
-            # or when a pass fails to shrink the correction.
-            if defect <= ((i + 1) * budget - spent) * size or correction >= prior:
+            # when a pass fails to shrink the correction, or when the passes
+            # left, each shrinking it as this one did, cannot make it fit.
+            if (defect <= allowance or correction >= prior or (
+                    prior < math.inf
+                    and defect * (correction / prior) ** passes_left > allowance)):
                 break
             prior = correction
             point = u
+        # The end kept is normed only if the triangle inequality cannot bound it.
+        if not (size + correction <= bound or l2_norms_of_spectra(u[None], grid)[0] <= bound):
+            raise escape(i)
         current[i] = u
         spent += defect / size if size > 0 else 0.0
         forcing = value.copy()
@@ -524,15 +549,15 @@ def picard_solve(u0, cfg, m, w, sp):
     converged = False
     iterations = 0
     for iterations in range(1, cfg.picard_max_iter + 1):
+        # The sweep writes nothing: its distance is the defect of the iterate it reads.
         peak = 0.0
         for start, stop, new in _duhamel_sweep(current, u0_hat, weights, grid, m.r,
                                                cfg.dealias_factor):
             old = current[start:stop]
-            # A batch's new slabs and their change, normed in one call.
+            # A batch's slabs and their change, normed in one call.
             norms[start:stop], gaps[start:stop] = np.split(
-                a_norms_of_spectra(np.concatenate([new, new - old]), grid, sp), 2)
+                a_norms_of_spectra(np.concatenate([old, new - old]), grid, sp), 2)
             peak = max(peak, float(np.max(l2_norms_of_spectra(new, grid))))
-            old[...] = new
         scale = time_weighted_norm(times, norms, w.b, vexp)
         # Only a zero trajectory has distance 0; a norm or distance that is
         # not finite ends the solve.
@@ -547,7 +572,7 @@ def picard_solve(u0, cfg, m, w, sp):
         if rel <= cfg.picard_tol:
             converged = True
             break
-        grew = u0_l2 > 0 and peak > 1e3 * u0_l2
+        grew = u0_l2 > 0 and peak > bound
         if grew or len(distances) >= 3 and distances[-1] > distances[-2] > distances[-3]:
             note, message = (
                 ("amplitude grew past 1e3 x data",
@@ -557,6 +582,8 @@ def picard_solve(u0, cfg, m, w, sp):
             report = _build_report(False, iterations, cfg, distances, scale, times, grid,
                                    current, note)
             raise BlowupSuspectedError(message, report=report)
+        if iterations < cfg.picard_max_iter:
+            _duhamel_spectra(u0_hat, current, times, cfg, m, grid)
     note = "" if converged else "max iterations reached without convergence"
     return _build_report(converged, iterations, cfg, distances, scale, times, grid, current,
                          note)

@@ -19,7 +19,7 @@ from hyperheat import (BlowupSuspectedError, ModelParams, RealField, SolverConfi
                        random_band_limited, slab_times, weighted_norm)
 from hyperheat import grid as grid_module
 from hyperheat import solver
-from hyperheat.grid import real_spectra
+from hyperheat.grid import l2_norms_of_spectra, real_spectra
 from reference_norms import a_norm_of_coefficients
 from test_solver import march_escape, one_pass_march
 
@@ -125,18 +125,19 @@ class ReferenceLoop:
 
 
 def reference_picard_distances(u0, cfg, m, w, sp):
-    """Picard distances and terminal samples from a loop over full spectra."""
+    """Picard distances and terminal samples from a loop over full spectra.
+    Each distance is the defect of the iterate its sweep read, relative to
+    that iterate, and the samples are those of the last iterate read."""
     loop = ReferenceLoop(u0, cfg, m, w, sp)
     current = loop.march()
     distances = []
-    for _ in range(cfg.picard_max_iter):
+    while True:
         new = loop.apply(current)
         diff = [a - b for a, b in zip(new, current)]
-        distances.append(loop.weighted(diff) / loop.weighted(new))
+        distances.append(loop.weighted(diff) / loop.weighted(current))
+        if distances[-1] <= cfg.picard_tol or len(distances) == cfg.picard_max_iter:
+            return distances, scipy.fft.ifftn(current[-1], norm="ortho").real
         current = new
-        if distances[-1] <= cfg.picard_tol:
-            break
-    return distances, scipy.fft.ifftn(current[-1], norm="ortho").real
 
 
 def memory_owner(array):
@@ -465,6 +466,11 @@ class TestBlowupReport:
             assert march_escape(text) == f"{times[len(traj)]:.6g}"
         assert all(f.grid == grid for f in traj.fields)
         assert np.all(np.isfinite(traj.spectra))
+        # The march tests the slab end it keeps, so the error dates the escape
+        # at the slab that left 1e3 x data and no slab reported exceeds it.
+        assert march_escape(str(err.value)) == "0.000220673"
+        data = l2_norms_of_spectra(real_spectra(u0.samples, grid)[None], grid)[0]
+        assert np.max(l2_norms_of_spectra(traj.spectra, grid)) <= 1e3 * data
         # The marched slabs have run away from the data they started from.
         peak = max(np.max(np.abs(f.samples)) for f in traj.fields)
         assert peak > np.max(np.abs(u0.samples))
