@@ -3,9 +3,9 @@
 Usage: hyperheat <experiment> [--config FILE] [--out DIR] [--seed N]
 
 Exit codes: 0 when every declared check passed, 2 when at least one
-tolerance check failed, 1 on configuration or runtime errors. The only
-environment variable consulted is HYPERHEAT_THREADS (transform worker
-count); everything else comes from the config file.
+tolerance check failed, 1 on configuration or runtime errors. No
+environment variable is consulted (every transform runs on one thread);
+everything comes from the config file.
 """
 
 import argparse

@@ -195,7 +195,7 @@ def a_norms_of_spectra(spectra, grid, sp):
     field_bytes = dec.block_count * (16 * math.prod(grid.half_shape) + 8 * grid.size)
     for part in _batches(len(spectra), field_bytes):
         # Block samples indexed (block, time, x), freed before the next batch's.
-        blocks = real_samples(cutoffs * spectra[None, part], grid)
+        blocks = real_samples(cutoffs * spectra[None, part], grid, overwrite=True)
         if sp.family == "B":
             norms[part] = _combine_scales(_lp_norms(blocks, sp.p, grid), weights[:, None],
                                           sp.q)

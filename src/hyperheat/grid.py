@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.fft
 
 from .errors import InconsistentGridError, ParameterError, SymmetryError, _reject_bools
 
@@ -30,9 +29,9 @@ MAX_FIELD_BYTES = 1 << 30
 # set stays within this many bytes, so no temporary spans the whole stack. It
 # bounds memory first: batches save per-call overhead on small grids, but on
 # large ones a batch is no faster per field than one field at a time (the
-# 128^2 power map, on its 192^2 padded lattice, took 0.69-0.80 ms per field in
-# batches of 7 and 0.39-0.46 ms alone, on a 2-vCPU x86-64 host with one FFT
-# worker).
+# 128^2 power map, on its 192^2 padded lattice, took 0.55-0.60 ms per field in
+# batches of 7 and 0.36-0.38 ms alone, on a 2-vCPU x86-64 host with numpy
+# 2.4's single-threaded numpy.fft).
 _PAD_BATCH_BYTES = 1 << 21
 
 
@@ -45,7 +44,11 @@ def _batches(count, item_bytes):
 
 
 def fft_workers():
-    """Worker-thread count for FFTs, from HYPERHEAT_THREADS (default 1)."""
+    """Worker-thread count from HYPERHEAT_THREADS (default 1).
+
+    No library transform reads it: numpy.fft runs on one thread. It is kept
+    for the benchmark's traced runs, which pass it to their own transforms.
+    """
     raw = os.environ.get("HYPERHEAT_THREADS", "1")
     try:
         workers = int(raw)
@@ -264,22 +267,46 @@ def inverse_transform(F):
     return RealField(F.grid, real_samples(F.coefficients, F.grid))
 
 
+def _unitary_factor(grid):
+    """1/sqrt(N^n), correctly rounded: 1/N^n is exact for a power of two N,
+    and its square root is rounded once. The transforms apply it once, where
+    numpy's norm="ortho" multiplies each axis by 1/sqrt(N), a factor rounded
+    twice (square root, then reciprocal)."""
+    return math.sqrt(1.0 / grid.size)
+
+
 def real_spectra(samples, grid):
     """Unitary rfftn over the trailing grid axes of real samples.
 
     ``samples`` has shape ``grid.shape`` or a stack of them; the result holds
     the half-lattice coefficients, which equal the full-lattice unitary DFT
-    there and determine it by Hermitian symmetry.
+    there and determine it by Hermitian symmetry. One axis at a time: an
+    rfft of the last axis, scaled once by ``_unitary_factor``, then each
+    full axis in place in its output, so the result is the only array made.
     """
-    axes = tuple(range(-grid.n, 0))
-    return scipy.fft.rfftn(samples, axes=axes, norm="ortho", workers=fft_workers())
+    spectra = np.fft.rfft(samples, axis=-1)
+    spectra *= _unitary_factor(grid)
+    for axis in range(-grid.n, -1):
+        np.fft.fft(spectra, axis=axis, out=spectra)
+    return spectra
 
 
-def real_samples(spectra, grid):
-    """Inverse of ``real_spectra``: real samples from half-lattice spectra."""
-    axes = tuple(range(-grid.n, 0))
-    return scipy.fft.irfftn(spectra, s=grid.shape, axes=axes, norm="ortho",
-                            workers=fft_workers())
+def real_samples(spectra, grid, overwrite=False):
+    """Inverse of ``real_spectra``: real samples from half-lattice spectra.
+
+    The full axes transform first, into a new complex array, or in place in
+    ``spectra`` under ``overwrite`` (for a caller that reads it no more);
+    an irfft of the last axis then makes the result, scaled once by
+    ``_unitary_factor``.
+    """
+    for axis in range(-grid.n, -1):
+        spectra = np.fft.ifft(spectra, axis=axis, norm="forward",
+                              out=spectra if overwrite else None)
+        # Later axes transform in place in the array this call now owns.
+        overwrite = True
+    samples = np.fft.irfft(spectra, n=grid.points_per_dim, axis=-1, norm="forward")
+    samples *= _unitary_factor(grid)
+    return samples
 
 
 def l2_norms_of_spectra(spectra, grid):

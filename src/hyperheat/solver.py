@@ -32,17 +32,14 @@ provides an independent trajectory for cross-validation.
 import math
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
-import scipy.fft
-from numpy.polynomial.legendre import leggauss
 
 from .dyadic import a_norms_of_spectra
 from .errors import (BlowupSuspectedError, InconsistentGridError, IntegrationError,
                      ParameterError, _reject_bools)
-from .grid import (RealField, _batches, fft_workers, l2_norms_of_spectra, real_samples,
-                   real_spectra)
+from .grid import RealField, _batches, l2_norms_of_spectra, real_samples, real_spectra
 from .semigroup import dissipation_symbol
 from .timenorms import Trajectory, admissibility, log_time_grid, time_weighted_norm
 
@@ -166,8 +163,9 @@ def _kernel_plan(grid, dealias_factor):
     call: the even points M per axis of the dealiasing lattice and the bytes
     one slab of a batch touches. Those are the kernel's buffers (the padded
     spectrum, the intermediate lattices of the full axes, the magnitude and
-    the half-lattice output), the real field and the transformed spectrum
-    its transforms return, and the recursion rows of the slab."""
+    the half-lattice output), the real field of its irfft and the spectrum
+    of its rfft, the only arrays its transforms make (the full axes
+    transform in place), and the recursion rows of the slab."""
     if not dealias_factor >= 1:
         raise ParameterError(f"dealias_factor must be >= 1, got {dealias_factor}")
     n, N = grid.n, grid.points_per_dim
@@ -211,7 +209,6 @@ def _power_map(grid, r, dealias_factor, batch):
     # map is homogeneous of degree r, so the factor is applied once, on the
     # way out.
     gain = ((M / N) ** (n / 2.0)) ** (r - 1.0)
-    workers = fft_workers()
     stages = [np.zeros((batch,) + (M,) * j + (N,) * (n - 1 - j) + (h,), dtype=np.complex128)
               for j in range(1, n - 1)]
     padded = np.zeros((batch,) + (M,) * (n - 1) + (M // 2 + 1,), dtype=np.complex128)
@@ -226,21 +223,20 @@ def _power_map(grid, r, dealias_factor, batch):
         field = spectra[..., :h]
         if n == 1:
             padded[:count, :h] = field
-        # scipy's default backend transforms complex input in place under
-        # overwrite_x, so the last full axis lands in ``padded`` for the irfft.
+        # The full axes transform in place (``out=`` is their input), so the
+        # last one lands in ``padded`` for the irfft.
         for axis, lattice in zip(range(1, n), lattices):
-            _move_halves(field, lattice[:count], axis, h)
-            field = scipy.fft.ifft(lattice[:count], axis=axis, norm="ortho", overwrite_x=True,
-                                   workers=workers)
-        fine = scipy.fft.irfft(padded[:count], n=M, axis=-1, norm="ortho", workers=workers)
+            lattice = lattice[:count]
+            _move_halves(field, lattice, axis, h)
+            field = np.fft.ifft(lattice, axis=axis, norm="ortho", out=lattice)
+        fine = np.fft.irfft(padded[:count], n=M, axis=-1, norm="ortho")
         magnitude = np.abs(fine, out=magnitudes[:count])
         magnitude **= r - 1.0
         fine *= magnitude
-        field = scipy.fft.rfft(fine, axis=-1, norm="ortho", workers=workers)[..., :h]
+        field = np.fft.rfft(fine, axis=-1, norm="ortho")[..., :h]
         del fine
         for axis in range(n - 1, 0, -1):
-            field = scipy.fft.fft(field, axis=axis, norm="ortho", overwrite_x=True,
-                                  workers=workers)
+            np.fft.fft(field, axis=axis, norm="ortho", out=field)
             if axis > 1:
                 _move_halves(field, stages[axis - 2][:count], axis, h)
                 field = stages[axis - 2][:count]
@@ -686,9 +682,14 @@ def strong_convergence_check(traj, u0, sp0, at_times):
     return [(float(times[i]), float(dist)) for i, dist in zip(indices, dists)]
 
 
-_GL_NODES, _GL_WEIGHTS = leggauss(32)
-_GL_X = 0.5 * (_GL_NODES + 1.0)
-_GL_W = 0.5 * _GL_WEIGHTS
+@cache
+def _unit_gauss_legendre():
+    """32-node Gauss-Legendre nodes and weights on [0, 1], built on first use
+    so that importing the solver does no quadrature work."""
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = leggauss(32)
+    return 0.5 * (nodes + 1.0), 0.5 * weights
 
 
 def _path_power_integral(a, d, r):
@@ -712,8 +713,7 @@ def _path_power_integral(a, d, r):
     dm = flat_d[moving][:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         theta_c = np.clip(-am / dm, 0.0, 1.0)
-    x = _GL_X[None, :]
-    w = _GL_W[None, :]
+    x, w = (row[None, :] for row in _unit_gauss_legendre())
     # Left piece [0, theta_c], anchored at theta_c: theta = theta_c (1 - tau^2).
     theta_left = theta_c * (1.0 - x * x)
     left = np.sum(w * 2.0 * theta_c * x

@@ -7,6 +7,8 @@ frequencies of every axis, the Nyquist mask, the dissipation symbol and the
 dyadic cutoffs; the unitary ``fftn``; an ``ifftn`` that checks Hermitian
 symmetry and the imaginary residue; ``conj_reverse``; and the Parseval L2
 norm. A half-lattice array equals the full one at ``[..., :N // 2 + 1]``.
+Its transforms are scipy.fft's, another library than the numpy.fft the
+library runs.
 """
 
 import math

@@ -3,6 +3,7 @@
 The references below are the plain route the stacked core replaces: one
 field at a time on the full complex lattice, zero-padding through an
 fftshift round trip, per-slab phi weights, and per-time, per-block norms.
+Its transforms are scipy.fft's, where the library's are numpy.fft's.
 """
 
 import math
@@ -241,8 +242,8 @@ class TestPowerKernel:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_bytes_do_not_depend_on_fft_workers(self, n, monkeypatch):
-        # Every transform of the map, the pruned full axes' included, takes
-        # the worker count.
+        # HYPERHEAT_THREADS, which only ``fft_workers`` parses for the
+        # benchmark, leaves the map alone: no transform takes a worker count.
         grid = GRIDS[n]
         spectra = real_spectra(kernel_inputs(grid, 7, n), grid)
         results = []
@@ -260,16 +261,16 @@ class TestPowerKernel:
         # (the embedding lattices and the transforms' outputs), each counted
         # once however many views of it the transforms saw, a magnitude row
         # as large as the real field, and its output rows.
+        batch = kernel_batch(grid)
+        spectra = real_spectra(kernel_inputs(grid, 2 * batch + 1, grid.n), grid)
         seen = []
         for name in ("ifft", "irfft", "rfft", "fft"):
-            def recording(x, *args, _name=name, _transform=getattr(scipy.fft, name), **kwargs):
+            def recording(x, *args, _name=name, _transform=getattr(np.fft, name), **kwargs):
                 result = _transform(x, *args, **kwargs)
                 seen.extend([(_name, "reads", memory_owner(x)),
                              (_name, "returns", memory_owner(result))])
                 return result
-            monkeypatch.setattr(scipy.fft, name, recording)
-        batch = kernel_batch(grid)
-        spectra = real_spectra(kernel_inputs(grid, 2 * batch + 1, grid.n), grid)
+            monkeypatch.setattr(np.fft, name, recording)
         lengths = []
         for _, _, power in solver._power_batches(spectra, grid, 3.0, 1.5):
             if not lengths:
