@@ -11,20 +11,18 @@ endpoints; the slab weights are the phi-functions
     phi1(z) = (e^z - 1)/z,    phi2(z) = (e^z - 1 - z)/z^2,
 
 with z = -dt |xi|^(2 alpha); the recursion carries the solution itself from
-slab end to slab end, U_i = e^z U_{i-1} + (slab integral), U_0 = u0. Fixed
-points are found by Picard iteration, with distances measured in the
-time-weighted norm, from a first iterate near the fixed point: one causal
-march of the same recursion, each slab's end forcing first taken at an
-exponential Adams-Bashforth 3 prediction (Cox & Matthews 2002) and then
-re-evaluated at the corrected slab end until the defect left for the sweep
-fits a share of the tolerance or stops shrinking, an exponential
-predictor-corrector (Hochbruck & Ostermann 2010). The march is the only
-per-slab convergence control: every sweep then runs over all slabs from u0,
-and one sweep usually certifies the start. A sweep only reads its iterate,
-so its distance is that iterate's measured fixed-point defect, and the
-solve returns the iterate its last sweep read. A march that runs away ends
-the solve with a blow-up error dated at the slab where it left the data's
-scale.
+slab end to slab end, U_i = e^z U_{i-1} + (slab integral), U_0 = u0. The
+operator is causal, so its fixed point is found by Picard iteration taken
+slab by slab: one march keeps at each slab end the point whose forcing it
+last evaluated, carries the operator's image of the kept trajectory, and
+corrects the slab until the image moves the point by at most picard_tol of
+its norm in the space. The time-weighted norm is monotone in those per-slab
+norms, so the march certifies the whole trajectory and no sweep over the
+horizon follows. The march's first point on a slab continues the cubic
+through the forcing at the last four slab ends, an exponential
+predictor-corrector (Hochbruck & Ostermann 2010). A slab where the march
+leaves the data's scale or stops contracting ends the solve with a blow-up
+error dated there.
 An exponential predictor-corrector integrator marching the same slabs
 provides an independent trajectory for cross-validation.
 """
@@ -55,6 +53,7 @@ class SolverConfig:
     tuple replaces that construction; ``extra_times`` are merged into
     either grid. The slab quadrature has no option: the forcing is
     reconstructed piecewise linearly in tau and integrated exactly.
+    ``picard_max_iter`` caps the Picard passes on one slab.
     """
 
     horizon: float
@@ -385,69 +384,60 @@ def duhamel_apply(u0, traj, cfg, m):
 class PicardReport:
     """Outcome of a Picard solve.
 
-    ``distances`` holds one entry per sweep over all slabs: the weighted norm
-    of the change one application of the operator makes to the iterate the
-    sweep read, relative to that iterate's weighted norm. ``trajectory`` is
-    the iterate the last sweep read, so ``distances[-1]`` is its measured
-    fixed-point defect and ``weighted_norm`` its weighted norm.
-    ``note`` says why the iteration stopped short; on a blow-up report whose
-    starting march ran away, it names the slab time where the march left
-    the amplitude bound, and the trajectory holds the slabs marched before.
+    ``trajectory`` holds at each slab end the last point whose forcing the
+    march evaluated, ``weighted_norm`` its weighted norm and ``defect`` its
+    measured fixed-point defect: the weighted norm of the change one
+    application of the operator makes to it, relative to ``weighted_norm``.
+    ``iterations`` is the most passes any slab took and ``contraction`` the
+    largest ratio of successive corrections on any slab (0.0 when every
+    slab took one pass). ``note`` says why the solve stopped short; on a
+    blow-up report it names the slab time where the march stopped, and the
+    trajectory holds the slabs certified before it.
     """
 
     converged: bool
     iterations: int
     tolerance: float
-    distances: tuple
-    contraction_factors: tuple
+    defect: float
+    contraction: float
     weighted_norm: float
     trajectory: Trajectory
     note: str = ""
 
 
-# Kernel evaluations the starting march spends on one slab at most. On every
-# converging solve measured the march stopped on its own first (39 at most).
-_MARCH_PASSES = 64
-
-
 def picard_solve(u0, cfg, m, w, sp):
-    """Iterate the operator until the weighted change it makes to the
-    iterate drops below picard_tol (relative to the iterate).
+    """Picard iteration of the operator, taken slab by slab: the operator is
+    causal, so one march certifies each slab before it moves on.
 
-    The first iterate marches the slab recursion once, slab by slab. The
-    forcing w_i at each slab end is first evaluated at the exponential
-    Adams-Bashforth 3 prediction e^z U_{i-1} + dt phi1 w_{i-1} + dt phi2 q,
-    q the rise from w_{i-1} to t_i of the quadratic through the forcings at
-    the last three slab ends (the line through w_0 and w_1 on the second
-    slab, no phi2 term on the first), and the recursion integrates the line
-    from w_{i-1} to w_i. Then w_i is evaluated again at the slab end U_i so
-    found and the line integrated again, until the defect left for the
-    sweep, the slab's contraction times the last correction ||U_i - g||
-    (g the point last evaluated at), fits the slab's share of a quarter of
-    picard_tol; the contraction is the ratio of consecutive corrections,
-    carried to later slabs per unit step and per ||U_i||^(r-1). A pass
-    that fails to shrink the correction leaves the slab to the sweeps, and
-    so does one after which the passes left under ``_MARCH_PASSES``, each
-    shrinking the correction by the ratio this pass did, cannot make the
-    defect fit. So one sweep usually certifies the start. At the first slab
-    where a point to evaluate or the end kept is not finite or exceeds 1e3
-    times the data's L2 norm, the solve ends with a blow-up error naming
-    that slab's time; its report has no sweep, and its trajectory holds the
-    slabs marched before (no report when the first slab runs away).
+    On slab i the march keeps g_i, the last point whose forcing F(g_i) it
+    evaluated, and carries the operator's image of the kept trajectory,
 
-    Each iterate is one stack of half-lattice spectra over all slab times.
-    Each sweep runs the recursion over all of them from u0 and only reads
-    the iterate: it norms the iterate and the change to its image. On a
-    miss the recursion runs again and its image overwrites the iterate, so
-    the trajectory returned, on convergence, at picard_max_iter or with an
-    abort, is the iterate the last sweep read, and ``distances[-1]`` is its
-    measured defect.
+        U_i = e^z U_{i-1} + dt phi1 F(g_{i-1}) + dt phi2 (F(g_i) - F(g_{i-1})),
+
+    from U_0 = u0, so U_i - g_i is the kept trajectory's exact defect at t_i.
+    The first point is the exponential predictor e^z U_{i-1} + dt phi1
+    F(g_{i-1}) + dt phi2 q, q the rise from F(g_{i-1}) to t_i of the cubic
+    through the forcings at the last four slab ends (fewer ends on the
+    first three slabs, so the first keeps its forcing constant). Each pass
+    evaluates F(g), forms U_i and norms g and U_i - g in the space's norm;
+    the slab is done once ||U_i - g|| <= picard_tol ||g||, and otherwise
+    g <- U_i and another pass runs, an exponential predictor-corrector
+    (Hochbruck & Ostermann 2010). The weighted norm is monotone in its
+    per-slab norms, so ``report.defect``, the returned trajectory's
+    measured defect, is then at most picard_tol, and no sweep follows.
+
+    ``picard_max_iter`` caps the passes on one slab. A slab that reaches the
+    cap without fitting is kept as it stands, the march goes on, and the
+    solve returns converged=False with a note naming the first such slab.
+    The solve ends with a blow-up error dated at slab i when a point to
+    evaluate is not finite or exceeds 1e3 times the data's L2 norm, when a
+    norm is not finite, or when the iteration stopped contracting: a pass's
+    correction does not shrink, or the passes left, each shrinking it as
+    this one did, cannot make it fit. The error carries the report of the
+    slabs certified before (none when the first slab fails).
 
     Preconditions: the exponent tuple implied by (w, sp) must be admissible
-    and the space must sit in the multiplication regime s > n/p. Three
-    consecutive growing distances, an image whose amplitude exceeds 1e3
-    times the data's, or a weighted norm or distance that is not finite
-    abort with a blow-up-suspected error carrying the partial report.
+    and the space must sit in the multiplication regime s > n/p.
     """
     a = 2.0 * m.r * w.b
     adm = admissibility(a, w.v, sp.s, sp.s0, m, sp.p)
@@ -467,147 +457,84 @@ def picard_solve(u0, cfg, m, w, sp):
     grid = u0.grid
     weights = _slab_weights(grid, m, tuple(times.tolist()))
     u0_hat = real_spectra(u0.samples, grid)
-    u0_l2 = l2_norms_of_spectra(u0_hat[None], grid)[0]
-    # The one iterate stack, overwritten batch by batch as the sweep passes;
-    # the march writes the first iterate straight into it.
-    current = np.empty((len(times),) + u0_hat.shape, dtype=np.complex128)
-    steps = np.diff(times, prepend=0.0).tolist()
+    bound = 1e3 * l2_norms_of_spectra(u0_hat[None], grid)[0]
+    tol, cap = cfg.picard_tol, cfg.picard_max_iter
+    kept = np.empty((len(times),) + u0_hat.shape, dtype=np.complex128)
+    norms, defects = np.empty(len(times)), np.empty(len(times))
+    # A point and the correction its pass makes, normed in one call.
+    pair = np.empty((2,) + u0_hat.shape, dtype=np.complex128)
     power = _power_map(grid, m.r, cfg.dealias_factor, 1)
-    # The forcing at the slab's left end, and its rises over the last two
-    # slabs, oldest first.
-    forcing = power(u0_hat[None])[0].copy()
-    rises = []
-    # The sweep after the march moves slab end i by the decayed sum of the
-    # defects the march leaves on slabs 1..i, each the correction a further
-    # pass would make. A defect enters the sweep twice, at its slab's end and
-    # in the next slab's left-end forcing, and the space's norm can weigh it
-    # about twice as much as L2 does; so slabs 1..i may leave, relative to
-    # their L2 norms, i / (slab count) of a quarter of picard_tol, and one
-    # sweep certifies.
-    budget, spent, rate = 0.25 * cfg.picard_tol / len(times), 0.0, math.inf
-    bound = 1e3 * u0_l2
+    # The forcings at the last (up to four) slab ends and their times, oldest
+    # first; the map's next call overwrites what it returns.
+    nodes, forcings = [0.0], [power(u0_hat[None])[0].copy()]
+    image = u0_hat
+    most, contraction, capped = 0, 0.0, None
 
-    def escape(i):
-        """The blow-up error of a march that left ``bound`` on slab i."""
-        message = f"the starting march left 1e3 x data at t = {times[i]:.6g}"
-        report = None
-        if i:
-            marched = current[:i]
-            weighted = time_weighted_norm(
-                times[:i], a_norms_of_spectra(marched, grid, sp), w.b, vexp)
-            report = _build_report(False, 0, cfg, [], weighted, times[:i], grid, marched,
-                                   message)
-        return BlowupSuspectedError(message, report=report)
+    def report(i, converged, note):
+        """The report of slabs 1..i."""
+        scale = time_weighted_norm(times[:i], norms[:i], w.b, vexp)
+        defect = time_weighted_norm(times[:i], defects[:i], w.b, vexp)
+        return PicardReport(converged, most, tol, defect / scale if scale else 0.0,
+                            contraction, scale,
+                            Trajectory.from_spectra(times[:i], kept[:i], grid), note)
+
+    def blowup(i, reason):
+        message = f"{reason} at t = {times[i]:.6g}"
+        return BlowupSuspectedError(message, report=report(i, False, message) if i else None)
 
     for i, row in enumerate(weights.step):
-        left = current[i - 1] if i else u0_hat
-        base = weights.phi1[row] * forcing + weights.decay[row] * left
-        point = base + weights.phi2[row] * _predicted_rise(rises, steps[max(i - 2, 0):i + 1])
+        left, phi2_row = forcings[-1], weights.phi2[row]
+        drift, carried = weights.phi1[row] * left, weights.decay[row] * image
+        point = drift + phi2_row * _lagrange_rise(nodes, forcings, times[i]) + carried
         prior = math.inf
-        for passes_left in range(_MARCH_PASSES - 1, -1, -1):
-            size = float(l2_norms_of_spectra(point[None], grid)[0])
+        for passes in range(1, cap + 1):
             # NaN and inf both fail the comparison.
-            if not size <= bound:
-                raise escape(i)
+            if not l2_norms_of_spectra(point[None], grid)[0] <= bound:
+                raise blowup(i, "the march left 1e3 x data")
             value = power(point[None])[0]
-            rise = value - forcing
-            u = base + weights.phi2[row] * rise
-            correction = float(l2_norms_of_spectra((u - point)[None], grid)[0])
-            # The defect is the slab's contraction, about dt phi2 r |u|^(r-1),
-            # times this correction. The last contraction observed, per unit
-            # step and per size^(r-1), carries to later slabs; before any, 1
-            # is assumed (inf * 0 is NaN, which min skips).
-            reach = steps[i] * size ** (m.r - 1.0)
-            # An overspent budget can drive the corrections to exactly 0.
-            if 0 < prior < math.inf and reach > 0:
-                rate = correction / prior / reach
-            defect = min(1.0, rate * reach) * correction
-            allowance = ((i + 1) * budget - spent) * size
-            # The slab is left to the sweeps once its defect fits the budget,
-            # when a pass fails to shrink the correction, or when the passes
-            # left, each shrinking it as this one did, cannot make it fit.
-            if (defect <= allowance or correction >= prior or (
-                    prior < math.inf
-                    and defect * (correction / prior) ** passes_left > allowance)):
+            # Summed in the order of _duhamel_sweep, so duhamel_apply
+            # re-applies the operator to the kept trajectory bit for bit.
+            image_i = drift + phi2_row * (value - left)
+            image_i += carried
+            pair[0] = point
+            np.subtract(image_i, point, out=pair[1])
+            size, correction = a_norms_of_spectra(pair, grid, sp).tolist()
+            if not (math.isfinite(size) and math.isfinite(correction)):
+                raise blowup(i, "a norm was not finite")
+            ratio = correction / prior
+            contraction = max(contraction, ratio)
+            if correction <= tol * size:
                 break
-            prior = correction
-            point = u
-        # The end kept is normed only if the triangle inequality cannot bound it.
-        if not (size + correction <= bound or l2_norms_of_spectra(u[None], grid)[0] <= bound):
-            raise escape(i)
-        current[i] = u
-        spent += defect / size if size > 0 else 0.0
-        forcing = value.copy()
-        rises = rises[-1:] + [rise]
-    norms = np.empty(len(times))
-    gaps = np.empty(len(times))
-    distances = []
-    converged = False
-    iterations = 0
-    for iterations in range(1, cfg.picard_max_iter + 1):
-        # The sweep writes nothing: its distance is the defect of the iterate it reads.
-        peak = 0.0
-        for start, stop, new in _duhamel_sweep(current, u0_hat, weights, grid, m.r,
-                                               cfg.dealias_factor):
-            old = current[start:stop]
-            # A batch's slabs and their change, normed in one call.
-            norms[start:stop], gaps[start:stop] = np.split(
-                a_norms_of_spectra(np.concatenate([old, new - old]), grid, sp), 2)
-            peak = max(peak, float(np.max(l2_norms_of_spectra(new, grid))))
-        scale = time_weighted_norm(times, norms, w.b, vexp)
-        # Only a zero trajectory has distance 0; a norm or distance that is
-        # not finite ends the solve.
-        rel = time_weighted_norm(times, gaps, w.b, vexp) / scale if scale != 0 else 0.0
-        distances.append(rel)
-        if not (math.isfinite(scale) and math.isfinite(rel)):
-            report = _build_report(False, iterations, cfg, distances, scale, times, grid,
-                                   current, "weighted norm or distance not finite")
-            raise BlowupSuspectedError(
-                f"sweep {iterations}: weighted norm {scale:.3e} or distance {rel:.3e} "
-                "not finite", report=report)
-        if rel <= cfg.picard_tol:
-            converged = True
-            break
-        grew = u0_l2 > 0 and peak > bound
-        if grew or len(distances) >= 3 and distances[-1] > distances[-2] > distances[-3]:
-            note, message = (
-                ("amplitude grew past 1e3 x data",
-                 f"iterate amplitude {peak:.3e} exceeds 1e3 x data norm {u0_l2:.3e}") if grew
-                else ("three consecutive growing distances",
-                      "Picard distances grew three times in a row"))
-            report = _build_report(False, iterations, cfg, distances, scale, times, grid,
-                                   current, note)
-            raise BlowupSuspectedError(message, report=report)
-        if iterations < cfg.picard_max_iter:
-            _duhamel_spectra(u0_hat, current, times, cfg, m, grid)
-    note = "" if converged else "max iterations reached without convergence"
-    return _build_report(converged, iterations, cfg, distances, scale, times, grid, current,
-                         note)
+            if ratio >= 1.0:
+                raise blowup(i, "the iteration stopped contracting")
+            if passes == cap:
+                capped = i if capped is None else capped
+                break
+            if correction * ratio ** (cap - passes) > tol * size:
+                raise blowup(i, "the iteration stopped contracting")
+            prior, point = correction, image_i
+        kept[i] = point
+        norms[i], defects[i] = size, correction
+        most = max(most, passes)
+        image = image_i
+        nodes, forcings = nodes[-3:] + [times[i]], forcings[-3:] + [value.copy()]
+    note = "" if capped is None else (
+        f"slab at t = {times[capped]:.6g} reached picard_max_iter = {cap} passes "
+        "without fitting picard_tol")
+    return report(len(times), capped is None, note)
 
 
-def _predicted_rise(rises, steps):
-    """The forcing's rise over the next slab, of step ``steps[-1]``, from its
-    rises over the last (up to two) slabs, of steps ``steps[:-1]``, oldest
-    first: none (0), the line through two slab ends or the quadratic through
-    three, by divided differences on any spacing."""
-    if not rises:
-        return 0.0
-    h, h1 = steps[-1], steps[-2]
-    if len(rises) == 1:
-        return rises[-1] * (h / h1)
-    bend = h * (h + h1) / (h1 + steps[-3])
-    return rises[-1] * ((h + bend) / h1) - rises[-2] * (bend / steps[-3])
-
-
-def _build_report(converged, iterations, cfg, distances, weighted, times, grid, spectra,
-                  note):
-    factors = tuple(distances[i] / distances[i - 1] for i in range(1, len(distances))
-                    if distances[i - 1] > 0)
-    return PicardReport(converged=converged, iterations=iterations,
-                        tolerance=cfg.picard_tol, distances=tuple(distances),
-                        contraction_factors=factors, weighted_norm=float(weighted),
-                        trajectory=Trajectory.from_spectra(times, spectra, grid),
-                        note=note)
+def _lagrange_rise(nodes, forcings, t):
+    """The rise from ``forcings[-1]`` to time t of the polynomial through
+    ``forcings`` at the distinct times ``nodes``, in Lagrange form on any
+    spacing: 0 through one node, the line through two, up to the cubic
+    through four."""
+    rise = 0.0
+    for k, (node, forcing) in enumerate(zip(nodes[:-1], forcings[:-1])):
+        weight = math.prod((t - other) / (node - other)
+                           for j, other in enumerate(nodes) if j != k)
+        rise = rise + weight * (forcing - forcings[-1])
+    return rise
 
 
 def etd_oracle(u0, cfg, m):

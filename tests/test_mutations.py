@@ -4,14 +4,15 @@ Each test breaks one piece of the solver by monkeypatching and requires a
 named acceptance check to fail: criterion 12 (constant data against its
 closed form) for the nonlinearity and the slab quadrature, and criterion 7's
 PDE residual for the slab decay, which constant data, a single mode at
-frequency 0, never feels. The starting march capped at one kernel
-evaluation per slab must fail the one-sweep order study of
-``test_solver.TestConstantDataClosedForm``; so capped, its quadratic forcing
-prediction, swapped for the line through two slab ends, must fail the
-one-sweep start of ``test_solver.TestMarchedStart``. The power kernel's
-pruned embedding and truncation, broken on one full axis, must fail its
-per-field c2c reference in ``test_solver_kernel``. A weighted norm that
-comes out NaN must end a solve with a blow-up error, not pass as distance 0.
+frequency 0, never feels. The march capped at one pass per slab must fail
+the order study of ``test_solver.TestConstantDataClosedForm``, and its cubic
+forcing prediction, swapped for the line through two slab ends, the kernel
+field bound of ``test_solver.TestMarchedStart``. A march that carries its
+image without the decay must report a defect that the re-application
+contradicts. The power kernel's pruned embedding and truncation, broken on
+one full axis, must fail its per-field c2c reference in
+``test_solver_kernel``. A norm that comes out NaN must end a solve with a
+blow-up error, not pass as defect 0.
 """
 
 import dataclasses
@@ -21,14 +22,14 @@ import pytest
 
 import test_solver
 import test_solver_kernel
-from hyperheat import (BlowupSuspectedError, SolverConfig, default_config, etd_oracle,
-                       run_experiment, solver)
+from hyperheat import (BlowupSuspectedError, SolverConfig, TimeWeight, default_config,
+                       etd_oracle, run_experiment, solver)
 from test_acceptance import closed_form_error, get_check
 
 
 def mutate_power(monkeypatch, change):
     """Pass every result of every ``_power_map`` through ``change``: the
-    sweeps, the starting march, the oracle and the residual all build one."""
+    march, the sweeps, the oracle and the residual all build one."""
     power_map = solver._power_map
 
     def mutated(*args):
@@ -70,12 +71,15 @@ def test_power_mutation_reaches_the_march_and_the_oracle(mutation, monkeypatch):
     u0 = start.solve_data(1.0)
     cfg = SolverConfig(horizon=0.25)
     oracle = etd_oracle(u0, cfg, start.MODEL).spectra
+    solved = start.solve(1.0).trajectory.spectra
     MUTATIONS[mutation](monkeypatch)
-    # A march left unmutated would sit a whole nonlinear term away from the
-    # mutated sweep's image; with both mutated the first sweep barely moves it.
-    assert start.solve(1.0).distances[0] <= 1e-8
-    changed = etd_oracle(u0, cfg, start.MODEL).spectra
-    assert np.max(np.abs(changed - oracle)) > 1e-3 * np.max(np.abs(oracle))
+    # The march certifies the mutated operator's fixed point, a whole
+    # nonlinear term away from the true one; so does the oracle.
+    report = start.solve(1.0)
+    assert report.converged and report.defect <= report.tolerance
+    for before, after in ((solved, report.trajectory.spectra),
+                          (oracle, etd_oracle(u0, cfg, start.MODEL).spectra)):
+        assert np.max(np.abs(after - before)) > 1e-3 * np.max(np.abs(before))
 
 
 def test_halved_decay_fails_criterion_07(monkeypatch):
@@ -87,26 +91,50 @@ def test_halved_decay_fails_criterion_07(monkeypatch):
 def test_one_pass_march_fails_the_one_sweep_order_study(monkeypatch):
     test_solver.one_pass_march(monkeypatch)
     with pytest.raises(AssertionError):
-        test_solver.TestConstantDataClosedForm().test_converged_march_certifies_in_one_sweep()
+        test_solver.TestConstantDataClosedForm().test_converged_march_certifies_in_one_sweep(
+            monkeypatch)
 
 
 def test_linear_forcing_prediction_fails_the_one_sweep_start(monkeypatch):
-    # The march's corrector settles the line's start too; one evaluation per
-    # slab leaves the prediction's order visible.
-    test_solver.one_pass_march(monkeypatch)
-    test_solver.linear_rise(monkeypatch)
+    # The corrector settles the line's start too, in 386 kernel fields.
+    test_solver.fewer_ends(monkeypatch, 2)
     with pytest.raises(AssertionError):
-        test_solver.TestMarchedStart().test_amplitude_one_converges_in_one_sweep()
+        test_solver.TestMarchedStart().test_amplitude_one_converges_in_one_sweep(monkeypatch)
+
+
+def test_dropped_decay_in_the_carried_image_fails_the_reapplied_defect(monkeypatch):
+    # The march carries U_i = U_(i-1) + (slab integral), without e^z, and
+    # certifies that operator's fixed point (defect 6.4e-11); the true
+    # operator moves it by 0.31 of its weighted norm.
+    start = test_solver.TestMarchedStart()
+    cfg = SolverConfig(horizon=0.25)
+    w = TimeWeight(b=0.5 / (2 * start.MODEL.r), v=1.0, T=cfg.horizon)
+    with monkeypatch.context() as patched:
+        mutate_weights(patched, decay=np.ones_like)
+        report = start.solve(1.0, cfg)
+    assert report.converged and report.defect <= report.tolerance
+    defect, _ = test_solver.reapplied_defect(start.solve_data(1.0), report, cfg,
+                                             start.MODEL, w, start.SPACE)
+    assert abs(report.defect - defect) > 1e-3 * defect
 
 
 def test_nan_weighted_norm_ends_the_solve(monkeypatch):
+    # Norms turn NaN from the march's 21st call on, on its 11th slab at the
+    # latest; the slabs before travel with the error.
     norms = solver.a_norms_of_spectra
-    monkeypatch.setattr(solver, "a_norms_of_spectra",
-                        lambda *args: np.full_like(norms(*args), np.nan))
+    calls = []
+
+    def nan_from_the_21st_call(*args):
+        calls.append(None)
+        out = norms(*args)
+        return np.full_like(out, np.nan) if len(calls) > 20 else out
+
+    monkeypatch.setattr(solver, "a_norms_of_spectra", nan_from_the_21st_call)
     with pytest.raises(BlowupSuspectedError, match="not finite") as err:
         test_solver.TestMarchedStart().solve(1.0)
     report = err.value.report
-    assert not report.converged and report.iterations == 1
+    assert not report.converged and 10 <= len(report.trajectory) <= 20
+    assert report.defect <= report.tolerance
 
 
 def mutate_first_axis(monkeypatch, change):

@@ -1,7 +1,9 @@
 """Duhamel machinery: phi functions, dealiased powers, Picard, ETD cross-check."""
 
+import dataclasses
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -222,6 +224,7 @@ class TestPicard:
         assert report.converged
         assert report.iterations == 1
         assert report.weighted_norm == 0.0
+        assert report.defect == 0.0 and report.contraction == 0.0
         assert all(np.max(np.abs(f.samples)) == 0.0 for f in report.trajectory.fields)
 
     def test_small_data_converges_and_is_self_consistent(self, grid1d):
@@ -238,17 +241,14 @@ class TestPicard:
         amp = max(np.max(np.abs(f.samples)) for f in report.trajectory.fields)
         assert worst < 10.0 * cfg.picard_tol * amp
 
-    def test_contraction_factors_reported(self, grid1d, monkeypatch):
-        # The marched start certifies this solve in one sweep, which reports
-        # no factor; capped at one kernel evaluation per slab it starts
-        # further away and Picard sweeps more than once.
-        one_pass_march(monkeypatch)
+    def test_contraction_factors_reported(self, grid1d):
+        # Some slabs of this solve take several passes (6 at most), so the
+        # largest ratio of successive corrections on a slab is reported.
         cfg = SolverConfig(horizon=0.25, slabs=16)
         u0 = random_band_limited(grid1d, 89, max_radius=6.0, amplitude=2.0)
         report = picard_solve(u0, cfg, MODEL, small_weight(0.25), SPACE)
         assert report.converged and report.iterations > 1
-        assert report.contraction_factors
-        assert all(f < 1.0 for f in report.contraction_factors)
+        assert 0.0 < report.contraction < 1.0
 
     def test_inadmissible_weight_rejected(self, grid1d):
         cfg = SolverConfig(horizon=0.25, slabs=16)
@@ -271,16 +271,18 @@ class TestPicard:
             picard_solve(u0, cfg, MODEL, small_weight(0.3), SPACE)
 
     def test_large_data_flags_blowup(self, grid1d):
-        # Focusing cubic nonlinearity with O(50) data on a unit horizon:
-        # the iterates must run away and the solver must say so. On the way
-        # the march overspends its budget and drives a slab's corrections to
-        # exactly 0, which the contraction estimate must not divide by.
+        # Focusing cubic nonlinearity with O(50) data on a unit horizon: the
+        # first slab, 1e-4 long, already maps points 0.8 times as far apart
+        # as it found them, too slowly to fit in the passes left, so the
+        # solver says the iteration stopped contracting there. Nothing was
+        # certified before, so there is no report.
         cfg = SolverConfig(horizon=1.0, slabs=16)
         u0 = random_band_limited(grid1d, 97, max_radius=4.0, amplitude=50.0)
         with pytest.raises(BlowupSuspectedError) as err:
             picard_solve(u0, cfg, MODEL, small_weight(1.0), SPACE)
-        assert err.value.report is not None
-        assert not err.value.report.converged
+        assert float(march_stop(str(err.value), STALLED)) == pytest.approx(
+            slab_times(cfg)[0], rel=1e-5)
+        assert err.value.report is None
 
     def test_overflowing_data_raises_at_the_first_slab(self, grid1d):
         # With overflow warnings not errors, as under the CLI, sweeps of such
@@ -293,8 +295,8 @@ class TestPicard:
                 picard_solve(u0, cfg, MODEL, small_weight(0.25), SPACE)
         # Nothing was marched before the escape, so there is no report.
         assert err.value.report is None
-        assert float(march_escape(str(err.value))) == pytest.approx(slab_times(cfg)[0],
-                                                                     rel=1e-5)
+        assert float(march_stop(str(err.value), ESCAPED)) == pytest.approx(
+            slab_times(cfg)[0], rel=1e-5)
 
 
 class TestConstantDataClosedForm:
@@ -314,16 +316,17 @@ class TestConstantDataClosedForm:
                             self.uniform(horizon, slabs), self.MODEL, w,
                             SpaceParams("B", 1.5, 2.0, 2.0, s0=1.5))
 
-    def test_converged_march_certifies_in_one_sweep(self):
+    def test_converged_march_certifies_in_one_sweep(self, monkeypatch):
+        # The march is the one pass over the horizon: it certifies every slab
+        # as it goes, 663 kernel fields in all (1467 when a sweep followed).
+        fields = count_kernel_fields(monkeypatch)
         for slabs in (80, 160, 320):
             report = self.solve(0.25, slabs)
-            assert report.converged and report.iterations == 1
-            assert report.distances[0] <= 0.5 * report.tolerance
+            assert report.converged and report.defect <= report.tolerance
+        assert sum(fields) <= 700
 
-    def test_picard_is_second_order_on_the_multi_sweep_path(self, monkeypatch):
-        # Capped at one evaluation per slab, the march lands 1.2e-7 to
-        # 1.8e-9 from the fixed point, and Picard sweeps more than once.
-        one_pass_march(monkeypatch)
+    def test_picard_is_second_order_on_the_multi_sweep_path(self):
+        # Some slabs take several corrector passes (4, 3 and 3 at most).
         exact = 1.0 / math.sqrt(1.0 - 2.0 * 0.25)
         errors = {}
         for slabs in (80, 160, 320):
@@ -345,42 +348,51 @@ class TestConstantDataClosedForm:
             assert math.log2(errors[coarse] / errors[2 * coarse]) == pytest.approx(2.0, abs=0.2)
 
     def test_blowup_detector_fires_past_the_blowup_time(self):
-        # At 0.45, near T* = 0.5, the march's corrector still settles every
-        # slab, and one sweep certifies the start.
+        # At 0.45, near T* = 0.5, the corrector still settles every slab.
         report = self.solve(0.45, 160)
-        assert report.converged and report.iterations == 1
+        assert report.converged and report.defect <= report.tolerance
         with pytest.raises(BlowupSuspectedError):
             self.solve(0.6, 160)
 
     def test_blowup_names_where_the_start_grew(self):
-        # Picard starts from a march of the equation itself, which passes
-        # 1e3 x data near T* = 0.5; the error says where.
+        # Each slab's map contracts less as u grows, and just before
+        # T* = 0.5 a pass no longer shrinks the correction; the error and
+        # the report of the slabs certified before say where.
         with pytest.raises(BlowupSuspectedError) as err:
             self.solve(0.6, 160)
-        for text in (err.value.report.note, str(err.value)):
-            assert 0.4 <= float(march_escape(text)) <= 0.6
+        report = err.value.report
+        assert not report.converged and report.defect <= report.tolerance
+        for text in (report.note, str(err.value)):
+            assert 0.4 <= float(march_stop(text, STALLED)) <= 0.6
 
 
-def march_escape(text):
-    """The slab time a blow-up message names for the starting march."""
-    found = re.search(r"starting march left 1e3 x data at t = (\S+)$", text)
+# The two ways a march can end a solve, as blow-up messages name them.
+ESCAPED = "the march left 1e3 x data"
+STALLED = "the iteration stopped contracting"
+
+
+def march_stop(text, reason):
+    """The slab time a blow-up message gives for ``reason``."""
+    found = re.search(rf"{reason} at t = (\S+)$", text)
     assert found, text
     return found.group(1)
 
 
-def linear_rise(monkeypatch):
-    """Predict the march's forcing with the line through the last two slab
-    ends, the rule the quadratic replaced."""
-    rise = solver._predicted_rise
-    monkeypatch.setattr(solver, "_predicted_rise",
-                        lambda rises, steps: rise(rises[-1:], steps[-2:]))
+def fewer_ends(monkeypatch, ends):
+    """Predict the march's forcing from the last ``ends`` slab ends only: 3
+    is the quadratic the cubic replaced, 2 the line before it."""
+    rise = solver._lagrange_rise
+    monkeypatch.setattr(solver, "_lagrange_rise",
+                        lambda nodes, forcings, t: rise(nodes[-ends:], forcings[-ends:], t))
 
 
 def one_pass_march(monkeypatch):
-    """Cap the starting march at one kernel evaluation per slab, at the
-    predicted end: the march then lands further from the fixed point and
-    Picard sweeps more than once."""
-    monkeypatch.setattr(solver, "_MARCH_PASSES", 1)
+    """Cap the solves of this module at one pass per slab: each slab keeps
+    its predicted point, and the report measures how far that start is from
+    the fixed point."""
+    monkeypatch.setattr(sys.modules[__name__], "picard_solve",
+                        lambda u0, cfg, *args: solver.picard_solve(
+                            u0, dataclasses.replace(cfg, picard_max_iter=1), *args))
 
 
 def count_kernel_fields(monkeypatch):
@@ -405,8 +417,8 @@ def count_kernel_fields(monkeypatch):
 
 
 class TestMarchedStart:
-    """The first iterate marches the recursion with each slab's end forcing
-    predicted by the quadratic through the last three slab ends."""
+    """The march predicts each slab's end forcing with the cubic through the
+    last four slab ends, then corrects until the slab's defect fits."""
 
     MODEL = ModelParams(alpha=1, r=3.0, n=2)
     SPACE = SpaceParams("B", 1.5, 2.0, 2.0, s0=1.5)
@@ -416,35 +428,42 @@ class TestMarchedStart:
         """The initial data of ``solve``."""
         return random_band_limited(TorusGrid(2, points), (0, 50), 1.9, amplitude=amplitude)
 
-    def solve(self, amplitude, cfg=None):
+    def solve(self, amplitude, cfg=None, points=64):
         """Amplitude data on the 64^2 grid, by default on the default slab grid."""
         cfg = cfg or SolverConfig(horizon=0.25)
-        u0 = self.solve_data(amplitude)
+        u0 = self.solve_data(amplitude, points)
         w = TimeWeight(b=0.5 / (2 * self.MODEL.r), v=1.0, T=cfg.horizon)
         return picard_solve(u0, cfg, self.MODEL, w, self.SPACE)
 
-    @pytest.mark.parametrize("known", [1, 2, 3])
+    @pytest.mark.parametrize("known", [1, 2, 3, 4])
     def test_rise_is_exact_for_polynomials_through_the_known_forcings(self, known):
-        # Degree known - 1 through unevenly spaced slab ends: zero, line, quadratic.
-        coeffs = [1.0, -3.0, 40.0][:known]
-        nodes, t = [0.0, 1e-3, 0.0105][3 - known:], 0.02
-        values = [polyval(x, coeffs) * np.ones(3) for x in nodes]
-        rises = [b - a for a, b in zip(values, values[1:])]
-        steps = list(np.diff(nodes + [t]))
+        # Degree known - 1 through unevenly spaced slab ends: zero, line,
+        # quadratic, cubic.
+        coeffs = [1.0, -3.0, 40.0, -700.0][:known]
+        nodes, t = [0.0, 1e-3, 0.0105, 0.012][4 - known:], 0.02
+        forcings = [polyval(x, coeffs) * np.ones(3) for x in nodes]
         want = polyval(t, coeffs) - polyval(nodes[-1], coeffs)
-        kept = [rise.copy() for rise in rises]
-        got = solver._predicted_rise(rises, steps)
+        kept = [forcing.copy() for forcing in forcings]
+        got = solver._lagrange_rise(nodes, forcings, t)
         assert_allclose(got, want, rtol=1e-12, atol=1e-15)
-        # The march keeps its rises for the next slab's prediction.
-        for rise, copy in zip(rises, kept, strict=True):
-            assert rise.tobytes() == copy.tobytes()
+        # The march keeps its forcings for the next slab's prediction.
+        for forcing, copy in zip(forcings, kept, strict=True):
+            assert forcing.tobytes() == copy.tobytes()
 
-    def test_amplitude_one_converges_in_one_sweep(self):
-        report = self.solve(1.0)
-        assert report.converged and report.iterations == 1
-        assert report.distances[0] <= 0.5 * report.tolerance
+    def test_amplitude_one_converges_in_one_sweep(self, monkeypatch):
+        # The march certifies every slab within two passes, nearly all in
+        # one: 227 kernel fields on either grid, where the march and the
+        # sweep that certified it took 453.
+        fields = count_kernel_fields(monkeypatch)
+        for points in (64, 128):
+            fields.clear()
+            report = self.solve(1.0, points=points)
+            assert report.converged and report.defect <= report.tolerance
+            assert report.iterations <= 2
+            assert sum(fields) <= 240
 
     def test_amplitude_one_and_a_half_needs_at_most_two_sweeps(self):
+        # At most two passes on any slab.
         report = self.solve(1.5)
         assert report.converged and report.iterations <= 2
 
@@ -452,44 +471,46 @@ class TestMarchedStart:
         (1.0, 64, False), (1.5, 64, False), (1.0, 128, False), (1.5, 64, True)])
     def test_last_distance_is_the_defect_of_the_returned_trajectory(
             self, amplitude, points, one_pass, monkeypatch):
-        # Picard returns the iterate its last sweep read, so one more
-        # application of the operator changes it by exactly the last distance.
-        # One pass per march slab leaves a second sweep to run.
+        # The march keeps at each slab end the point whose forcing it last
+        # evaluated and carries the operator's image of that trajectory, so
+        # one more application of the operator changes it by exactly the
+        # defect reported. Capped at one pass per slab, the solve keeps its
+        # predicted points, fails to certify them and still measures them.
         if one_pass:
             one_pass_march(monkeypatch)
+        report = self.solve(amplitude, points=points)
+        assert report.converged != one_pass
         cfg = SolverConfig(horizon=0.25)
-        u0 = self.solve_data(amplitude, points)
         w = TimeWeight(b=0.5 / (2 * self.MODEL.r), v=1.0, T=cfg.horizon)
-        vexp = 2.0 * self.MODEL.r * w.v
-        report = picard_solve(u0, cfg, self.MODEL, w, self.SPACE)
-        assert report.converged and (report.iterations > 1) == one_pass
-        traj = report.trajectory
-        image = duhamel_apply(u0, traj, cfg, self.MODEL)
-        change = Trajectory.from_spectra(traj.times, image.spectra - traj.spectra, traj.grid)
-        scale = weighted_norm(traj, w, self.SPACE, vexp).value
-        defect = weighted_norm(change, w, self.SPACE, vexp).value / scale
-        assert report.distances[-1] == pytest.approx(defect, rel=1e-12)
+        defect, scale = reapplied_defect(self.solve_data(amplitude, points), report, cfg,
+                                         self.MODEL, w, self.SPACE)
+        assert report.defect == pytest.approx(defect, rel=1e-12)
         assert report.weighted_norm == pytest.approx(scale, rel=1e-14)
+        assert (report.defect <= report.tolerance) != one_pass
 
     def test_blowup_names_the_march_escape_time(self):
+        # The march stops at the first slab it cannot certify (t = 0.2109),
+        # which is no later than the oracle's instability and no earlier than
+        # the comparison principle allows: with alpha = 1 the kernel is
+        # positive of mass 1, so ||u(t)||_inf <= y(t), y' = y^r, and the
+        # solution lives at least 1/((r - 1) ||u0||_inf^(r - 1)) = 0.125.
         cfg = SolverConfig(horizon=0.25)
+        u0 = self.solve_data(2.0)
         with pytest.raises(IntegrationError) as unstable:
-            etd_oracle(self.solve_data(2.0), cfg, self.MODEL)
+            etd_oracle(u0, cfg, self.MODEL)
         with pytest.raises(BlowupSuspectedError) as err:
             self.solve(2.0, cfg)
-        # The uniform slab width, plus the rounding of the message's 6 digits.
-        escape = float(march_escape(str(err.value)))
-        assert abs(escape - unstable.value.time) <= 0.25 / 160 + 1e-6
+        stop = float(march_stop(str(err.value), STALLED))
+        r = self.MODEL.r
+        assert 1.0 / ((r - 1.0) * np.max(np.abs(u0.samples)) ** (r - 1.0)) <= stop
+        assert stop <= unstable.value.time
 
     @pytest.mark.parametrize("case, most", [("1-D amplitude 3", 238),
                                             ("64^2 amplitude 2, T = 0.25", 635)])
     def test_runaway_march_ends_the_solve(self, case, most, monkeypatch):
-        # The march that leaves 1e3 x data raises at once, before any sweep;
-        # carried on by the decay alone to the horizon and swept from there,
-        # these solves spent 462 and 861 kernel fields. A slab whose passes
-        # left cannot make its defect fit at its last shrink ratio is left to
-        # the sweeps; correcting it until it stopped shrinking, the 1-D solve
-        # spent 64 passes on its slab at t = 0.203125 and 298 fields in all.
+        # The march ends the solve at the slab where its passes stop
+        # contracting (212 and 549 kernel fields); the sweeps that once
+        # followed the march spent up to 462 and 861 fields on these data.
         fields = count_kernel_fields(monkeypatch)
         with pytest.raises(BlowupSuspectedError) as err:
             if case == "1-D amplitude 3":
@@ -499,30 +520,36 @@ class TestMarchedStart:
             else:
                 self.solve(2.0)
         report = err.value.report
-        assert report.iterations == 0 and report.distances == ()
+        # The slabs before are certified, and the report says where it stopped.
+        assert not report.converged and report.defect <= report.tolerance
         assert report.note == str(err.value)
         assert sum(fields) <= most
 
-    def test_quadratic_prediction_saves_march_evaluations(self, monkeypatch):
+    def march_fields(self, monkeypatch, ends):
+        """Kernel fields of the amplitude-1 solve with its forcing predicted
+        from the last ``ends`` slab ends."""
         fields = count_kernel_fields(monkeypatch)
-        march = {}
-        for prediction in ("quadratic", "line"):
-            if prediction == "line":
-                linear_rise(monkeypatch)
-            fields.clear()
-            assert self.solve(1.0).converged
-            # The march's map is the first the solve builds.
-            march[prediction] = fields[0]
-        assert march["quadratic"] < march["line"]
+        if ends < 4:
+            fewer_ends(monkeypatch, ends)
+        assert self.solve(1.0).converged
+        return sum(fields)
+
+    def test_quadratic_prediction_saves_march_evaluations(self, monkeypatch):
+        # 352 against 386 kernel fields.
+        quadratic = self.march_fields(monkeypatch, 3)
+        assert quadratic < self.march_fields(monkeypatch, 2)
+
+    def test_cubic_prediction_saves_march_evaluations(self, monkeypatch):
+        # 227 against 352 kernel fields.
+        cubic = self.march_fields(monkeypatch, 4)
+        assert cubic < self.march_fields(monkeypatch, 3)
 
     @pytest.mark.parametrize("case, most", [("1-D amplitude 3", 238),
                                             ("64^2 amplitude 2, T = 0.21", 924)])
     def test_march_settles_contracting_solves_for_one_sweep(self, case, most, monkeypatch):
         # The march keeps correcting slabs whose passes shrink the correction
-        # slowly (by 0.535 per pass at the last slab of the 64^2 solve), so
-        # one sweep certifies the start. A march that gave up after four
-        # passes, or on a pass failing to halve the correction, left 6 and 30
-        # sweeps here (306 and 1653 kernel fields).
+        # slowly (34 passes on one slab of the 64^2 solve), and certifies
+        # every slab in 159 and 610 kernel fields.
         fields = count_kernel_fields(monkeypatch)
         if case == "1-D amplitude 3":
             cfg = SolverConfig(horizon=0.25, slabs=16)
@@ -530,14 +557,16 @@ class TestMarchedStart:
             report = picard_solve(u0, cfg, MODEL, small_weight(0.25), SPACE)
         else:
             report = self.solve(2.0, SolverConfig(horizon=0.21))
-        assert report.converged and report.iterations == 1
+        assert report.converged and report.defect <= report.tolerance
         assert sum(fields) <= most
 
     @pytest.mark.parametrize("times", ["step ratio 1e5", "geometric", "extra times"])
-    def test_irregular_grids_start_no_further_than_the_line(self, times, monkeypatch):
-        # One evaluation per slab, so the start is the prediction's; the
-        # march's corrector brings either start within its budget.
-        one_pass_march(monkeypatch)
+    def test_irregular_grids_cost_no_more_than_the_line(self, times, monkeypatch):
+        # The cubic's Lagrange weights hold on any spacing. Across the 1e5
+        # step ratio they amplify roundoff: one pass per slab leaves a
+        # defect of 1.2e-2 there, against the line's 6.4e-5. The corrector
+        # still settles the cubic's start in fewer kernel fields.
+        fields = count_kernel_fields(monkeypatch)
         T = 0.25
         cfg = {
             "step ratio 1e5": SolverConfig(horizon=T, times=tuple(
@@ -547,12 +576,27 @@ class TestMarchedStart:
             "extra times": SolverConfig(horizon=T, slabs=24,
                                         extra_times=tuple(T / 2.0 ** k for k in range(1, 7))),
         }[times]
-        quadratic = self.solve(1.0, cfg)
-        linear_rise(monkeypatch)
-        line = self.solve(1.0, cfg)
-        assert quadratic.converged and line.converged
-        assert quadratic.iterations <= line.iterations
-        assert quadratic.distances[0] <= line.distances[0]
+        spent = {}
+        for prediction in ("cubic", "line"):
+            if prediction == "line":
+                fewer_ends(monkeypatch, 2)
+            fields.clear()
+            report = self.solve(1.0, cfg)
+            assert report.converged and report.defect <= report.tolerance
+            spent[prediction] = sum(fields)
+        assert spent["cubic"] <= spent["line"]
+
+
+def reapplied_defect(u0, report, cfg, m, w, sp):
+    """The defect of ``report.trajectory`` measured apart from the march: one
+    ``duhamel_apply`` and two ``weighted_norm`` calls. Returns the defect and
+    the trajectory's weighted norm."""
+    traj = report.trajectory
+    image = duhamel_apply(u0, traj, cfg, m)
+    change = Trajectory.from_spectra(traj.times, image.spectra - traj.spectra, traj.grid)
+    vexp = 2.0 * m.r * w.v
+    scale = weighted_norm(traj, w, sp, vexp).value
+    return weighted_norm(change, w, sp, vexp).value / scale, scale
 
 
 class TestEtdOracle:

@@ -11,7 +11,6 @@ import math
 import numpy as np
 import pytest
 import scipy.fft
-from numpy.testing import assert_allclose
 
 import full_lattice
 from hyperheat import (BlowupSuspectedError, ModelParams, RealField, SolverConfig,
@@ -22,7 +21,7 @@ from hyperheat import grid as grid_module
 from hyperheat import solver
 from hyperheat.grid import l2_norms_of_spectra, real_spectra
 from reference_norms import a_norm_of_coefficients
-from test_solver import march_escape, one_pass_march
+from test_solver import STALLED, march_stop
 
 
 def slab_bytes(grid, dealias_factor=1.5):
@@ -80,28 +79,6 @@ class ReferenceLoop:
         integrand = self.times ** (self.w.b * self.vexp) * norms ** self.vexp
         return np.trapezoid(integrand * self.times, np.log(self.times)) ** (1.0 / self.vexp)
 
-    def march(self):
-        """The first iterate: each slab's end forcing is taken at the
-        exponential Adams-Bashforth 3 prediction, which continues the
-        quadratic through the forcing at the last three slab ends (the line
-        through w0 and w1 on the second slab, only w0 on the first), written
-        here with Lagrange weights on the slab-end times; the slab integral
-        then uses that forcing."""
-        marched = []
-        u, forcings, nodes = self.u0_hat, [self.power(self.u0_hat)], [0.0]
-        for t in self.times:
-            dt = t - nodes[-1]
-            z = -dt * self.lam
-            base = np.exp(z) * u + dt * phi1(z) * forcings[-1]
-            extrapolated = sum(
-                math.prod((t - b) / (a - b) for b in nodes if b != a) * f
-                for a, f in zip(nodes, forcings))
-            forcing = self.power(base + dt * phi2(z) * (extrapolated - forcings[-1]))
-            u = base + dt * phi2(z) * (forcing - forcings[-1])
-            marched.append(u)
-            forcings, nodes = forcings[-2:] + [forcing], nodes[-2:] + [t]
-        return marched
-
     def apply(self, current):
         """The operator at every slab end: W_t u0 plus the slab integrals of
         the forcing, linear in tau between slab ends."""
@@ -120,25 +97,29 @@ class ReferenceLoop:
 
     def defect(self, traj):
         """Weighted distance from ``traj`` to its image, relative to ``traj``."""
-        current = [scipy.fft.fftn(f.samples, norm="ortho") for f in traj.fields]
+        current = spectra_of(traj)
         new = self.apply(current)
         return self.weighted([a - b for a, b in zip(new, current)]) / self.weighted(current)
 
+    def fixed_point(self):
+        """Picard's iteration of the operator over the whole horizon, from
+        W_t u0, until a sweep's distance reaches roundoff or stops shrinking.
+        Returns the last image and the distances, one per sweep, each
+        relative to the iterate the sweep read."""
+        current = [np.exp(-t * self.lam) * self.u0_hat for t in self.times]
+        distances = []
+        while True:
+            new = self.apply(current)
+            distances.append(self.weighted([a - b for a, b in zip(new, current)])
+                             / self.weighted(current))
+            current = new
+            if distances[-1] <= 1e-14 or len(distances) > 1 and distances[-1] >= distances[-2]:
+                return current, distances
 
-def reference_picard_distances(u0, cfg, m, w, sp):
-    """Picard distances and terminal samples from a loop over full spectra.
-    Each distance is the defect of the iterate its sweep read, relative to
-    that iterate, and the samples are those of the last iterate read."""
-    loop = ReferenceLoop(u0, cfg, m, w, sp)
-    current = loop.march()
-    distances = []
-    while True:
-        new = loop.apply(current)
-        diff = [a - b for a, b in zip(new, current)]
-        distances.append(loop.weighted(diff) / loop.weighted(current))
-        if distances[-1] <= cfg.picard_tol or len(distances) == cfg.picard_max_iter:
-            return distances, scipy.fft.ifftn(current[-1], norm="ortho").real
-        current = new
+
+def spectra_of(traj):
+    """Full-lattice spectra of a trajectory's fields."""
+    return [scipy.fft.fftn(f.samples, norm="ortho") for f in traj.fields]
 
 
 def memory_owner(array):
@@ -298,8 +279,7 @@ class TestPowerKernel:
 
 
 def sixteen_case():
-    """A 16^2 amplitude-1 solve that Picard sweeps several times from the
-    march capped at one kernel evaluation per slab."""
+    """A 16^2 amplitude-1 solve whose march takes up to four passes on a slab."""
     grid = TorusGrid(2, 16)
     m = ModelParams(alpha=1, r=3.0, n=2)
     cfg = SolverConfig(horizon=0.25, slabs=16)
@@ -309,30 +289,26 @@ def sixteen_case():
     return u0, cfg, m, w, sp
 
 
-def terminal_gap(report, terminal):
-    got = report.trajectory.terminal.samples
-    return np.linalg.norm(got - terminal) / np.linalg.norm(terminal)
-
-
 class TestStackedPicard:
-    """The solver's sweeps and carry against the reference loop. Both start
-    from the march capped at one kernel evaluation per slab; uncapped, the
-    march settles this case and Picard sweeps once."""
+    """The march against the reference loop's own fixed point, and the sweep
+    of ``duhamel_apply`` against the reference operator."""
 
-    def test_distances_match_reference_loop(self, monkeypatch):
-        one_pass_march(monkeypatch)
+    def test_distances_match_reference_loop(self):
+        # The reference sweeps from W_t u0 14 times, each distance 0.05 to 0.2
+        # times the one before, to 5.7e-16. A trajectory whose defect is d
+        # lies within d / (1 - q) of the fixed point of an operator that
+        # contracts by q; the march's lies 6.66e-11 away, with d = 6.41e-11.
         case = sixteen_case()
         report = picard_solve(*case)
-        distances, terminal = reference_picard_distances(*case)
-        assert report.converged
-        assert report.iterations == len(distances) >= 5
-        # The cold start W_t u0 took 10 iterations, the march's linear
-        # forcing prediction 6.
-        assert report.iterations == 5
-        # Distances are relative quantities; near convergence both sides sit
-        # at roundoff of the iterates, so agreement is judged absolutely.
-        assert_allclose(report.distances, distances, rtol=0, atol=1e-12)
-        assert terminal_gap(report, terminal) <= 1e-12
+        loop = ReferenceLoop(*case)
+        fixed, distances = loop.fixed_point()
+        assert len(distances) >= 10 and distances[-1] <= 1e-14
+        q = max(b / a for a, b in zip(distances, distances[1:]))
+        assert q < 0.5
+        gaps = [a - b for a, b in zip(spectra_of(report.trajectory), fixed)]
+        gap = loop.weighted(gaps) / loop.weighted(fixed)
+        assert gap <= (report.defect + distances[-1]) / (1.0 - q)
+        assert report.converged and report.iterations > 1
 
     def test_dropping_the_carried_integral_is_caught(self, monkeypatch):
         sweep = solver._duhamel_sweep
@@ -345,44 +321,52 @@ class TestStackedPicard:
                 yield start, stop, terms.copy()
                 terms[-1] = 0.0
 
+        case = sixteen_case()
+        u0, cfg, m = case[:3]
+        traj = picard_solve(*case).trajectory
+        want = scipy.fft.ifftn(ReferenceLoop(*case).apply(spectra_of(traj))[-1],
+                               norm="ortho").real
+        scale = np.linalg.norm(want)
+
+        def gap():
+            got = solver.duhamel_apply(u0, traj, cfg, m).terminal.samples
+            return np.linalg.norm(got - want) / scale
+
+        assert gap() <= 1e-13
         monkeypatch.setattr(solver, "_duhamel_sweep", without_carry)
         # Three slabs per batch.
         monkeypatch.setattr(grid_module, "_PAD_BATCH_BYTES", 3 * slab_bytes(TorusGrid(2, 16)))
-        one_pass_march(monkeypatch)
-        case = sixteen_case()
-        report = picard_solve(*case)
-        _, terminal = reference_picard_distances(*case)
-        assert terminal_gap(report, terminal) > 1e-12
+        assert gap() > 1e-12
 
     def test_bytes_do_not_depend_on_fft_workers(self, monkeypatch):
-        one_pass_march(monkeypatch)
         results = []
         for threads in ("1", "2"):
             monkeypatch.setenv("HYPERHEAT_THREADS", threads)
             report = picard_solve(*sixteen_case())
-            results.append((report.distances, report.trajectory.spectra.tobytes()))
-        assert len(results[0][0]) > 1
+            results.append((report.defect, report.trajectory.spectra.tobytes()))
         assert results[0] == results[1]
 
 
-def identity_operator(monkeypatch):
-    """Make the solver's slab recursion return its input: T u = u."""
-    sweep = solver._duhamel_sweep
+def identity_image(monkeypatch):
+    """Make the march see the operator's image of each point it evaluates as
+    that point, T g = g: the correction it norms is zero."""
+    norms = solver.a_norms_of_spectra
 
-    def identity(stack, carry, weights, grid, r, dealias_factor):
-        for start, stop, _ in sweep(stack, carry, weights, grid, r, dealias_factor):
-            yield start, stop, stack[start:stop].copy()
+    def no_correction(stack, grid, sp):
+        out = norms(stack, grid, sp)
+        # The march norms a point and its correction, in that order.
+        out[1:] = 0.0
+        return out
 
-    monkeypatch.setattr(solver, "_duhamel_sweep", identity)
+    monkeypatch.setattr(solver, "a_norms_of_spectra", no_correction)
 
 
 class TestReferenceFixedPointDefect:
-    """The marched start is itself a second-order integrator, so an operator
-    that returns its input "converges" on it at once, and every check that
-    reuses the solver's own recursion passes. One application of the
-    reference operator to the solver's fixed point does not, as long as the
-    march alone is not that fixed point: the identity is caught on the march
-    capped at one kernel evaluation per slab, whose start lies 3.6e-7 away."""
+    """An operator that returns its input "converges" at once on any start:
+    the march keeps each slab's predicted point after one pass and reports
+    the defect 0. One application of the reference operator to the solver's
+    fixed point does not, as long as that start is not itself the fixed
+    point; here it lies 6.5e-7 away."""
 
     def test_solution_is_a_fixed_point_of_the_reference_operator(self):
         case = sixteen_case()
@@ -390,15 +374,11 @@ class TestReferenceFixedPointDefect:
         assert ReferenceLoop(*case).defect(report.trajectory) <= 2.0 * case[1].picard_tol
 
     def test_identity_operator_is_caught(self, monkeypatch):
-        identity_operator(monkeypatch)
-        one_pass_march(monkeypatch)
+        identity_image(monkeypatch)
         case = sixteen_case()
-        u0, cfg, m = case[:3]
         report = picard_solve(*case)
-        assert report.converged and report.iterations == 1
-        again = solver.duhamel_apply(u0, report.trajectory, cfg, m)
-        assert np.array_equal(again.spectra, report.trajectory.spectra)
-        assert ReferenceLoop(*case).defect(report.trajectory) > 2.0 * cfg.picard_tol
+        assert report.converged and report.iterations == 1 and report.defect == 0.0
+        assert ReferenceLoop(*case).defect(report.trajectory) > 2.0 * case[1].picard_tol
 
 
 class TestFoldedLinearFlow:
@@ -436,11 +416,10 @@ class TestFoldedLinearFlow:
         for traj in (report.trajectory, image):
             gap = np.linalg.norm(traj.spectra - want, axis=(1, 2))
             assert np.max(gap / scale) <= 1e-13
-        # The march evaluates the zeroed forcing once per slab end before the
-        # horizon, and once more at tau = 0, so it is W_t u0 and the first
-        # sweep agrees with it.
+        # The march evaluates the zeroed forcing at least once per slab end and
+        # once more at tau = 0, so it is W_t u0 and its image agrees with it.
         assert sum(single) >= len(times)
-        assert report.distances[0] <= 1e-14
+        assert report.defect <= 1e-14
 
 
 class TestBlowupReport:
@@ -454,22 +433,23 @@ class TestBlowupReport:
         with pytest.raises(BlowupSuspectedError) as err:
             picard_solve(u0, cfg, m, w, sp)
         report = err.value.report
-        # The march that starts Picard grew past 1e3 x data at a slab end, and
-        # no sweep ran.
-        assert not report.converged
-        assert report.iterations == 0 and report.distances == ()
-        # The report holds the slabs marched before the escape, which the
+        # A pass on the slab at t = 0.000205353 moved its point further than
+        # the pass before, just past the comparison bound 1 / (2 * 50^2) on
+        # the solution's life; the slabs before are certified.
+        assert not report.converged and report.iterations >= 1
+        assert report.defect <= report.tolerance
+        # The report holds the slabs certified before the stop, which the
         # error dates at the next slab time.
         traj = report.trajectory
         times = tuple(slab_times(cfg))
         assert 0 < len(traj) < len(times) and traj.times == times[:len(traj)]
         for text in (report.note, str(err.value)):
-            assert march_escape(text) == f"{times[len(traj)]:.6g}"
+            assert march_stop(text, STALLED) == f"{times[len(traj)]:.6g}"
         assert all(f.grid == grid for f in traj.fields)
         assert np.all(np.isfinite(traj.spectra))
-        # The march tests the slab end it keeps, so the error dates the escape
-        # at the slab that left 1e3 x data and no slab reported exceeds it.
-        assert march_escape(str(err.value)) == "0.000220673"
+        assert march_stop(str(err.value), STALLED) == "0.000205353"
+        assert float(march_stop(str(err.value), STALLED)) >= 1.0 / (
+            2.0 * np.max(np.abs(u0.samples)) ** 2)
         data = l2_norms_of_spectra(real_spectra(u0.samples, grid)[None], grid)[0]
         assert np.max(l2_norms_of_spectra(traj.spectra, grid)) <= 1e3 * data
         # The marched slabs have run away from the data they started from.

@@ -26,7 +26,7 @@ from hyperheat import grid as grid_module
 from hyperheat import solver
 from hyperheat.dyadic import a_norms_of_spectra
 from hyperheat.grid import real_spectra
-from test_solver import march_escape, one_pass_march
+from test_solver import STALLED, march_stop
 from test_solver_kernel import kernel_batch, slab_bytes
 
 MODEL = ModelParams(alpha=1, r=3.0, n=2)
@@ -63,8 +63,7 @@ def traced(call):
 class TestWorkingMemory:
     # 128^2 with the default slab grid (225 times), so one stack is 30 MB and
     # the batch temporaries, a few MB, are a small share of it. At amplitude
-    # 1e-3 the marched start lies 1.6e-15 from the fixed point, so Picard
-    # converges in one iteration.
+    # 1e-3 the march certifies every slab.
     GRID = TorusGrid(2, 128)
     CFG = SolverConfig(horizon=0.25)
     WEIGHT = TimeWeight(b=0.5 / 6.0, v=1.0, T=0.25)
@@ -272,8 +271,7 @@ def relative(a, b):
 
 class TestBatchBoundaries:
     GRID = TorusGrid(2, 16)
-    # From the march capped at one kernel evaluation per slab, Picard takes
-    # 4 iterations here; uncapped, 1.
+    # The march takes up to three passes on a slab here.
     CFG = SolverConfig(horizon=0.2, slabs=24, extra_times=(0.1, 0.05, 0.025))
     WEIGHT = TimeWeight(b=0.5 / 6.0, v=1.0, T=0.2)
     # One slab per batch, three (a ragged last batch) and every slab at once.
@@ -282,12 +280,12 @@ class TestBatchBoundaries:
 
     def run(self, monkeypatch, budget):
         set_batch_bytes(monkeypatch, budget)
-        one_pass_march(monkeypatch)
         u0 = random_band_limited(self.GRID, 7, 3.0, amplitude=0.8)
         report = picard_solve(u0, self.CFG, MODEL, self.WEIGHT, SPACE)
         traj = report.trajectory
         return {
-            "distances": np.array(report.distances),
+            "passes": report.iterations,
+            "defect": report.defect,
             "terminal": traj.terminal.samples.tobytes(),
             "duhamel": b"".join(f.samples.tobytes()
                                 for f in duhamel_apply(u0, traj, self.CFG, MODEL).fields),
@@ -311,12 +309,11 @@ class TestBatchBoundaries:
         got = self.run(monkeypatch, self.BUDGETS[budget])
         assert kernel_batch(self.GRID) == slabs
         assert len(slab_times(self.CFG)) > 10 * slabs
-        assert len(reference["distances"]) >= 4
+        assert got["passes"] == reference["passes"] >= 3
         for key in ("terminal", "duhamel", "oracle"):
             assert got[key] == reference[key], key
         # The norm products of smaller batches may round differently.
-        np.testing.assert_allclose(got["distances"], reference["distances"],
-                                   rtol=1e-14, atol=0)
+        assert relative(got["defect"], reference["defect"]) <= 1e-14
         assert relative(got["residual"], reference["residual"]) <= 1e-14
         np.testing.assert_allclose(got["weighted"], reference["weighted"], rtol=1e-14,
                                    atol=0)
@@ -349,10 +346,10 @@ class TestBatchBoundaries:
                                                   blowup_reference):
         u0, err = self.blowup(monkeypatch, self.BUDGETS[budget])
         traj = err.report.trajectory
-        # The slabs the march reached before the escape, the next slab time.
+        # The slabs the march certified before it stopped, the next slab time.
         times = tuple(slab_times(self.BLOWUP_CFG))
         assert 0 < len(traj) < len(times) and traj.times == times[:len(traj)]
-        assert march_escape(str(err)) == f"{times[len(traj)]:.6g}"
+        assert march_stop(str(err), STALLED) == f"{times[len(traj)]:.6g}"
         samples = np.stack([f.samples for f in traj.fields])
         assert np.all(np.isfinite(samples))
         assert np.max(np.abs(samples)) > np.max(np.abs(u0.samples))
