@@ -23,9 +23,8 @@ from .records import Check, ResultRecord, Series, emit_results
 from .semigroup import (ModelParams, SmoothingReport, apply_semigroup,
                         dissipation_symbol, semigroup_property_check,
                         smoothing_rate, synthesize_kernel)
-from .solver import (PicardReport, SolverConfig, aliasing_probe,
-                     contraction_identity_check, duhamel_apply, etd_oracle,
-                     nonlinearity, pde_residual, phi1, phi2, picard_solve,
+from .solver import (PicardReport, SolverConfig, aliasing_probe, duhamel_apply,
+                     etd_oracle, nonlinearity, pde_residual, phi1, phi2, picard_solve,
                      slab_times, strong_convergence_check)
 from .timenorms import (Admissibility, TimeWeight, Trajectory, WeightedNormResult,
                         admissibility, equivalence_check,
@@ -48,9 +47,9 @@ __all__ = [
     "Check", "ResultRecord", "Series", "emit_results",
     "ModelParams", "SmoothingReport", "apply_semigroup", "dissipation_symbol",
     "semigroup_property_check", "smoothing_rate", "synthesize_kernel",
-    "PicardReport", "SolverConfig", "aliasing_probe", "contraction_identity_check",
-    "duhamel_apply", "etd_oracle", "nonlinearity", "pde_residual", "phi1", "phi2",
-    "picard_solve", "slab_times", "strong_convergence_check",
+    "PicardReport", "SolverConfig", "aliasing_probe", "duhamel_apply", "etd_oracle",
+    "nonlinearity", "pde_residual", "phi1", "phi2", "picard_solve", "slab_times",
+    "strong_convergence_check",
     "Admissibility", "TimeWeight", "Trajectory", "WeightedNormResult",
     "admissibility", "equivalence_check", "log_time_grid",
     "weighted_norm",

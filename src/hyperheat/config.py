@@ -108,7 +108,6 @@ _DEFAULT_EXTRAS = {
         "envelope_fields": "6",
         "envelope_slack": "1.25",
         "slope_tol": "0.05",
-        "report_beyond_unit_time": "no",
     },
     "scaling": {
         "pairs": "1:3,2:3",

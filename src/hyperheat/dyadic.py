@@ -119,12 +119,6 @@ class DyadicDecomposition:
         weights.setflags(write=False)
         return weights
 
-    def support_annulus(self, j):
-        """(inner, outer) support radii of phi_j."""
-        if j == 0:
-            return (0.0, 1.5)
-        return (2.0 ** (j - 1), 3.0 * 2.0 ** (j - 1))
-
 
 @lru_cache(maxsize=16)
 def build_decomposition(grid):
@@ -217,35 +211,3 @@ def a_norm(f, sp):
     """
     spectra = real_spectra(f.samples, f.grid)[None]
     return float(a_norms_of_spectra(spectra, f.grid, sp)[0])
-
-
-@dataclass(frozen=True)
-class PowerMapProbe:
-    """Measured norm ratio for u -> |u|^{r-1} u in one space."""
-
-    ratio: float
-    numerator: float
-    denominator: float
-    within_hypothesis: bool
-
-
-def power_map_probe(f, r, sp):
-    """Ratio || |f|^{r-1} f ||_{A^s} / ||f||_{A^s}^r, with a hypothesis flag.
-
-    The flag marks whether n/p < s < r, the regime where the power map is
-    bounded; outside it the ratio is still computed, just labeled. The
-    F-family corner p = 1, s = 1 is refused.
-    """
-    if not r > 1:
-        raise ParameterError(f"power-map exponent r must exceed 1, got {r}")
-    if sp.family == "F" and sp.p == 1 and sp.s == 1:
-        raise ParameterError("power-map probe is undefined on the F-family corner p=1, s=1")
-    w = RealField(f.grid, np.abs(f.samples) ** (r - 1.0) * f.samples)
-    numerator = a_norm(w, sp)
-    denominator = a_norm(f, sp) ** r
-    if denominator == 0.0:
-        raise ParameterError("power-map probe needs a nonzero field")
-    n_over_p = 0.0 if math.isinf(sp.p) else f.grid.n / sp.p
-    within = n_over_p < sp.s < r
-    return PowerMapProbe(ratio=numerator / denominator, numerator=numerator,
-                         denominator=denominator, within_hypothesis=within)

@@ -53,24 +53,13 @@ class ModelParams:
 
 
 def dissipation_symbol(grid, m):
-    """|xi|^(2 alpha) on the rfftn half lattice, shape ``grid.half_shape``;
-    (|xi|^2)^alpha, exact for integer alpha. Every operator built from it
-    refuses, through it, a model whose dimension is not the grid's."""
+    """|xi|^(2 alpha) on the rfftn half lattice, shape ``grid.half_shape``,
+    as numpy's power (|xi|^2)^alpha, exact at alpha = 1 and 2. Every operator
+    built from it refuses, through it, a model whose dimension is not the
+    grid's."""
     if m.n != grid.n:
         raise InconsistentGridError(f"model of dimension n = {m.n} used on a {grid.n}-D grid")
-    base = grid.xi_squared
-    if m.integer_order:
-        # Exponentiation by squaring on the |xi|^2 array.
-        e = int(m.alpha)
-        result = np.ones_like(base)
-        power = base
-        while e > 0:
-            if e & 1:
-                result = result * power
-            power = power * power
-            e >>= 1
-        return result
-    return base ** m.alpha
+    return grid.xi_squared ** m.alpha
 
 
 def _orbit_multipliers(grid, m, times):

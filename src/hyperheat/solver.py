@@ -30,7 +30,7 @@ provides an independent trajectory for cross-validation.
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -326,39 +326,32 @@ def _slab_weights(grid, m, times):
     return _SlabWeights(*arrays)
 
 
-def _duhamel_sweep(stack, carry, weights, grid, r, dealias_factor):
-    """The solution U_i = e^{-dt_i lam} U_{i-1} + (slab integral of w) at the
-    slab ends i = 1 .. len(stack), from ``carry``, the solution u0 at tau = 0,
-    which the sweep never writes.
-
-    The forcing w = |u|^{r-1} u, that of ``carry`` and of ``stack`` batch by
-    batch, is piecewise linear in tau; each slab integral is exact for that
-    reconstruction via phi1/phi2. Yields ``(start, stop, terms)``, the image
-    at slab ends start+1..stop; the caller may then overwrite those slabs of
-    ``stack``, but not ``terms``, whose last slab carries.
-    """
-    left = _power_map(grid, r, dealias_factor, 1)(carry[None])[0]
-    for start, stop, forcing in _power_batches(stack, grid, r, dealias_factor):
-        rows = weights.step[start:stop]
-        previous = np.concatenate([left[None], forcing[:-1]])
-        terms = weights.phi1[rows] * previous + weights.phi2[rows] * (forcing - previous)
-        decay = weights.decay[rows]
-        terms[0] += decay[0] * carry
-        for i in range(1, len(terms)):
-            terms[i] += decay[i] * terms[i - 1]
-        left = forcing[-1].copy()
-        carry = terms[-1]
-        yield start, stop, terms
-
-
 def _duhamel_spectra(u0_hat, stack, times, cfg, m, grid):
     """The operator applied, from data of half spectrum ``u0_hat``, to a
     trajectory given as the half-lattice spectra ``stack`` at the slab-end
-    ``times``; the image overwrites ``stack``, which is returned."""
+    ``times``; the image overwrites ``stack``, which is returned.
+
+    The image is the solution U_i = e^{-dt_i lam} U_{i-1} + (slab integral of
+    w) at the slab ends, from U_0 = u0. The forcing w = |u|^{r-1} u, that of
+    u0 and of ``stack`` batch by batch, is piecewise linear in tau; each slab
+    integral is exact for that reconstruction via phi1/phi2. Each batch's
+    image is written over its slabs once their forcing is evaluated.
+    """
     weights = _slab_weights(grid, m, tuple(float(t) for t in times))
-    for start, stop, terms in _duhamel_sweep(stack, u0_hat, weights, grid, m.r,
-                                             cfg.dealias_factor):
-        stack[start:stop] = terms
+    left = _power_map(grid, m.r, cfg.dealias_factor, 1)(u0_hat[None])[0]
+    carry = u0_hat
+    for start, stop, forcing in _power_batches(stack, grid, m.r, cfg.dealias_factor):
+        rows = weights.step[start:stop]
+        previous = np.concatenate([left[None], forcing[:-1]])
+        image = stack[start:stop]
+        np.multiply(weights.phi1[rows], previous, out=image)
+        image += weights.phi2[rows] * (forcing - previous)
+        decay = weights.decay[rows]
+        image[0] += decay[0] * carry
+        for i in range(1, len(image)):
+            image[i] += decay[i] * image[i - 1]
+        left = forcing[-1].copy()
+        carry = image[-1]
     return stack
 
 
@@ -492,7 +485,7 @@ def picard_solve(u0, cfg, m, w, sp):
             if not l2_norms_of_spectra(point[None], grid)[0] <= bound:
                 raise blowup(i, "the march left 1e3 x data")
             value = power(point[None])[0]
-            # Summed in the order of _duhamel_sweep, so duhamel_apply
+            # Summed in the order of _duhamel_spectra, so duhamel_apply
             # re-applies the operator to the kept trajectory bit for bit.
             image_i = drift + phi2_row * (value - left)
             image_i += carried
@@ -607,65 +600,3 @@ def strong_convergence_check(traj, u0, sp0, at_times):
     gaps = traj.spectra[indices] - real_spectra(u0.samples, grid)
     dists = a_norms_of_spectra(gaps, grid, sp0)
     return [(float(times[i]), float(dist)) for i, dist in zip(indices, dists)]
-
-
-@cache
-def _unit_gauss_legendre():
-    """32-node Gauss-Legendre nodes and weights on [0, 1], built on first use
-    so that importing the solver does no quadrature work."""
-    from numpy.polynomial.legendre import leggauss
-
-    nodes, weights = leggauss(32)
-    return 0.5 * (nodes + 1.0), 0.5 * weights
-
-
-def _path_power_integral(a, d, r):
-    """integral_0^1 |a + theta d|^{r-1} dtheta, elementwise on arrays.
-
-    Split at the sign change theta* = -a/d and substitute theta ~ theta*
-    +/- tau^2 on each side so the integrand becomes tau^(2r-1) x smooth;
-    32-node Gauss-Legendre is then exact to roundoff for the exponents in
-    use (and polynomial-exact for integer r <= 16).
-    """
-    a = np.asarray(a, dtype=np.float64)
-    d = np.asarray(d, dtype=np.float64)
-    out = np.empty_like(a)
-    flat_a = a.ravel()
-    flat_d = d.ravel()
-    flat_out = out.ravel()
-    constant = flat_d == 0.0
-    flat_out[constant] = np.abs(flat_a[constant]) ** (r - 1.0)
-    moving = ~constant
-    am = flat_a[moving][:, None]
-    dm = flat_d[moving][:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        theta_c = np.clip(-am / dm, 0.0, 1.0)
-    x, w = (row[None, :] for row in _unit_gauss_legendre())
-    # Left piece [0, theta_c], anchored at theta_c: theta = theta_c (1 - tau^2).
-    theta_left = theta_c * (1.0 - x * x)
-    left = np.sum(w * 2.0 * theta_c * x
-                  * np.abs(am + dm * theta_left) ** (r - 1.0), axis=1)
-    # Right piece [theta_c, 1], anchored at theta_c: theta = theta_c + (1-theta_c) tau^2.
-    theta_right = theta_c + (1.0 - theta_c) * x * x
-    right = np.sum(w * 2.0 * (1.0 - theta_c) * x
-                   * np.abs(am + dm * theta_right) ** (r - 1.0), axis=1)
-    flat_out[moving] = left + right
-    return out
-
-
-def contraction_identity_check(u, v, r):
-    """Max pointwise defect of the difference-of-powers factorization
-
-        |u|^{r-1} u - |v|^{r-1} v = r (u - v) integral_0^1 |v + theta(u-v)|^{r-1} dtheta,
-
-    with the path integral by piecewise Gauss-Legendre quadrature.
-    """
-    if not r > 1:
-        raise ParameterError(f"exponent r must exceed 1, got {r}")
-    if u.grid != v.grid:
-        raise InconsistentGridError("fields must share a grid")
-    us = u.samples
-    vs = v.samples
-    lhs = np.abs(us) ** (r - 1.0) * us - np.abs(vs) ** (r - 1.0) * vs
-    rhs = r * (us - vs) * _path_power_integral(vs, us - vs, r)
-    return float(np.max(np.abs(lhs - rhs)))

@@ -53,15 +53,6 @@ class TimeWeight:
         if not (math.isfinite(self.T) and self.T > 0):
             raise ParameterError(f"horizon T must be positive and finite, got {self.T}")
 
-    @property
-    def inv_v(self):
-        return 0.0 if math.isinf(self.v) else 1.0 / self.v
-
-    @property
-    def tempered_ok(self):
-        """b < 1 - 1/v, under which the weighted class embeds in distributions."""
-        return self.b < 1.0 - self.inv_v
-
 
 def _sample_times(times, count):
     """The sample times as a tuple of floats, checked against ``count`` fields."""

@@ -13,10 +13,10 @@ import numpy as np
 
 from hyperheat import (ModelParams, SolverConfig, SpaceParams, TimeWeight, TorusGrid,
                        a_norm, apply_semigroup, block, build_decomposition,
-                       constant_field, contraction_identity_check, cosine_mode,
-                       default_config, forward_transform, picard_solve,
-                       random_band_limited, run_experiment, semigroup_property_check,
-                       synthesize_kernel)
+                       constant_field, cosine_mode, default_config, forward_transform,
+                       picard_solve, random_band_limited, run_experiment,
+                       semigroup_property_check, synthesize_kernel)
+from power_probes import contraction_identity_check
 
 # One line per criterion; the conftest terminal-summary hook replays these
 # after the run so they survive output capture.

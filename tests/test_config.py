@@ -144,6 +144,11 @@ class TestParsing:
         with pytest.raises(ConfigError, match="quadrature_order"):
             parse_config("[experiment]\nid = solve\n\n[solver]\nquadrature_order = 2\n")
 
+    def test_removed_beyond_unit_time_key_rejected(self):
+        # The smoothing experiment reports no rows past t = 1; its key is gone.
+        with pytest.raises(ConfigError, match="report_beyond_unit_time"):
+            parse_config("[experiment]\nid = smoothing\nreport_beyond_unit_time = no\n")
+
     @pytest.mark.parametrize("key, value", [("t_min_frac", "0.0001"),
                                             ("uniform_start_frac", "0.01"),
                                             ("geometric_per_decade", "32")])

@@ -12,8 +12,9 @@ import full_lattice
 from hyperheat import (ParameterError, RealField, SpaceParams, TorusGrid, a_norm, block,
                        build_decomposition, constant_field, cosine_mode, lp_norm,
                        radial_profile, random_band_limited, smooth_step)
-from hyperheat.dyadic import a_norms_of_spectra, power_map_probe
+from hyperheat.dyadic import a_norms_of_spectra
 from hyperheat.grid import real_spectra
+from power_probes import power_map_probe
 from reference_norms import a_norm_of_coefficients, a_norm_of_field
 
 
@@ -60,11 +61,6 @@ class TestDecomposition:
     def test_covered_radius_reaches_lattice(self, grid2d):
         dec = build_decomposition(grid2d)
         assert 3.0 * dec.covered_radius / 2.0 >= grid2d.max_frequency
-
-    def test_support_annuli(self, grid1d):
-        dec = build_decomposition(grid1d)
-        assert dec.support_annulus(0) == (0.0, 1.5)
-        assert dec.support_annulus(3) == (4.0, 12.0)
 
     def test_block_supports(self, grid1d):
         # A mode at |xi| = 2^j sits purely in block j: the annuli overlap

@@ -95,3 +95,17 @@ class TestValidation:
         cfg = with_extras(default_config("solve"), strong_levels=0)
         with pytest.raises(ConfigError):
             run_experiment(cfg)
+
+    def test_solve_keeps_every_strong_level_apart(self):
+        # T/2^40 lies within the slab grid's 1e-12 T merge tolerance of
+        # T/2^39, so 40 levels would share a slab end: refused before the
+        # solve. 39 levels keep 39 distinct sample times, each nearer the
+        # data than the one before.
+        cfg = with_extras(default_config("solve"), strong_final_ratio="1e-3")
+        with pytest.raises(ConfigError, match="strong_levels"):
+            run_experiment(with_extras(cfg, strong_levels=40))
+        rec = run_experiment(with_extras(cfg, strong_levels=39))
+        rows = rec.series["strong_convergence"].rows
+        assert len(rows) == len({t for t, _, _ in rows}) == 39
+        decreasing = next(c for c in rec.checks if c.name == "strong_distances_decreasing")
+        assert decreasing.passed

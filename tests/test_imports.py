@@ -39,6 +39,6 @@ def test_a_solve_loads_no_scipy():
         assert report.converged
         print(imported, "scipy" in sys.modules)
     """)
-    # Nor does the import build the quadrature nodes, which live in
-    # numpy.polynomial, before a caller asks for them.
+    # Nor does the library load numpy.polynomial: it computes no quadrature,
+    # and the Gauss-Legendre nodes of criterion 6 live beside its tests.
     assert out.split() == ["[]", "False"]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import full_lattice
 from hyperheat import (ModelParams, ParameterError, SpaceParams, TorusGrid,
                        apply_semigroup, cosine_mode, dissipation_symbol,
                        forward_transform, radial_power_field, random_band_limited,
@@ -47,11 +48,27 @@ class TestModelParams:
         assert ModelParams(alpha=2, r=2.0, n=4).critical_smoothness(2.0) == -2.0
 
 
+GRIDS = [TorusGrid(1, 64), TorusGrid(2, 32), TorusGrid(3, 8)]
+
+
 class TestSymbol:
-    def test_integer_alpha_is_exact_power(self, grid2d):
-        for alpha in (1, 2, 3):
-            sym = dissipation_symbol(grid2d, ModelParams(alpha=alpha, r=2.0, n=2))
-            assert np.array_equal(sym, grid2d.xi_squared ** alpha)
+    def test_integer_alpha_is_exact_power(self):
+        # The orders every default experiment runs: numpy's power takes its
+        # exact fast paths there, so the symbol is |xi|^2 and |xi|^2 |xi|^2
+        # byte for byte, whether alpha is an int or a float.
+        for grid in GRIDS:
+            xi2 = grid.xi_squared
+            for alpha, want in ((1, xi2), (2, xi2 * xi2), (1.0, xi2), (2.0, xi2 * xi2)):
+                sym = dissipation_symbol(grid, ModelParams(alpha=alpha, r=2.0, n=grid.n))
+                assert sym.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"{g.n}d")
+    @pytest.mark.parametrize("alpha", [3, 1.5])
+    def test_matches_full_lattice_squaring(self, grid, alpha):
+        # The full-lattice reference squares its way to integer powers.
+        m = ModelParams(alpha=alpha, r=2.0, n=grid.n)
+        want = full_lattice.dissipation_symbol(grid, m)[..., : grid.points_per_dim // 2 + 1]
+        assert_allclose(dissipation_symbol(grid, m), want, rtol=1e-15, atol=0)
 
     def test_fractional_alpha(self, grid1d):
         sym = dissipation_symbol(grid1d, ModelParams(alpha=0.75, r=2.0, n=1))

@@ -15,14 +15,14 @@ from hyperheat import (BlowupSuspectedError, InconsistentGridError, IntegrationE
                        ModelParams, ParameterError, RealField, SolverConfig, SpaceParams,
                        TimeWeight, TorusGrid, Trajectory, aliasing_probe,
                        apply_semigroup, constant_field, semigroup_property_check,
-                       smoothing_rate, synthesize_kernel,
-                       contraction_identity_check, cosine_mode,
+                       smoothing_rate, synthesize_kernel, cosine_mode,
                        dissipation_symbol, duhamel_apply, etd_oracle,
                        forward_transform, inverse_transform, nonlinearity,
                        pde_residual, phi1, phi2, picard_solve,
                        random_band_limited, slab_times, SpectralField,
                        strong_convergence_check, weighted_norm, zero_field)
 from hyperheat import solver
+from power_probes import contraction_identity_check
 
 MODEL = ModelParams(alpha=1, r=3.0, n=1)
 SPACE = SpaceParams("B", 1.5, 2.0, 2.0)

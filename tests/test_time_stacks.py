@@ -115,29 +115,6 @@ class TestSmoothingRate:
         assert rep.degenerate is degenerate
 
 
-class TestBeyondUnitTime:
-    def test_rows_match_per_time_reference(self):
-        cfg = with_extras(default_config("smoothing"), report_beyond_unit_time="yes",
-                          pairs="2:2", envelope_fields=1)
-        rec = run_experiment(cfg)
-        rows = np.array(rec.series["beyond_unit_time"].rows)
-        t = np.geomspace(1.0, 10.0, 25)
-        assert_allclose(rows[:, 0], t, rtol=0, atol=0)
-        m = ModelParams(alpha=2, r=cfg.model.r, n=cfg.model.n)
-        sp = cfg.space
-        saturating = radial_power_field(cfg.grid, sp.s + cfg.grid.n / sp.p)
-        base, norms = orbit_norms_reference(saturating, sp, 2.0, t, m,
-                                            build_decomposition(cfg.grid))
-        assert_allclose(rows[:, 1], norms, rtol=1e-12, atol=0)
-        assert_allclose(rows[:, 2], t ** 0.5 * norms / base, rtol=1e-12, atol=0)
-        # The multiplier keeps decaying past t = 1, so the norm keeps falling.
-        assert np.all(np.diff(rows[:, 1]) < 0)
-
-    def test_rows_absent_by_default(self):
-        cfg = with_extras(default_config("smoothing"), pairs="1:1", envelope_fields=1)
-        assert "beyond_unit_time" not in run_experiment(cfg).series
-
-
 class TestApplySemigroup:
     @pytest.mark.parametrize("alpha", [1, 2, 1.5])
     def test_real_field_matches_symmetrized_output(self, grid2d, alpha):

@@ -31,15 +31,6 @@ class TestTimeWeight:
         with pytest.raises(ParameterError):
             TimeWeight(b=0.1, v=1.0, T=0.0)
 
-    def test_inv_v(self):
-        assert TimeWeight(b=0.0, v=2.0, T=1.0).inv_v == 0.5
-        assert TimeWeight(b=0.0, v=math.inf, T=1.0).inv_v == 0.0
-
-    def test_tempered_flag(self):
-        assert TimeWeight(b=-0.5, v=1.0, T=1.0).tempered_ok
-        assert not TimeWeight(b=0.0, v=1.0, T=1.0).tempered_ok
-        assert TimeWeight(b=0.5, v=math.inf, T=1.0).tempered_ok
-
 
 class TestTrajectory:
     def test_validation(self, grid1d):
