@@ -27,8 +27,7 @@ from .solver import (PicardReport, SolverConfig, aliasing_probe, duhamel_apply,
                      etd_oracle, nonlinearity, pde_residual, phi1, phi2, picard_solve,
                      slab_times, strong_convergence_check)
 from .timenorms import (Admissibility, TimeWeight, Trajectory, WeightedNormResult,
-                        admissibility, equivalence_check,
-                        log_time_grid, weighted_norm)
+                        admissibility, log_time_grid, weighted_norm)
 from .experiments import run_experiment
 
 __version__ = "0.1.0"
@@ -51,8 +50,7 @@ __all__ = [
     "nonlinearity", "pde_residual", "phi1", "phi2", "picard_solve", "slab_times",
     "strong_convergence_check",
     "Admissibility", "TimeWeight", "Trajectory", "WeightedNormResult",
-    "admissibility", "equivalence_check", "log_time_grid",
-    "weighted_norm",
+    "admissibility", "log_time_grid", "weighted_norm",
     "run_experiment",
     "__version__",
 ]

@@ -64,10 +64,7 @@ def main(argv=None):
         record = run_experiment(cfg)
         out_dir = Path(args.out) if args.out else Path("results") / cfg.experiment
         paths = emit_results(record, out_dir)
-    except HyperheatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (HyperheatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     for check in record.checks:

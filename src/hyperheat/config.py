@@ -76,13 +76,17 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"experiment key {key!r} must be an integer, got {raw!r}") from exc
 
-    def get_floats(self, key):
+    def get_floats(self, key, count=None):
+        """The comma-separated numbers under ``key``, ``count`` of them if given."""
         raw = self.get_str(key)
         try:
-            return tuple(float(part) for part in raw.split(",") if part.strip())
+            values = tuple(float(part) for part in raw.split(",") if part.strip())
         except ValueError as exc:
             raise ConfigError(f"experiment key {key!r} must be comma-separated numbers, "
                               f"got {raw!r}") from exc
+        if count is not None and len(values) != count:
+            raise ConfigError(f"experiment key {key!r} must hold {count} numbers, got {raw!r}")
+        return values
 
     def get_pairs(self, key):
         """Parse 'a:b,c:d' into ((a, b), (c, d)) of floats."""

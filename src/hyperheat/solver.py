@@ -11,18 +11,20 @@ endpoints; the slab weights are the phi-functions
     phi1(z) = (e^z - 1)/z,    phi2(z) = (e^z - 1 - z)/z^2,
 
 with z = -dt |xi|^(2 alpha); the recursion carries the solution itself from
-slab end to slab end, U_i = e^z U_{i-1} + (slab integral), U_0 = u0. The
-operator is causal, so its fixed point is found by Picard iteration taken
-slab by slab: one march keeps at each slab end the point whose forcing it
-last evaluated, carries the operator's image of the kept trajectory, and
-corrects the slab until the image moves the point by at most picard_tol of
-its norm in the space. The time-weighted norm is monotone in those per-slab
-norms, so the march certifies the whole trajectory and no sweep over the
-horizon follows. The march's first point on a slab continues the cubic
-through the forcing at the last four slab ends, an exponential
-predictor-corrector (Hochbruck & Ostermann 2010). A slab where the march
-leaves the data's scale or stops contracting ends the solve with a blow-up
-error dated there.
+slab end to slab end, U_i = e^z U_{i-1} + (slab integral), U_0 = u0, and
+one function takes that step for the march's predictor, its corrector
+passes and the operator's re-application. The operator is causal, so its
+fixed point is found by Picard iteration taken slab by slab: one march
+keeps at each slab end the point whose forcing it last evaluated, carries
+the operator's image of the kept trajectory, and corrects the slab until
+the image moves the point by at most picard_tol of its norm in the space.
+The time-weighted norm is monotone in those per-slab norms, so the march
+certifies the whole trajectory and no sweep over the horizon follows. The
+march's first point on a slab continues the cubic through the forcing at
+the last four slab ends, an exponential predictor-corrector (Hochbruck &
+Ostermann 2010). A slab where a point is not finite or leaves 1e3 times
+the data, a norm is not finite, or the iteration stops contracting ends
+the solve with a blow-up error dated there.
 An exponential predictor-corrector integrator marching the same slabs
 provides an independent trajectory for cross-validation.
 """
@@ -87,26 +89,25 @@ class SolverConfig:
             if not all(map(math.isfinite, value)):
                 raise ParameterError(f"{name} must be finite, got {value}")
             object.__setattr__(self, name, value)
+        T, t = self.horizon, self.times
+        if any(e <= 0 or e >= T * (1 - 1e-9) for e in self.extra_times):
+            raise ParameterError("extra_times must lie strictly inside (0, horizon)")
+        if t and (len(t) < 2 or t[0] <= 0 or any(b <= a for a, b in zip(t, t[1:]))):
+            raise ParameterError("explicit times must be >= 2 positive, strictly increasing "
+                                 "points")
+        if t and abs(t[-1] - T) > 1e-9 * T:
+            raise ParameterError(f"explicit times must end at the horizon {T}, got {t[-1]}")
 
 
 def slab_times(cfg):
     """The slab-endpoint grid 0 < t_1 < ... < t_M = horizon."""
     T = cfg.horizon
-    extra = np.asarray(cfg.extra_times, dtype=np.float64)
-    if extra.size and (np.any(extra <= 0) or np.any(extra >= T * (1 - 1e-9))):
-        raise ParameterError("extra_times must lie strictly inside (0, horizon)")
     if cfg.times:
         t = np.asarray(cfg.times, dtype=np.float64)
-        if t.size < 2:
-            raise ParameterError("explicit times must be a grid of >= 2 points")
-        if np.any(t <= 0) or np.any(np.diff(t) <= 0):
-            raise ParameterError("explicit times must be positive and strictly increasing")
-        if abs(t[-1] - T) > 1e-9 * T:
-            raise ParameterError(f"explicit times must end at the horizon {T}, got {t[-1]}")
     else:
         t = np.concatenate([np.linspace(0.0, T, cfg.slabs + 1)[1:],
                             log_time_grid(T * 1e-4, T * 1e-2, 32)])
-    t = np.unique(np.concatenate([t, extra]))
+    t = np.unique(np.concatenate([t, np.asarray(cfg.extra_times, dtype=np.float64)]))
     keep = np.concatenate([[True], np.diff(t) > 1e-12 * T])
     return t[keep]
 
@@ -326,32 +327,37 @@ def _slab_weights(grid, m, times):
     return _SlabWeights(*arrays)
 
 
+def _slab_image(weights, row, left, rise, carry, out=None):
+    """The operator's one slab step, U_i = e^z U_{i-1} + dt phi1 w_{i-1} +
+    dt phi2 (w_i - w_{i-1}), exact for forcing linear in tau on the slab:
+    ``left`` is w_{i-1}, ``rise`` the forcing's rise across the slab,
+    ``carry`` U_{i-1} and ``row`` the weights' row of the slab's step. The
+    three terms are summed in that order, into ``out`` when given."""
+    out = np.multiply(weights.phi1[row], left, out=out)
+    out += weights.phi2[row] * rise
+    out += weights.decay[row] * carry
+    return out
+
+
 def _duhamel_spectra(u0_hat, stack, times, cfg, m, grid):
     """The operator applied, from data of half spectrum ``u0_hat``, to a
     trajectory given as the half-lattice spectra ``stack`` at the slab-end
     ``times``; the image overwrites ``stack``, which is returned.
 
-    The image is the solution U_i = e^{-dt_i lam} U_{i-1} + (slab integral of
-    w) at the slab ends, from U_0 = u0. The forcing w = |u|^{r-1} u, that of
-    u0 and of ``stack`` batch by batch, is piecewise linear in tau; each slab
-    integral is exact for that reconstruction via phi1/phi2. Each batch's
-    image is written over its slabs once their forcing is evaluated.
+    The image is the solution at the slab ends from U_0 = u0, one
+    ``_slab_image`` per slab, against the forcing w = |u|^{r-1} u of u0 and
+    of ``stack``, evaluated batch by batch; each slab's image is written
+    over it once its batch's forcing is evaluated.
     """
     weights = _slab_weights(grid, m, tuple(float(t) for t in times))
     left = _power_map(grid, m.r, cfg.dealias_factor, 1)(u0_hat[None])[0]
     carry = u0_hat
     for start, stop, forcing in _power_batches(stack, grid, m.r, cfg.dealias_factor):
-        rows = weights.step[start:stop]
-        previous = np.concatenate([left[None], forcing[:-1]])
-        image = stack[start:stop]
-        np.multiply(weights.phi1[rows], previous, out=image)
-        image += weights.phi2[rows] * (forcing - previous)
-        decay = weights.decay[rows]
-        image[0] += decay[0] * carry
-        for i in range(1, len(image)):
-            image[i] += decay[i] * image[i - 1]
-        left = forcing[-1].copy()
-        carry = image[-1]
+        for i, value in enumerate(forcing, start):
+            carry = _slab_image(weights, weights.step[i], left, value - left, carry, stack[i])
+            left = value
+        # The map's next batch overwrites the forcing it returned.
+        left = left.copy()
     return stack
 
 
@@ -403,14 +409,11 @@ def picard_solve(u0, cfg, m, w, sp):
     causal, so one march certifies each slab before it moves on.
 
     On slab i the march keeps g_i, the last point whose forcing F(g_i) it
-    evaluated, and carries the operator's image of the kept trajectory,
-
-        U_i = e^z U_{i-1} + dt phi1 F(g_{i-1}) + dt phi2 (F(g_i) - F(g_{i-1})),
-
-    from U_0 = u0, so U_i - g_i is the kept trajectory's exact defect at t_i.
-    The first point is the exponential predictor e^z U_{i-1} + dt phi1
-    F(g_{i-1}) + dt phi2 q, q the rise from F(g_{i-1}) to t_i of the cubic
-    through the forcings at the last four slab ends (fewer ends on the
+    evaluated, and carries the operator's image U_i of the kept trajectory,
+    the ``_slab_image`` step from U_{i-1} with rise F(g_i) - F(g_{i-1}), so
+    U_i - g_i is the kept trajectory's exact defect at t_i. The first point
+    is the same step with rise q, the rise from F(g_{i-1}) to t_i of the
+    cubic through the forcings at the last four slab ends (fewer ends on the
     first three slabs, so the first keeps its forcing constant). Each pass
     evaluates F(g), forms U_i and norms g and U_i - g in the space's norm;
     the slab is done once ||U_i - g|| <= picard_tol ||g||, and otherwise
@@ -476,19 +479,16 @@ def picard_solve(u0, cfg, m, w, sp):
         return BlowupSuspectedError(message, report=report(i, False, message) if i else None)
 
     for i, row in enumerate(weights.step):
-        left, phi2_row = forcings[-1], weights.phi2[row]
-        drift, carried = weights.phi1[row] * left, weights.decay[row] * image
-        point = drift + phi2_row * _lagrange_rise(nodes, forcings, times[i]) + carried
+        left = forcings[-1]
+        point = _slab_image(weights, row, left, _lagrange_rise(nodes, forcings, times[i]),
+                            image)
         prior = math.inf
         for passes in range(1, cap + 1):
             # NaN and inf both fail the comparison.
             if not l2_norms_of_spectra(point[None], grid)[0] <= bound:
                 raise blowup(i, "the march left 1e3 x data")
             value = power(point[None])[0]
-            # Summed in the order of _duhamel_spectra, so duhamel_apply
-            # re-applies the operator to the kept trajectory bit for bit.
-            image_i = drift + phi2_row * (value - left)
-            image_i += carried
+            image_i = _slab_image(weights, row, left, value - left, image)
             pair[0] = point
             np.subtract(image_i, point, out=pair[1])
             size, correction = a_norms_of_spectra(pair, grid, sp).tolist()

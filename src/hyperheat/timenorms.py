@@ -22,7 +22,8 @@ and the solver-facing derived quantities are
 both required positive. delta > 0 is equivalent to the lower window bound;
 kappa > 0 is implied by the upper bound (it is equivalent to the weaker
 a + inv_v < 2r/(r-1)), so the joint sign test matches the window exactly
-on the regime a < 2 - inv_v where these exponents are used.
+on the regime a < 2 - inv_v where these exponents are used. One
+``admissibility`` record holds the window's verdict and both exponents.
 """
 
 import math
@@ -224,23 +225,6 @@ class Admissibility:
     classification: str
 
 
-def _window_predicate(a, v, s, s0, m):
-    """The strict two-sided window on a + 1/v, with 1/v = 0 at v = inf."""
-    inv_v = 0.0 if math.isinf(v) else 1.0 / v
-    gap = m.r * (s - s0) / m.alpha
-    return gap < a + inv_v < 2.0
-
-
-def _sign_exponents(a, v, s, s0, m):
-    """(delta, kappa); leading-order coefficients in v when v = inf."""
-    gap = m.r * (s - s0) / m.alpha
-    if math.isinf(v):
-        return a - gap, a * (1.0 - m.r) + 2.0 * m.r
-    delta = a * v - gap * v + 1.0
-    kappa = a * v + 2.0 * m.r * v - a * m.r * v - m.r + 1.0
-    return delta, kappa
-
-
 def admissibility(a, v, s, s0, m, p):
     """Evaluate the admissibility window and derived exponents for one tuple.
 
@@ -253,8 +237,14 @@ def admissibility(a, v, s, s0, m, p):
         raise ParameterError(f"need 1/2 < v <= inf, got v = {v}")
     if not p >= 1:
         raise ParameterError(f"p must satisfy 1 <= p <= inf, got {p}")
-    delta, kappa = _sign_exponents(a, v, s, s0, m)
-    admissible = _window_predicate(a, v, s, s0, m)
+    gap = m.r * (s - s0) / m.alpha
+    if math.isinf(v):
+        # Leading-order coefficients in v.
+        inv_v, delta, kappa = 0.0, a - gap, a * (1.0 - m.r) + 2.0 * m.r
+    else:
+        inv_v = 1.0 / v
+        delta = a * v - gap * v + 1.0
+        kappa = a * v + 2.0 * m.r * v - a * m.r * v - m.r + 1.0
     critical = m.critical_smoothness(p)
     tol = 1e-12 * max(1.0, abs(critical), abs(s0))
     if s0 > critical + tol:
@@ -266,17 +256,6 @@ def admissibility(a, v, s, s0, m, p):
     return Admissibility(a=float(a), v=float(v), s=float(s), s0=float(s0),
                          alpha=float(m.alpha), r=float(m.r), p=float(p),
                          delta=float(delta), kappa=float(kappa),
-                         admissible=bool(admissible), critical_s0=float(critical),
-                         classification=classification)
+                         admissible=bool(gap < a + inv_v < 2.0),
+                         critical_s0=float(critical), classification=classification)
 
-
-def equivalence_check(a, v, s, s0, m):
-    """Whether the window predicate agrees with (delta > 0 and kappa > 0).
-
-    The agreement is an identity on the regime a < 2 - 1/v; outside it the
-    sign test is strictly weaker on the upper side (see module docstring).
-    """
-    if not v > 0.5:
-        raise ParameterError(f"need 1/2 < v <= inf, got v = {v}")
-    delta, kappa = _sign_exponents(a, v, s, s0, m)
-    return _window_predicate(a, v, s, s0, m) == (delta > 0.0 and kappa > 0.0)

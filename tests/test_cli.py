@@ -74,6 +74,21 @@ class TestExitCodes:
         assert code == 1
         assert "declares experiment" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, key", [("r_range = 2,3,4", "r_range"),
+                                           ("v_range = 1", "v_range"),
+                                           ("alpha_choices = 1.5", "alpha_choices"),
+                                           ("alpha_choices = 1,2.5,3", "alpha_choices"),
+                                           ("alpha_choices =", "alpha_choices")])
+    def test_malformed_sweep_knob_is_one(self, tmp_path, capsys, line, key):
+        # A range of other than two numbers used to end in an unpacking
+        # traceback, alpha 1.5 ran silently as alpha 1, and no alpha at all
+        # failed inside numpy's choice.
+        cfg = write(tmp_path, "sweep.ini", FAST_SWEEP + line + "\n")
+        code = main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
+
     def test_negative_seed_is_one(self, tmp_path, capsys):
         cfg = write(tmp_path, "sweep.ini", FAST_SWEEP)
         code = main(["sweep", "--config", cfg, "--seed", "-3",

@@ -177,6 +177,15 @@ class TestParsing:
             parse_config("[experiment]\nid = solve\n\n[solver]\nhorizon = 0.25\n"
                          "times = 0.1,nan,0.25\n")
 
+    @pytest.mark.parametrize("line", ["times = 0.2,0.1,0.25", "times = 0.25",
+                                      "times = 0.1,0.2", "extra_times = 0.5",
+                                      "extra_times = 0.0"])
+    def test_bad_slab_grid_rejected_when_read(self, line):
+        # The slab grid is checked where the solver config is built, not
+        # first when a solve asks for its slab times.
+        with pytest.raises(ConfigError, match="times"):
+            parse_config(f"[experiment]\nid = solve\n\n[solver]\nhorizon = 0.25\n{line}\n")
+
     @pytest.mark.parametrize("experiment, key", [("solve", "oracle_tl"),
                                                  ("contraction", "oracle_tol"),
                                                  ("sweep", "seeds")])

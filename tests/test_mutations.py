@@ -9,8 +9,10 @@ the order study of ``test_solver.TestConstantDataClosedForm``, and its cubic
 forcing prediction, swapped for the line through two slab ends, the kernel
 field bound of ``test_solver.TestMarchedStart``. A march that carries its
 image without the decay must report a defect that the re-application
-contradicts. The power kernel's pruned embedding and truncation, broken on
-one full axis, must fail its per-field c2c reference in
+contradicts; a slab step that drops its carried solution moves the march
+and the re-application alike, so criterion 12 must catch it instead. The
+power kernel's pruned embedding and truncation, broken on one full axis,
+must fail its per-field c2c reference in
 ``test_solver_kernel``. A norm that comes out NaN must end a solve with a
 blow-up error, not pass as defect 0.
 """
@@ -116,6 +118,27 @@ def test_dropped_decay_in_the_carried_image_fails_the_reapplied_defect(monkeypat
     defect, _ = test_solver.reapplied_defect(start.solve_data(1.0), report, cfg,
                                              start.MODEL, w, start.SPACE)
     assert abs(report.defect - defect) > 1e-3 * defect
+
+
+def test_slab_step_without_its_carry_fails_criterion_12(monkeypatch):
+    # The march and duhamel_apply share _slab_image, so a step that drops
+    # e^z U_(i-1) certifies its own fixed point (defect 1.4e-14) and the
+    # re-application measures the same defect; the closed form for constant
+    # data reads a relative error of 1.0.
+    def without_carry(weights, row, left, rise, carry, out=None):
+        out = np.multiply(weights.phi1[row], left, out=out)
+        out += weights.phi2[row] * rise
+        return out
+
+    monkeypatch.setattr(solver, "_slab_image", without_carry)
+    start = test_solver.TestMarchedStart()
+    cfg = SolverConfig(horizon=0.25)
+    w = TimeWeight(b=0.5 / (2 * start.MODEL.r), v=1.0, T=cfg.horizon)
+    report = start.solve(1.0, cfg)
+    defect, _ = test_solver.reapplied_defect(start.solve_data(1.0), report, cfg,
+                                             start.MODEL, w, start.SPACE)
+    assert report.converged and report.defect == pytest.approx(defect, rel=1e-12)
+    assert closed_form_error() > 1e-5
 
 
 def test_nan_weighted_norm_ends_the_solve(monkeypatch):

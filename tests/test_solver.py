@@ -109,9 +109,8 @@ class TestSolverConfig:
         assert t[0] <= 1e-4 * 0.5
 
     def test_explicit_times_must_reach_horizon(self):
-        cfg = SolverConfig(horizon=1.0, times=(0.25, 0.5))
         with pytest.raises(ParameterError):
-            slab_times(cfg)
+            SolverConfig(horizon=1.0, times=(0.25, 0.5))
 
     def test_extra_times_merged(self):
         cfg = SolverConfig(horizon=1.0, slabs=8, extra_times=(0.013,))
@@ -119,18 +118,16 @@ class TestSolverConfig:
         assert np.min(np.abs(t - 0.013)) < 1e-12
 
     def test_extra_times_must_be_interior(self):
-        cfg = SolverConfig(horizon=1.0, slabs=8, extra_times=(1.5,))
         with pytest.raises(ParameterError):
-            slab_times(cfg)
+            SolverConfig(horizon=1.0, slabs=8, extra_times=(1.5,))
 
     def test_extra_times_merged_into_explicit_times(self):
         cfg = SolverConfig(horizon=1.0, times=(0.25, 0.5, 1.0), extra_times=(0.1,))
         assert slab_times(cfg).tolist() == [0.1, 0.25, 0.5, 1.0]
 
     def test_extra_times_checked_against_explicit_times(self):
-        cfg = SolverConfig(horizon=1.0, times=(0.25, 0.5, 1.0), extra_times=(2.0,))
         with pytest.raises(ParameterError):
-            slab_times(cfg)
+            SolverConfig(horizon=1.0, times=(0.25, 0.5, 1.0), extra_times=(2.0,))
 
 
 class TestNonlinearity:

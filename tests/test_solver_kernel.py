@@ -312,15 +312,16 @@ class TestStackedPicard:
         assert report.converged and report.iterations > 1
 
     def test_dropping_the_carried_integral_is_caught(self, monkeypatch):
-        # A mutant of the Duhamel pass, compiled from its source: each batch
-        # after the first starts from zero instead of the solution at the
-        # last slab end of the batch before; the first keeps its carry, u0.
+        # A mutant of the per-slab Duhamel pass, compiled from its source: the
+        # carry is zeroed at each batch boundary, so each batch after the
+        # first starts from zero instead of the solution at the last slab end
+        # of the batch before; the first keeps its carry, u0.
         source = inspect.getsource(solver._duhamel_spectra)
-        carried = "carry = image[-1]"
-        assert source.count(carried) == 1
+        boundary = "left = left.copy()"
+        assert source.count(boundary) == 1
         mutant = {}
-        exec(source.replace(carried, "carry = np.zeros_like(image[-1])"), vars(solver),
-             mutant)
+        exec(source.replace(boundary, "left, carry = left.copy(), np.zeros_like(carry)"),
+             vars(solver), mutant)
 
         case = sixteen_case()
         u0, cfg, m = case[:3]

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from hyperheat import (InconsistentGridError, ModelParams, ParameterError, RealField,
                        SpaceParams, TimeWeight, TorusGrid, Trajectory, admissibility,
-                       a_norm, build_decomposition, cosine_mode, equivalence_check,
-                       log_time_grid, random_band_limited, weighted_norm)
+                       a_norm, build_decomposition, cosine_mode, log_time_grid,
+                       random_band_limited, weighted_norm)
 from hyperheat import grid as grid_module
 
 
@@ -237,6 +237,13 @@ class TestAdmissibility:
             admissibility(0.5, 1.0, 1.0, 1.0, m, 0.5)   # p < 1
 
 
+def signs_agree(a, v, s, s0, m):
+    """Whether one admissibility record's window verdict matches the joint
+    sign test of its own delta and kappa."""
+    adm = admissibility(a, v, s, s0, m, 2.0)
+    return adm.admissible == (adm.delta > 0.0 and adm.kappa > 0.0)
+
+
 class TestEquivalence:
     def test_agrees_inside_working_range(self):
         # On a + 1/v < 2 the window is equivalent to delta > 0 and kappa > 0.
@@ -250,13 +257,13 @@ class TestEquivalence:
             s = s0 + float(rng.uniform(0.0, 1.5))
             a = float(rng.uniform(-3.0, 2.0 - 1.0 / v))
             m = m_cache.setdefault((alpha, r), ModelParams(alpha=alpha, r=r, n=1))
-            assert equivalence_check(a, v, s, s0, m)
+            assert signs_agree(a, v, s, s0, m)
 
     def test_counterexample_beyond_working_range(self):
         # kappa > 0 is weaker than the upper bound: at a = 2.5, v = 1, r = 2,
         # s = s0 both exponents are positive but a + 1/v = 3.5 >= 2.
         m = ModelParams(alpha=1, r=2.0, n=1)
-        assert not equivalence_check(2.5, 1.0, 1.0, 1.0, m)
+        assert not signs_agree(2.5, 1.0, 1.0, 1.0, m)
         adm = admissibility(2.5, 1.0, 1.0, 1.0, m, 2.0)
         assert adm.delta > 0 and adm.kappa > 0 and not adm.admissible
 
@@ -267,4 +274,4 @@ class TestEquivalence:
         if a + 1.0 / v >= 2.0:
             return
         m = ModelParams(alpha=1, r=r, n=1)
-        assert equivalence_check(a, v, 1.0 + gap, 1.0, m)
+        assert signs_agree(a, v, 1.0 + gap, 1.0, m)
