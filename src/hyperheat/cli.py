@@ -58,8 +58,6 @@ def main(argv=None):
         else:
             cfg = default_config(args.experiment)
         if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError(f"seed must be non-negative, got {args.seed}")
             cfg = replace(cfg, seed=args.seed)
         record = run_experiment(cfg)
         out_dir = Path(args.out) if args.out else Path("results") / cfg.experiment

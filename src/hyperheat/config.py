@@ -41,9 +41,9 @@ class ExperimentConfig:
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}; "
                               f"expected one of {', '.join(EXPERIMENTS)}")
+        _reject_bools(self, ("seed", "weight_a", "weight_v"), ConfigError)
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
-        _reject_bools(self, ("weight_a", "weight_v"), ConfigError)
 
     def time_weight(self):
         """TimeWeight with b = a/(2r) over the solver horizon."""

@@ -153,7 +153,7 @@ def run_scaling(cfg):
         w = TimeWeight(b=cfg.weight_a / (2.0 * m.r), v=cfg.weight_v, T=cfg.solver.horizon)
         base = picard_solve(u0, cfg.solver, m, w, sp)
         dilation = lam ** (2.0 * m.alpha)
-        factor = lam ** (2.0 * m.alpha / (m.r - 1.0))
+        factor = lam ** m.scaling_exponent
         grid2 = TorusGrid(n=n, points_per_dim=N2, length=cfg.grid.length / lam)
         u0_2 = RealField(grid2, factor * u0.samples[stride])
         times2 = tuple(t / dilation for t in base.trajectory.times)
@@ -190,7 +190,9 @@ def run_criticality(cfg):
     solvable window critical < s0 <= s < r-1 can be nonempty.
     """
     rec = _new_record(cfg)
-    n_list = [int(x) for x in cfg.get_floats("n_list")]
+    n_list = cfg.get_floats("n_list")
+    if not n_list or not all(x.is_integer() and x >= 1 for x in n_list):
+        raise ConfigError(f"n_list must be positive integers, got {n_list}")
     p_list = cfg.get_floats("p_list")
     alpha_list = cfg.get_floats("alpha_list")
     r_list = cfg.get_floats("r_list")
@@ -199,20 +201,14 @@ def run_criticality(cfg):
         raise ConfigError(f"sample_offset must be positive, got {offset}")
     rows = []
     consistent = 0
-    total = 0
     for n_, p_, alpha_, r_ in product(n_list, p_list, alpha_list, r_list):
         m = _model_with(alpha_, r_, n_)
         crit = m.critical_smoothness(p_)
-        window_possible = crit < m.r - 1.0
-        agree = True
-        for s0, expect in ((crit + offset, "supercritical"),
-                           (crit, "critical"),
-                           (crit - offset, "subcritical")):
-            adm = admissibility(cfg.weight_a, cfg.weight_v, s0, s0, m, p_)
-            agree = agree and adm.classification.startswith(expect)
-        total += 1
-        consistent += agree
-        rows.append((n_, p_, m.alpha, m.r, crit, float(window_possible)))
+        consistent += all(m.classify(s0, p_).startswith(expect)
+                          for s0, expect in ((crit + offset, "supercritical"),
+                                             (crit, "critical"),
+                                             (crit - offset, "subcritical")))
+        rows.append((m.n, p_, m.alpha, m.r, crit, float(crit < m.r - 1.0)))
     rec.add_check("pin_n2_p2_alpha1_r3",
                   "critical smoothness n/p - 2 alpha/(r-1) at n=2, p=2, alpha=1, r=3",
                   ModelParams(1, 3.0, 2).critical_smoothness(2.0), "==", 0.0)
@@ -222,7 +218,7 @@ def run_criticality(cfg):
     rec.add_check("classification_consistency",
                   "fraction of sweep entries classified supercritical, critical, and "
                   "subcritical at the offsets +offset, 0, -offset from the critical "
-                  "order", consistent / total, "==", 1.0)
+                  "order", consistent / len(rows), "==", 1.0)
     rec.add_series("criticality_table",
                    ("n", "p", "alpha", "r", "critical_s0", "window_possible"), rows)
     return rec
@@ -477,7 +473,7 @@ def run_sweep(cfg):
         s0 = float(rng.uniform(-1.0, 1.0))
         a = float(rng.uniform(a_floor, 2.0 - inv_v))
         m = ModelParams(alpha=alpha, r=r, n=cfg.model.n)
-        adm = admissibility(a, v, s0 + gap, s0, m, cfg.space.p)
+        adm = admissibility(a, v, s0 + gap, s0, m)
         agrees = adm.admissible == (adm.delta > 0.0 and adm.kappa > 0.0)
         agree += agrees
         window_hits += adm.admissible

@@ -44,12 +44,28 @@ class ModelParams:
     def integer_order(self):
         return float(self.alpha).is_integer()
 
+    @property
+    def scaling_exponent(self):
+        """2 alpha / (r - 1): lam^(2 alpha/(r-1)) u(lam x, lam^(2 alpha) t) solves too."""
+        return 2.0 * self.alpha / (self.r - 1.0)
+
     def critical_smoothness(self, p):
         """n/p - 2 alpha / (r - 1), the scaling-invariant data smoothness."""
         if not p >= 1:
             raise ParameterError(f"p must satisfy 1 <= p <= inf, got {p}")
         n_over_p = 0.0 if math.isinf(p) else self.n / p
-        return n_over_p - 2.0 * self.alpha / (self.r - 1.0)
+        return n_over_p - self.scaling_exponent
+
+    def classify(self, s0, p):
+        """Place data smoothness s0 against ``critical_smoothness(p)``, to 1e-12."""
+        critical = self.critical_smoothness(p)
+        tol = 1e-12 * max(1.0, abs(critical), abs(s0))
+        if s0 > critical + tol:
+            return "supercritical: local solutions expected for large data"
+        if s0 < critical - tol:
+            return "subcritical: well-posedness in this scale not expected"
+        return ("critical: global solutions expected for small mean-zero data; "
+                "constant data c blows up at T* = 1/((r-1) c^(r-1)) however small c is")
 
 
 def dissipation_symbol(grid, m):

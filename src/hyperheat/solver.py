@@ -436,8 +436,7 @@ def picard_solve(u0, cfg, m, w, sp):
     and the space must sit in the multiplication regime s > n/p.
     """
     a = 2.0 * m.r * w.b
-    adm = admissibility(a, w.v, sp.s, sp.s0, m, sp.p)
-    if not adm.admissible:
+    if not admissibility(a, w.v, sp.s, sp.s0, m).admissible:
         raise ParameterError(
             f"weight a = {a:.6g}, v = {w.v:.6g} inadmissible for s - s0 = "
             f"{sp.s - sp.s0:.6g}: need r(s-s0)/alpha < a + 1/v < 2")

@@ -23,7 +23,8 @@ both required positive. delta > 0 is equivalent to the lower window bound;
 kappa > 0 is implied by the upper bound (it is equivalent to the weaker
 a + inv_v < 2r/(r-1)), so the joint sign test matches the window exactly
 on the regime a < 2 - inv_v where these exponents are used. One
-``admissibility`` record holds the window's verdict and both exponents.
+``admissibility`` record holds the window's verdict and both exponents;
+``ModelParams.classify`` places s0 against the scaling-critical smoothness.
 """
 
 import math
@@ -202,41 +203,27 @@ def time_weighted_norm(times, norms, b, vexp):
 
 @dataclass(frozen=True)
 class Admissibility:
-    """Joint record for one exponent tuple (a, v, s, s0) and model params.
+    """The window's verdict for one exponent tuple (a, v, s, s0) and model.
 
     ``delta`` and ``kappa`` are the contraction exponents; at v = inf the
     stored values are their leading coefficients in v (the additive
-    constants vanish in the limit), keeping the sign information. The
-    classification compares s0 against the scaling-critical smoothness
-    n/p - 2 alpha / (r-1).
+    constants vanish in the limit), keeping the sign information.
     """
 
-    a: float
-    v: float
-    s: float
-    s0: float
-    alpha: float
-    r: float
-    p: float
+    admissible: bool
     delta: float
     kappa: float
-    admissible: bool
-    critical_s0: float
-    classification: str
 
 
-def admissibility(a, v, s, s0, m, p):
+def admissibility(a, v, s, s0, m):
     """Evaluate the admissibility window and derived exponents for one tuple.
 
-    Requires s >= s0 and 1/2 < v <= inf. ``p`` fixes the integrability of
-    the data space for the criticality classification.
+    Requires s >= s0 and 1/2 < v <= inf; the data space's p plays no part.
     """
     if not s >= s0:
         raise ParameterError(f"need s >= s0, got s = {s}, s0 = {s0}")
     if not v > 0.5:
         raise ParameterError(f"need 1/2 < v <= inf, got v = {v}")
-    if not p >= 1:
-        raise ParameterError(f"p must satisfy 1 <= p <= inf, got {p}")
     gap = m.r * (s - s0) / m.alpha
     if math.isinf(v):
         # Leading-order coefficients in v.
@@ -245,17 +232,5 @@ def admissibility(a, v, s, s0, m, p):
         inv_v = 1.0 / v
         delta = a * v - gap * v + 1.0
         kappa = a * v + 2.0 * m.r * v - a * m.r * v - m.r + 1.0
-    critical = m.critical_smoothness(p)
-    tol = 1e-12 * max(1.0, abs(critical), abs(s0))
-    if s0 > critical + tol:
-        classification = "supercritical: local solutions expected for large data"
-    elif s0 < critical - tol:
-        classification = "subcritical: well-posedness in this scale not expected"
-    else:
-        classification = "critical: global solutions expected for small data"
-    return Admissibility(a=float(a), v=float(v), s=float(s), s0=float(s0),
-                         alpha=float(m.alpha), r=float(m.r), p=float(p),
-                         delta=float(delta), kappa=float(kappa),
-                         admissible=bool(gap < a + inv_v < 2.0),
-                         critical_s0=float(critical), classification=classification)
-
+    return Admissibility(admissible=bool(gap < a + inv_v < 2.0),
+                         delta=float(delta), kappa=float(kappa))

@@ -78,6 +78,14 @@ class TestRoundTrip:
         if part != "time_weight":
             assert parse_config(emit_config(numeric)) == numeric
 
+    def test_bool_seed_rejected_before_emit(self):
+        # seed = True would emit "seed = True", which parse_config cannot read.
+        cfg = default_config("solve")
+        with pytest.raises(ConfigError, match="seed"):
+            dataclasses.replace(cfg, seed=True)
+        numeric = dataclasses.replace(cfg, seed=1)
+        assert parse_config(emit_config(numeric)) == numeric
+
     def test_digest_is_stable(self):
         cfg = default_config("sweep")
         d1 = config_digest(cfg)

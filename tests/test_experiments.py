@@ -75,6 +75,13 @@ class TestValidation:
         with pytest.raises(ConfigError):
             run_experiment(cfg)
 
+    @pytest.mark.parametrize("n_list", ["2.5", "1,2.5,4", "0", ""])
+    def test_criticality_rejects_dimensions_that_are_not_positive_integers(self, n_list):
+        # Truncated, 2.5 would run as n = 2 and the record would pass.
+        cfg = with_extras(default_config("criticality"), n_list=n_list)
+        with pytest.raises(ConfigError, match="n_list"):
+            run_experiment(cfg)
+
     def test_smoothing_rejects_empty_pairs(self):
         cfg = with_extras(default_config("smoothing"), pairs="")
         with pytest.raises(ConfigError):

@@ -10,7 +10,9 @@ forcing prediction, swapped for the line through two slab ends, the kernel
 field bound of ``test_solver.TestMarchedStart``. A march that carries its
 image without the decay must report a defect that the re-application
 contradicts; a slab step that drops its carried solution moves the march
-and the re-application alike, so criterion 12 must catch it instead. The
+and the re-application alike, so criterion 12 must catch it instead. A
+wrong scaling exponent must fail criterion 9 at amplitude 1 and both
+criticality pins. The
 power kernel's pruned embedding and truncation, broken on one full axis,
 must fail its per-field c2c reference in
 ``test_solver_kernel``. A norm that comes out NaN must end a solve with a
@@ -24,8 +26,8 @@ import pytest
 
 import test_solver
 import test_solver_kernel
-from hyperheat import (BlowupSuspectedError, SolverConfig, TimeWeight, default_config,
-                       etd_oracle, run_experiment, solver)
+from hyperheat import (BlowupSuspectedError, ModelParams, SolverConfig, TimeWeight,
+                       default_config, etd_oracle, run_experiment, solver)
 from test_acceptance import closed_form_error, get_check
 
 
@@ -139,6 +141,24 @@ def test_slab_step_without_its_carry_fails_criterion_12(monkeypatch):
                                              start.MODEL, w, start.SPACE)
     assert report.converged and report.defect == pytest.approx(defect, rel=1e-12)
     assert closed_form_error() > 1e-5
+
+
+def test_wrong_scaling_exponent_fails_criterion_09_and_the_criticality_pins(monkeypatch):
+    # lam^(2 alpha/r) in place of lam^(2 alpha/(r-1)) passes criterion 9 at
+    # the default amplitude 1e-3 (mismatches 3.1e-8 and 3.4e-8), where the
+    # flow is nearly linear; at amplitude 1 the nonlinearity tells them apart.
+    cfg = default_config("scaling")
+    cfg = dataclasses.replace(cfg, extras={**cfg.extras, "amplitude": "1.0"})
+    mismatches = ("mismatch_alpha1_r3", "mismatch_alpha2_r3")
+    control = run_experiment(cfg)
+    assert all(get_check(control, name).passed for name in mismatches)
+    monkeypatch.setattr(ModelParams, "scaling_exponent",
+                        property(lambda m: 2.0 * m.alpha / m.r))
+    mutated = run_experiment(cfg)
+    assert all(get_check(mutated, name).value > 1e-5 for name in mismatches)
+    pins = run_experiment(default_config("criticality"))
+    assert not any(get_check(pins, name).passed
+                   for name in ("pin_n2_p2_alpha1_r3", "pin_n4_p2_alpha2_r2"))
 
 
 def test_nan_weighted_norm_ends_the_solve(monkeypatch):

@@ -47,6 +47,21 @@ class TestModelParams:
         assert ModelParams(alpha=1, r=3.0, n=2).critical_smoothness(2.0) == 0.0
         assert ModelParams(alpha=2, r=2.0, n=4).critical_smoothness(2.0) == -2.0
 
+    def test_classification_pins(self):
+        # s_c = 0 at n = 2, p = 2, alpha = 1, r = 3.
+        m1 = ModelParams(alpha=1, r=3.0, n=2)
+        assert m1.classify(0.0, 2.0).startswith("critical")
+        assert "mean-zero" in m1.classify(0.0, 2.0)
+        assert m1.classify(0.5, 2.0).startswith("supercritical")
+        assert m1.classify(-0.5, 2.0).startswith("subcritical")
+        with pytest.raises(ParameterError):
+            m1.classify(0.0, 0.5)   # p < 1
+
+    def test_scaling_exponent_enters_the_critical_smoothness(self):
+        m = ModelParams(alpha=2, r=3.0, n=2)
+        assert m.scaling_exponent == 2.0
+        assert m.critical_smoothness(math.inf) == -m.scaling_exponent
+
 
 GRIDS = [TorusGrid(1, 64), TorusGrid(2, 32), TorusGrid(3, 8)]
 

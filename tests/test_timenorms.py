@@ -196,7 +196,7 @@ class TestAdmissibility:
         # a=1/2, v=1, s=s0, r=2: delta = av - 0 + 1 = 3/2,
         # kappa = av + 2rv - arv - r + 1 = 1/2 + 4 - 1 - 2 + 1 = 5/2.
         m = ModelParams(alpha=1, r=2.0, n=1)
-        adm = admissibility(0.5, 1.0, 1.0, 1.0, m, 2.0)
+        adm = admissibility(0.5, 1.0, 1.0, 1.0, m)
         assert adm.delta == 1.5
         assert adm.kappa == 2.5
         assert adm.admissible
@@ -205,7 +205,7 @@ class TestAdmissibility:
         # a + 1/v exactly at r (s - s0) / alpha makes delta vanish.
         m = ModelParams(alpha=2, r=3.0, n=1)
         gap = m.r * 0.5 / m.alpha  # s - s0 = 0.5
-        adm = admissibility(gap - 1.0, 1.0, 1.5, 1.0, m, 2.0)
+        adm = admissibility(gap - 1.0, 1.0, 1.5, 1.0, m)
         assert adm.delta == 0.0
         assert not adm.admissible
 
@@ -213,34 +213,23 @@ class TestAdmissibility:
         # At v = inf the stored values are the leading coefficients:
         # delta -> a - gap, kappa -> a(1-r) + 2r.
         m = ModelParams(alpha=1, r=3.0, n=1)
-        adm = admissibility(1.0, math.inf, 1.25, 1.0, m, 2.0)
+        adm = admissibility(1.0, math.inf, 1.25, 1.0, m)
         assert adm.delta == pytest.approx(1.0 - 3.0 * 0.25)
         assert adm.kappa == pytest.approx(1.0 * (1.0 - 3.0) + 6.0)
         assert adm.admissible  # 0.75 < 1.0 < 2
 
-    def test_classification_pins(self):
-        m1 = ModelParams(alpha=1, r=3.0, n=2)
-        assert admissibility(0.5, 1.0, 0.0, 0.0, m1, 2.0).classification.startswith(
-            "critical")
-        assert admissibility(0.5, 1.0, 0.5, 0.5, m1, 2.0).classification.startswith(
-            "supercritical")
-        assert admissibility(0.5, 1.0, -0.5, -0.5, m1, 2.0).classification.startswith(
-            "subcritical")
-
     def test_rejects_bad_arguments(self):
         m = ModelParams(alpha=1, r=3.0, n=1)
         with pytest.raises(ParameterError):
-            admissibility(0.5, 1.0, 0.0, 1.0, m, 2.0)   # s < s0
+            admissibility(0.5, 1.0, 0.0, 1.0, m)   # s < s0
         with pytest.raises(ParameterError):
-            admissibility(0.5, 0.5, 1.0, 1.0, m, 2.0)   # v at the open endpoint
-        with pytest.raises(ParameterError):
-            admissibility(0.5, 1.0, 1.0, 1.0, m, 0.5)   # p < 1
+            admissibility(0.5, 0.5, 1.0, 1.0, m)   # v at the open endpoint
 
 
 def signs_agree(a, v, s, s0, m):
     """Whether one admissibility record's window verdict matches the joint
     sign test of its own delta and kappa."""
-    adm = admissibility(a, v, s, s0, m, 2.0)
+    adm = admissibility(a, v, s, s0, m)
     return adm.admissible == (adm.delta > 0.0 and adm.kappa > 0.0)
 
 
@@ -264,7 +253,7 @@ class TestEquivalence:
         # s = s0 both exponents are positive but a + 1/v = 3.5 >= 2.
         m = ModelParams(alpha=1, r=2.0, n=1)
         assert not signs_agree(2.5, 1.0, 1.0, 1.0, m)
-        adm = admissibility(2.5, 1.0, 1.0, 1.0, m, 2.0)
+        adm = admissibility(2.5, 1.0, 1.0, 1.0, m)
         assert adm.delta > 0 and adm.kappa > 0 and not adm.admissible
 
     @settings(max_examples=200, deadline=None)
