@@ -17,26 +17,18 @@ class InconsistentGridError(HyperheatError, ValueError):
     """Two fields that must share a grid do not."""
 
 
-class IntegrationError(HyperheatError, RuntimeError):
-    """A time step produced non-finite or unstable values.
-
-    Carries ``step`` (slab index) and ``time`` of the offending step.
-    """
-
-    def __init__(self, message, step=None, time=None):
-        super().__init__(message)
-        self.step = step
-        self.time = time
-
-
 class BlowupSuspectedError(HyperheatError, RuntimeError):
-    """Fixed-point iteration diverged; blow-up of the solution suspected.
+    """A solve cannot go past ``time``, the slab time where it stopped.
 
-    Carries ``report``, the partial iteration report collected so far.
+    The Picard march raises it when its iteration diverges or stops
+    contracting, with ``report`` the partial report of the slabs certified
+    before (None when the first slab fails); the exponential integrator
+    raises it at an unstable step, with no report.
     """
 
-    def __init__(self, message, report=None):
+    def __init__(self, message, time, report=None):
         super().__init__(message)
+        self.time = time
         self.report = report
 
 

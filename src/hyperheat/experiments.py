@@ -190,18 +190,18 @@ def run_criticality(cfg):
     solvable window critical < s0 <= s < r-1 can be nonempty.
     """
     rec = _new_record(cfg)
-    n_list = cfg.get_floats("n_list")
-    if not n_list or not all(x.is_integer() and x >= 1 for x in n_list):
-        raise ConfigError(f"n_list must be positive integers, got {n_list}")
-    p_list = cfg.get_floats("p_list")
-    alpha_list = cfg.get_floats("alpha_list")
-    r_list = cfg.get_floats("r_list")
+    lists = {key: cfg.get_floats(key) for key in ("n_list", "p_list", "alpha_list", "r_list")}
+    for key, values in lists.items():
+        if not values:
+            raise ConfigError(f"{key} must hold at least one number")
+    if not all(x.is_integer() and x >= 1 for x in lists["n_list"]):
+        raise ConfigError(f"n_list must be positive integers, got {lists['n_list']}")
     offset = cfg.get_float("sample_offset")
     if not offset > 0:
         raise ConfigError(f"sample_offset must be positive, got {offset}")
     rows = []
     consistent = 0
-    for n_, p_, alpha_, r_ in product(n_list, p_list, alpha_list, r_list):
+    for n_, p_, alpha_, r_ in product(*lists.values()):
         m = _model_with(alpha_, r_, n_)
         crit = m.critical_smoothness(p_)
         consistent += all(m.classify(s0, p_).startswith(expect)
@@ -378,7 +378,9 @@ def run_solve(cfg):
     # T/2^39: one slab end would serve both levels.
     if not 1 <= levels <= 39:
         raise ConfigError(f"strong_levels must be in 1..39, got {levels}")
-    ratio_raw = cfg.get_str("strong_final_ratio").strip()
+    # Empty means no strong-convergence bound; anything else must be a number.
+    ratio = cfg.get_str("strong_final_ratio").strip()
+    bound = cfg.get_float("strong_final_ratio") if ratio else None
     w = cfg.time_weight()
     T = cfg.solver.horizon
     dyadic = tuple(T / 2.0 ** k for k in range(1, levels + 1))
@@ -412,8 +414,7 @@ def run_solve(cfg):
     rec.add_series("strong_convergence", ("t", "distance", "relative_distance"),
                    [(t, dist, dist / base_norm if base_norm > 0 else dist)
                     for t, dist in at_dyadic])
-    if ratio_raw:
-        bound = float(ratio_raw)
+    if bound is not None:
         dists = [dist for _, dist in sorted(at_dyadic, reverse=True)]
         worst = max((dists[i + 1] / dists[i] if dists[i] > 0 else 0.0)
                     for i in range(len(dists) - 1))

@@ -125,15 +125,13 @@ def synthesize_kernel(t, grid, m):
 class SmoothingReport:
     """Fitted decay of || W_t omega ||_{A^{s+d}} against t.
 
-    slope/intercept come from least squares on log-log samples; the
-    weighted ratios are t^(d / 2 alpha) * norm(t) / norm(0-gain), which the
+    slope is the least-squares slope of the log-log samples; the weighted
+    ratios are t^(d / 2 alpha) * norm(t) / norm(0-gain), which the
     smoothing bound keeps under a constant. ``degenerate`` marks spectra
     concentrated in a single block, where the bound saturates trivially.
     """
 
-    d: float
     slope: float
-    intercept: float
     times: tuple
     norms: tuple
     weighted_ratios: tuple
@@ -146,9 +144,8 @@ def smoothing_rate(omega, sp, d, times, m):
     """Measure the norm-inflation rate of W_t from A^s into A^{s+d}.
 
     Samples || W_t omega ||_{A^{s+d}} over the given times in (0, 1], fits
-    slope and intercept of the log-log decay, and reports the weighted
-    ratios. The expected slope is -d / (2 alpha) on spectra that keep every
-    scale active.
+    the slope of the log-log decay, and reports the weighted ratios. The
+    expected slope is -d / (2 alpha) on spectra that keep every scale active.
     """
     if not d >= 0:
         raise ParameterError(f"smoothness gain d must be >= 0, got {d}")
@@ -168,14 +165,13 @@ def smoothing_rate(omega, sp, d, times, m):
                                sp.with_smoothness(sp.s + d))
     if np.any(norms <= 0):
         raise ParameterError("semigroup output norm vanished; field outside covered band?")
-    slope, intercept = np.polyfit(np.log(times), np.log(norms), 1)
+    slope = np.polyfit(np.log(times), np.log(norms), 1)[0]
     ratios = times ** (d / (2.0 * m.alpha)) * norms / base_norm
     # Energy spread across blocks; one active block makes the rate trivial.
     blocks = _block_l2_norms(C, grid)[0]
     degenerate = bool(np.count_nonzero(blocks > 1e-8 * np.linalg.norm(blocks)) <= 1)
     note = "bound saturated trivially: single active block" if degenerate else ""
-    return SmoothingReport(d=float(d), slope=float(slope), intercept=float(intercept),
-                           times=tuple(float(t) for t in times),
+    return SmoothingReport(slope=float(slope), times=tuple(float(t) for t in times),
                            norms=tuple(float(v) for v in norms),
                            weighted_ratios=tuple(float(v) for v in ratios),
                            base_norm=float(base_norm), degenerate=degenerate, note=note)

@@ -24,9 +24,10 @@ march's first point on a slab continues the cubic through the forcing at
 the last four slab ends, an exponential predictor-corrector (Hochbruck &
 Ostermann 2010). A slab where a point is not finite or leaves 1e3 times
 the data, a norm is not finite, or the iteration stops contracting ends
-the solve with a blow-up error dated there.
+the solve with a BlowupSuspectedError whose ``time`` is that slab's.
 An exponential predictor-corrector integrator marching the same slabs
-provides an independent trajectory for cross-validation.
+provides an independent trajectory for cross-validation; an unstable step
+ends it with the same error, dated at that step.
 """
 
 import math
@@ -37,8 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .dyadic import a_norms_of_spectra
-from .errors import (BlowupSuspectedError, InconsistentGridError, IntegrationError,
-                     ParameterError, _reject_bools)
+from .errors import BlowupSuspectedError, InconsistentGridError, ParameterError, _reject_bools
 from .grid import RealField, _batches, l2_norms_of_spectra, real_samples, real_spectra
 from .semigroup import dissipation_symbol
 from .timenorms import Trajectory, admissibility, log_time_grid, time_weighted_norm
@@ -391,12 +391,12 @@ class PicardReport:
     largest ratio of successive corrections on any slab (0.0 when every
     slab took one pass). ``note`` says why the solve stopped short; on a
     blow-up report it names the slab time where the march stopped, and the
-    trajectory holds the slabs certified before it.
+    trajectory holds the slabs certified before it. The tolerance the defect
+    is held to is the config's ``picard_tol``.
     """
 
     converged: bool
     iterations: int
-    tolerance: float
     defect: float
     contraction: float
     weighted_norm: float
@@ -429,8 +429,9 @@ def picard_solve(u0, cfg, m, w, sp):
     evaluate is not finite or exceeds 1e3 times the data's L2 norm, when a
     norm is not finite, or when the iteration stopped contracting: a pass's
     correction does not shrink, or the passes left, each shrinking it as
-    this one did, cannot make it fit. The error carries the report of the
-    slabs certified before (none when the first slab fails).
+    this one did, cannot make it fit. The error's ``time`` is that slab
+    time t_i, and its ``report`` the report of the slabs certified before
+    (None when the first slab fails).
 
     Preconditions: the exponent tuple implied by (w, sp) must be admissible
     and the space must sit in the multiplication regime s > n/p.
@@ -469,13 +470,14 @@ def picard_solve(u0, cfg, m, w, sp):
         """The report of slabs 1..i."""
         scale = time_weighted_norm(times[:i], norms[:i], w.b, vexp)
         defect = time_weighted_norm(times[:i], defects[:i], w.b, vexp)
-        return PicardReport(converged, most, tol, defect / scale if scale else 0.0,
+        return PicardReport(converged, most, defect / scale if scale else 0.0,
                             contraction, scale,
                             Trajectory.from_spectra(times[:i], kept[:i], grid), note)
 
     def blowup(i, reason):
         message = f"{reason} at t = {times[i]:.6g}"
-        return BlowupSuspectedError(message, report=report(i, False, message) if i else None)
+        return BlowupSuspectedError(message, float(times[i]),
+                                    report(i, False, message) if i else None)
 
     for i, row in enumerate(weights.step):
         left = forcings[-1]
@@ -534,8 +536,9 @@ def etd_oracle(u0, cfg, m):
 
     Order 2 (predictor with phi1, corrector with phi2). Each step writes its
     spectrum into one stack, which becomes the returned trajectory, and
-    evaluates the forcing through one ``_power_map`` per call. Non-finite or
-    violently growing steps raise IntegrationError.
+    evaluates the forcing through one ``_power_map`` per call. A step that is
+    not finite or leaves 1e6 times the data (or 1e6) raises
+    BlowupSuspectedError, its ``time`` the step's slab time and no report.
     """
     times = slab_times(cfg)
     grid = u0.grid
@@ -553,8 +556,7 @@ def etd_oracle(u0, cfg, m):
         u = marched[i]
         # NaN and inf both fail the comparison.
         if not l2_norms_of_spectra(u[None], grid)[0] <= bound:
-            raise IntegrationError(
-                f"unstable step {i + 1} at t = {t:.6g}", step=i + 1, time=float(t))
+            raise BlowupSuspectedError(f"unstable step {i + 1} at t = {t:.6g}", float(t))
     return Trajectory.from_spectra(times, marched, grid)
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from hyperheat import (EXPERIMENTS, ConfigError, ModelParams, TorusGrid,
                        default_config, run_experiment)
+from hyperheat import experiments
 from hyperheat.experiments import RUNNERS
 
 
@@ -82,6 +83,14 @@ class TestValidation:
         with pytest.raises(ConfigError, match="n_list"):
             run_experiment(cfg)
 
+    @pytest.mark.parametrize("key", ["p_list", "alpha_list", "r_list"])
+    def test_criticality_rejects_empty_lists(self, key):
+        # An empty list leaves the table without rows, and the consistency
+        # fraction divided by its length.
+        cfg = with_extras(default_config("criticality"), **{key: ""})
+        with pytest.raises(ConfigError, match=key):
+            run_experiment(cfg)
+
     def test_smoothing_rejects_empty_pairs(self):
         cfg = with_extras(default_config("smoothing"), pairs="")
         with pytest.raises(ConfigError):
@@ -101,6 +110,17 @@ class TestValidation:
     def test_solve_rejects_zero_strong_levels(self):
         cfg = with_extras(default_config("solve"), strong_levels=0)
         with pytest.raises(ConfigError):
+            run_experiment(cfg)
+
+    def test_solve_rejects_a_malformed_strong_final_ratio_before_solving(self, monkeypatch):
+        # Read after the solve, oracle and residual, it once ended the run in
+        # a bare ValueError.
+        def no_solve(*args):
+            raise AssertionError("the solve ran")
+
+        monkeypatch.setattr(experiments, "picard_solve", no_solve)
+        cfg = with_extras(default_config("solve"), strong_final_ratio="abc")
+        with pytest.raises(ConfigError, match="strong_final_ratio"):
             run_experiment(cfg)
 
     def test_solve_keeps_every_strong_level_apart(self):

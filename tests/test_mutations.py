@@ -80,7 +80,7 @@ def test_power_mutation_reaches_the_march_and_the_oracle(mutation, monkeypatch):
     # The march certifies the mutated operator's fixed point, a whole
     # nonlinear term away from the true one; so does the oracle.
     report = start.solve(1.0)
-    assert report.converged and report.defect <= report.tolerance
+    assert report.converged and report.defect <= cfg.picard_tol
     for before, after in ((solved, report.trajectory.spectra),
                           (oracle, etd_oracle(u0, cfg, start.MODEL).spectra)):
         assert np.max(np.abs(after - before)) > 1e-3 * np.max(np.abs(before))
@@ -116,7 +116,7 @@ def test_dropped_decay_in_the_carried_image_fails_the_reapplied_defect(monkeypat
     with monkeypatch.context() as patched:
         mutate_weights(patched, decay=np.ones_like)
         report = start.solve(1.0, cfg)
-    assert report.converged and report.defect <= report.tolerance
+    assert report.converged and report.defect <= cfg.picard_tol
     defect, _ = test_solver.reapplied_defect(start.solve_data(1.0), report, cfg,
                                              start.MODEL, w, start.SPACE)
     assert abs(report.defect - defect) > 1e-3 * defect
@@ -177,7 +177,7 @@ def test_nan_weighted_norm_ends_the_solve(monkeypatch):
         test_solver.TestMarchedStart().solve(1.0)
     report = err.value.report
     assert not report.converged and 10 <= len(report.trajectory) <= 20
-    assert report.defect <= report.tolerance
+    assert report.defect <= SolverConfig(horizon=0.25).picard_tol
 
 
 def mutate_first_axis(monkeypatch, change):
